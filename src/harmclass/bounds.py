@@ -135,6 +135,31 @@ def distortion_slope(params: ClassParams) -> float:
     return (1.0 - params.alpha) / ((2.0 - params.alpha) * 2.0 ** (params.delta - 1.0))
 
 
+# Growth integrands, written once with arithmetic and builtin abs only, so one
+# closure takes the floats below and the verify module's radius arrays.
+
+
+def _gprime_upper_integrand(params: ClassParams):
+    """(beta + x)/(1 + beta x) (1 + c x), the |g'| upper envelope."""
+    beta = params.beta
+    c = distortion_slope(params)
+    return lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
+
+
+def _gprime_lower_integrand(params: ClassParams):
+    """|beta - x|/(1 - beta x) (1 - c x), the |g'| lower envelope (kink at beta)."""
+    beta = params.beta
+    c = distortion_slope(params)
+    return lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
+
+
+def _f_lower_integrand(params: ClassParams, sign: float):
+    """(1 + sign c x)(1 - beta)(1 - x)/(1 + beta x): stated (+1) or floor (-1) |f| lower."""
+    beta = params.beta
+    c = distortion_slope(params)
+    return lambda x: (1.0 + sign * c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x)
+
+
 def _check_radius(r: float) -> None:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must be in [0, 1), got {r}")
@@ -223,17 +248,8 @@ def _g_envelope_integrals(
     params: ClassParams, r: float, tol: float
 ) -> tuple[float, float]:
     """Radial integrals of the |g'| envelope, split at the xi = beta kink."""
-    beta = params.beta
-    c = distortion_slope(params)
-
-    def lower_integrand(x: float) -> float:
-        return abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
-
-    def upper_integrand(x: float) -> float:
-        return (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
-
-    lo = adaptive_quadrature(lower_integrand, 0.0, r, tol, breakpoints=(beta,))
-    up = adaptive_quadrature(upper_integrand, 0.0, r, tol)
+    lo = adaptive_quadrature(_gprime_lower_integrand(params), 0.0, r, tol, (params.beta,))
+    up = adaptive_quadrature(_gprime_upper_integrand(params), 0.0, r, tol)
     return lo, up
 
 
@@ -326,16 +342,6 @@ def area_envelope(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> BoundEn
     return BoundEnvelope(lower=lo, upper=up, at=1.0)
 
 
-def _f_lower_integrand(params: ClassParams, sign: float):
-    beta = params.beta
-    c = distortion_slope(params)
-
-    def integrand(x: float) -> float:
-        return (1.0 + sign * c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x)
-
-    return integrand
-
-
 def f_growth(
     params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
 ) -> BoundEnvelope:
@@ -351,14 +357,9 @@ def f_growth(
     _check_radius(r)
     if r == 0.0:
         return BoundEnvelope(0.0, 0.0, at=0.0)
-    beta = params.beta
     c = distortion_slope(params)
     lo = adaptive_quadrature(_f_lower_integrand(params, +1.0), 0.0, r, tol)
-
-    def upper_integrand(x: float) -> float:
-        return (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
-
-    up = r + 0.5 * c * r * r + adaptive_quadrature(upper_integrand, 0.0, r, tol)
+    up = r + 0.5 * c * r * r + adaptive_quadrature(_gprime_upper_integrand(params), 0.0, r, tol)
     return BoundEnvelope(lower=lo, upper=up, at=r)
 
 
@@ -385,13 +386,8 @@ def normality_constant(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> fl
     """Uniform modulus bound M = 1 + (1-alpha)/(2^delta (2-alpha)) + int_0^1 ...;
     the r -> 1 limit of the upper growth envelope."""
     params.require_nonnegative_delta()
-    beta = params.beta
     c = distortion_slope(params)
-
-    def integrand(x: float) -> float:
-        return (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
-
-    return 1.0 + 0.5 * c + adaptive_quadrature(integrand, 0.0, 1.0, tol)
+    return 1.0 + 0.5 * c + adaptive_quadrature(_gprime_upper_integrand(params), 0.0, 1.0, tol)
 
 
 def covering_radius(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> float:

@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Iterable
@@ -38,17 +39,14 @@ def _fmt(value: float) -> str:
     return f"{value:.15g}"
 
 
-def _default_tol() -> float:
-    raw = os.environ.get(_ENV_TOL)
-    if raw is None:
-        return bounds.DEFAULT_QUAD_TOL
+def _positive_tol(text: str) -> float:
     try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise SystemExit(f"invalid {_ENV_TOL} value {raw!r}") from exc
-    if tol <= 0:
-        raise SystemExit(f"{_ENV_TOL} must be positive")
-    return tol
+        tol = float(text)
+        if 0.0 < tol < math.inf:
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a positive finite float: {text!r}")
 
 
 def _float_list(text: str) -> list[float]:
@@ -68,7 +66,6 @@ def _add_param_flags(sub: argparse.ArgumentParser, lists: bool = False) -> None:
 def _add_io_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,6 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--b", type=float, default=1.0)
     _add_io_flags(p_quad)
 
+    # argparse runs a string default (here $HCL_TOL) through the type check too
+    for sub in (p_table, p_area, p_cover, p_growth, p_quad):
+        sub.add_argument("--tol", type=_positive_tol,
+                         default=os.environ.get(_ENV_TOL, bounds.DEFAULT_QUAD_TOL),
+                         help=f"quadrature tolerance (default: ${_ENV_TOL} or "
+                         f"{bounds.DEFAULT_QUAD_TOL:g})")
     return parser
 
 
@@ -186,7 +189,6 @@ def _cmd_bounds(args, parser) -> int:
 
 
 def _cmd_table(args, parser) -> int:
-    tol = args.tol or _default_tol()
     rows = []
     for alpha in args.alpha:
         for beta in args.beta:
@@ -197,15 +199,15 @@ def _cmd_table(args, parser) -> int:
                 except ValueError as exc:
                     parser.error(str(exc))
                 bl = bounds.bloch_bound(params)
-                area = bounds.area_envelope(params, tol)
+                area = bounds.area_envelope(params, args.tol)
                 row = {
                     "theorem": "summary",
                     **_param_dict(params),
                     "b2_bound": bounds.bn_bound(params, 2),
                     "b3_bound": bounds.bn_bound(params, 3),
-                    "normality": bounds.normality_constant(params, tol),
-                    "covering": bounds.covering_radius(params, tol),
-                    "covering_floor": bounds.covering_radius_floor(params, tol),
+                    "normality": bounds.normality_constant(params, args.tol),
+                    "covering": bounds.covering_radius(params, args.tol),
+                    "covering_floor": bounds.covering_radius_floor(params, args.tol),
                     "area_lower": area.lower,
                     "area_upper": area.upper,
                     "bloch_r0": bl.r0,
@@ -258,15 +260,14 @@ def _cmd_bloch(args, parser) -> int:
 
 def _cmd_area(args, parser) -> int:
     params = _params_from(args, parser)
-    tol = args.tol or _default_tol()
-    env = bounds.area_envelope(params, tol)
+    env = bounds.area_envelope(params, args.tol)
     rows = [
         {
             "theorem": "area",
             **_param_dict(params),
             "lower": env.lower,
             "upper": env.upper,
-            "tol": tol,
+            "tol": args.tol,
         }
     ]
     _emit(_rows_to_lines(rows, args.format), args.out)
@@ -275,14 +276,13 @@ def _cmd_area(args, parser) -> int:
 
 def _cmd_cover(args, parser) -> int:
     params = _params_from(args, parser)
-    tol = args.tol or _default_tol()
     rows = [
         {
             "theorem": "covering",
             **_param_dict(params),
-            "value": bounds.covering_radius(params, tol),
-            "floor": bounds.covering_radius_floor(params, tol),
-            "tol": tol,
+            "value": bounds.covering_radius(params, args.tol),
+            "floor": bounds.covering_radius_floor(params, args.tol),
+            "tol": args.tol,
         }
     ]
     _emit(_rows_to_lines(rows, args.format), args.out)
@@ -291,20 +291,19 @@ def _cmd_cover(args, parser) -> int:
 
 def _cmd_growth(args, parser) -> int:
     params = _params_from(args, parser)
-    tol = args.tol or _default_tol()
     rows = []
     for r in args.r:
         if not 0.0 <= r < 1.0:
             parser.error(f"--r values must be in [0, 1), got {r}")
-        fg = bounds.f_growth(params, r, tol)
-        check = bounds.g_growth_crosscheck(params, r, tol)
+        fg = bounds.f_growth(params, r, args.tol)
+        check = bounds.g_growth_crosscheck(params, r, args.tol)
         rows.append(
             {
                 "theorem": "growth",
                 **_param_dict(params),
                 "r": r,
                 "f_lower": fg.lower,
-                "f_floor": bounds.f_growth_floor(params, r, tol),
+                "f_floor": bounds.f_growth_floor(params, r, args.tol),
                 "f_upper": fg.upper,
                 "g_lower": check.closed.lower,
                 "g_upper": check.closed.upper,
@@ -330,11 +329,10 @@ def _cmd_digamma(args, parser) -> int:
 def _cmd_quad(args, parser) -> int:
     from .numerics import Polynomial, adaptive_quadrature
 
-    tol = args.tol or _default_tol()
     poly = Polynomial(args.coeffs)
-    value = adaptive_quadrature(poly, args.a, args.b, tol)
+    value = adaptive_quadrature(poly, args.a, args.b, args.tol)
     _emit(
-        [json.dumps({"a": args.a, "b": args.b, "value": value, "tol": tol}, sort_keys=True)],
+        [json.dumps({"a": args.a, "b": args.b, "value": value, "tol": args.tol}, sort_keys=True)],
         args.out,
     )
     return 0

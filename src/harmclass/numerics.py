@@ -1,5 +1,5 @@
-"""Numerical kernels: adaptive quadrature, digamma, real polynomials,
-Descartes sign variation, interval variation counts and bisection.
+"""Numerical kernels: adaptive and cumulative quadrature, digamma, real
+polynomials, Descartes sign variation, interval variation counts and bisection.
 
 Everything here is deliberately dependency-free and testable in isolation;
 the higher-level bound evaluators treat these as trusted primitives.
@@ -18,10 +18,10 @@ from .errors import QuadratureError
 __all__ = [
     "Polynomial",
     "adaptive_quadrature",
+    "cumulative_quadrature",
     "digamma",
     "sign_variations",
     "vincent_variation_count",
-    "isolate_root",
     "bisect_bracket",
 ]
 
@@ -54,9 +54,13 @@ _WG = (
     0.4179591836734694,
 )
 
+#: Bisection levels after which a panel raises QuadratureError.
+_DEPTH_LIMIT = 40
 
-def _gauss_kronrod_15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One 15-point Kronrod panel; returns (estimate, error_estimate)."""
+
+def _gauss_kronrod_15(f: Callable, a, b) -> tuple:
+    """One 15-point Kronrod panel; returns (estimate, error_estimate).  With arrays
+    of panel ends, ``f`` takes arrays and each panel gets the scalar result."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fc = f(mid)
@@ -100,7 +104,7 @@ def adaptive_quadrature(
     b: float,
     tol: float = 1e-10,
     breakpoints: Sequence[float] = (),
-    depth_limit: int = 40,
+    depth_limit: int = _DEPTH_LIMIT,
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -122,6 +126,33 @@ def adaptive_quadrature(
     for lo, hi in zip(edges[:-1], edges[1:]):
         result += _adaptive_panel(f, lo, hi, tol * (hi - lo) / total, 0, depth_limit)
     return result
+
+
+def cumulative_quadrature(
+    f: Callable, points, tol: float, breakpoints: Sequence[float] = ()
+) -> np.ndarray:
+    """Integrals of ``f`` from 0 to each of the strictly increasing ``points``,
+    bit for bit the running sum of ``adaptive_quadrature(f, lo, hi, tol,
+    breakpoints)`` over [0, points[0]], [points[0], points[1]], ...  Level 0 of
+    all panels evaluates ``f`` on arrays; only panels failing their share of
+    ``tol`` enter the scalar recursion."""
+    points = np.asarray(points, dtype=float)
+    if tol <= 0 or points.ndim != 1 or points.size == 0:
+        raise ValueError("need tol > 0 and a non-empty 1-d sequence of points")
+    starts = np.concatenate(([0.0], points[:-1]))
+    if not np.all(points > starts):
+        raise ValueError("points must increase strictly from 0")
+    cuts = {float(x) for x in breakpoints if 0.0 < x < points[-1]} - set(points.tolist())
+    edges = np.sort(np.concatenate(([0.0], points, sorted(cuts))))
+    lo, hi = edges[:-1], edges[1:]
+    owner = np.searchsorted(points, hi)
+    share = tol * (hi - lo) / (points[owner] - starts[owner])
+    est, err = _gauss_kronrod_15(f, lo, hi)
+    for k in np.flatnonzero(~(err <= share)):
+        est[k] = _adaptive_panel(f, float(lo[k]), float(hi[k]), float(share[k]), 0, _DEPTH_LIMIT)
+    per_interval = np.zeros(points.size)
+    np.add.at(per_interval, owner, est)
+    return np.cumsum(per_interval)
 
 
 # B_{2k}/(2k) for the asymptotic tail psi(x) = log x - 1/(2x) - sum B_{2k}/(2k x^{2k}).
@@ -258,9 +289,3 @@ def bisect_bracket(
             b = mid
     return (a, b)
 
-
-def isolate_root(p: Polynomial, a: float, b: float, tol: float) -> float:
-    """Bisection root refinement on a bracketing interval; midpoint of the
-    final bracket of width <= tol."""
-    lo, hi = bisect_bracket(p, a, b, tol)
-    return 0.5 * (lo + hi)

@@ -6,6 +6,15 @@ modulus, weighted stretch supremum) and reports the worst margin against the
 corresponding bound.  Violations are reported, never raised: a negative
 margin is data about the bound, not an exception in the code.
 
+The grid checks (distortion, g-growth, f-growth, Bloch) read one sample per
+member (|h'|, |w|, |g| and |f| on the grid, each evaluated once) and one
+envelope table per (params, grid): the |h'| and |g'| envelopes over the radii
+and the cumulative radial integrals of the |g'| upper envelope (shared by g-
+and f-growth), the |g'| lower envelope (kink at beta) and the f floor.
+``run_member_suite`` builds the table once for all its members.  Each check is
+one margin array of shape (radii, sides, angles) and one argmin, so the first
+minimum in that order wins ties; the witness is formatted at that point only.
+
 Two checks deliberately reference the derived companions of the stated
 growth forms (see the bounds module):
 
@@ -35,7 +44,7 @@ from .model import (
     jacobian_at,
     moebius_dilatation,
 )
-from .numerics import adaptive_quadrature
+from .numerics import adaptive_quadrature, cumulative_quadrature
 from .series import TruncatedSeries, differentiate, evaluate, lincomb
 
 __all__ = [
@@ -64,10 +73,17 @@ MEMBER_THEOREMS = ("coeff", "distortion", "g_growth", "area", "f_growth", "cover
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Evaluation grid: radii in (0, 1) crossed with equispaced angles."""
+    """Evaluation grid: strictly increasing radii in (0, 1) crossed with angles."""
 
     radii: np.ndarray
     angles: np.ndarray
+
+    def __post_init__(self) -> None:
+        r = self.radii
+        if r.ndim != 1 or r.size == 0 or not (r[0] > 0.0 and r[-1] < 1.0):
+            raise ValueError("grid radii must be a non-empty 1-d array inside (0, 1)")
+        if not np.all(r[1:] > r[:-1]):
+            raise ValueError("grid radii must be strictly increasing")
 
     def points(self) -> np.ndarray:
         return self.radii[:, None] * np.exp(1j * self.angles)[None, :]
@@ -119,11 +135,51 @@ def report_to_dict(report: VerificationReport, **extra) -> dict:
     return rec
 
 
-def _track(margins: np.ndarray, witnesses, worst: float, witness: str):
-    idx = int(np.argmin(margins))
-    if margins.flat[idx] < worst:
-        return float(margins.flat[idx]), witnesses(idx)
-    return worst, witness
+class _GridSample:
+    """One member on the grid: |h'|, |w|, |g| and |f|, each evaluated once."""
+
+    def __init__(self, f: HarmonicMapSpec, grid: PolarGrid) -> None:
+        z = grid.points()
+        g = evaluate(f.g, z)
+        self.hprime = np.abs(evaluate(differentiate(f.h), z))
+        self.w = np.abs(evaluate_dilatation(f.w, z))
+        self.g = np.abs(g)
+        self.f = np.abs(evaluate(f.h, z) + np.conj(g))
+
+
+class _EnvelopeTable:
+    """Member-independent references, one row per grid radius (column arrays)."""
+
+    def __init__(self, params: ClassParams, grid: PolarGrid, tol: float = 1e-9) -> None:
+        params.require_nonnegative_delta()
+        beta, r = params.beta, grid.radii[:, None]
+        c = bounds.distortion_slope(params)
+        gprime_lower = bounds._gprime_lower_integrand(params)
+        gprime_upper = bounds._gprime_upper_integrand(params)
+
+        def integral(f, kinks=()):
+            return cumulative_quadrature(f, grid.radii, tol, kinks)[:, None]
+
+        self.grid = grid
+        self.hprime_lower = np.maximum(0.0, 1.0 - c * r)
+        self.hprime_upper = 1.0 + c * r
+        self.gprime_lower = gprime_lower(r)
+        self.gprime_upper = gprime_upper(r)
+        self.g_upper = integral(gprime_upper)
+        self.g_lower = integral(gprime_lower, (beta,))
+        # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
+        self.g_lower_scored = (r <= beta) | (beta == 0.0)
+        self.f_upper = r + 0.5 * c * r**2 + self.g_upper
+        self.f_floor = integral(bounds._f_lower_integrand(params, -1.0))
+
+
+def _grid_report(
+    theorem: str, margins: np.ndarray, sides: tuple, grid: PolarGrid, slack: float
+) -> VerificationReport:
+    """Report the first minimum of ``margins[radius, side, angle]``."""
+    r_idx, side, t_idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    witness = f"{sides[side]} at r={grid.radii[r_idx]:.6g}, theta={grid.angles[t_idx]:.6g}"
+    return _report(theorem, margins[r_idx, side, t_idx], witness, slack)
 
 
 def verify_coefficients(
@@ -145,6 +201,17 @@ def verify_coefficients(
     return _report("coeff", worst, witness, slack)
 
 
+def _distortion(sample: _GridSample, table: _EnvelopeTable, slack: float) -> VerificationReport:
+    hp, gp = sample.hprime, sample.hprime * sample.w
+    margins = np.stack(
+        (hp - table.hprime_lower, table.hprime_upper - hp,
+         gp - table.gprime_lower, table.gprime_upper - gp),
+        axis=1,
+    )
+    sides = ("|h'| lower", "|h'| upper", "|g'| lower", "|g'| upper")
+    return _grid_report("distortion", margins, sides, table.grid, slack)
+
+
 def verify_distortion(
     f: HarmonicMapSpec,
     params: ClassParams,
@@ -153,43 +220,13 @@ def verify_distortion(
 ) -> VerificationReport:
     """Check the |h'| and |g'| envelopes at every grid point."""
     grid = grid or default_polar_grid()
-    z = grid.points()
-    hp = np.abs(evaluate(differentiate(f.h), z))
-    gp = hp * np.abs(evaluate_dilatation(f.w, z))
-    worst = math.inf
-    witness = ""
-    for r_idx, r in enumerate(grid.radii):
-        h_env = bounds.hprime_envelope(params, r)
-        g_env = bounds.gprime_envelope(params, r)
-        for label, vals, env in (("|h'|", hp[r_idx], h_env), ("|g'|", gp[r_idx], g_env)):
-            for side, margin_row in (
-                ("lower", vals - env.lower),
-                ("upper", env.upper - vals),
-            ):
-                worst, witness = _track(
-                    margin_row,
-                    lambda i, r=r, label=label, side=side: (
-                        f"{label} {side} at r={r:.6g}, "
-                        f"theta={grid.angles[i]:.6g}"
-                    ),
-                    worst,
-                    witness,
-                )
-    return _report("distortion", worst, witness, slack)
+    return _distortion(_GridSample(f, grid), _EnvelopeTable(params, grid), slack)
 
 
-def _cumulative_radial(integrand, radii: np.ndarray, tol: float, kink: float | None = None):
-    """Integrals from 0 to each grid radius, reusing panels between radii."""
-    out = np.empty(radii.size)
-    prev_r = 0.0
-    acc = 0.0
-    for i, r in enumerate(radii):
-        if r > prev_r:
-            cuts = (kink,) if kink is not None and prev_r < kink < r else ()
-            acc += adaptive_quadrature(integrand, prev_r, r, tol, breakpoints=cuts)
-            prev_r = r
-        out[i] = acc
-    return out
+def _g_growth(sample: _GridSample, table: _EnvelopeTable, slack: float) -> VerificationReport:
+    lower = np.where(table.g_lower_scored, sample.g - table.g_lower, np.inf)
+    margins = np.stack((table.g_upper - sample.g, lower), axis=1)
+    return _grid_report("g_growth", margins, ("|g| upper", "|g| lower"), table.grid, slack)
 
 
 def verify_g_growth(
@@ -205,37 +242,7 @@ def verify_g_growth(
     regime (all radii for beta = 0, radii <= beta otherwise).
     """
     grid = grid or default_polar_grid()
-    z = grid.points()
-    gm = np.abs(evaluate(f.g, z))
-    beta = params.beta
-    c = bounds.distortion_slope(params)
-
-    upper_ref = _cumulative_radial(
-        lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x), grid.radii, tol
-    )
-    lower_ref = _cumulative_radial(
-        lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x),
-        grid.radii,
-        tol,
-        kink=beta,
-    )
-    worst = math.inf
-    witness = ""
-    for r_idx, r in enumerate(grid.radii):
-        worst, witness = _track(
-            upper_ref[r_idx] - gm[r_idx],
-            lambda i, r=r: f"|g| upper at r={r:.6g}, theta={grid.angles[i]:.6g}",
-            worst,
-            witness,
-        )
-        if beta == 0.0 or r <= beta:
-            worst, witness = _track(
-                gm[r_idx] - lower_ref[r_idx],
-                lambda i, r=r: f"|g| lower at r={r:.6g}, theta={grid.angles[i]:.6g}",
-                worst,
-                witness,
-            )
-    return _report("g_growth", worst, witness, slack)
+    return _g_growth(_GridSample(f, grid), _EnvelopeTable(params, grid, tol), slack)
 
 
 def _measure_area(
@@ -270,8 +277,9 @@ def verify_area(
     return _report("area", worst, witness, slack)
 
 
-def _f_values(f: HarmonicMapSpec, z: np.ndarray) -> np.ndarray:
-    return evaluate(f.h, z) + np.conj(evaluate(f.g, z))
+def _f_growth(sample: _GridSample, table: _EnvelopeTable, slack: float) -> VerificationReport:
+    margins = np.stack((table.f_upper - sample.f, sample.f - table.f_floor), axis=1)
+    return _grid_report("f_growth", margins, ("|f| upper", "|f| floor"), table.grid, slack)
 
 
 def verify_f_growth(
@@ -283,35 +291,7 @@ def verify_f_growth(
 ) -> VerificationReport:
     """Check |f| against the upper growth bound and the attainable floor."""
     grid = grid or default_polar_grid()
-    z = grid.points()
-    fm = np.abs(_f_values(f, z))
-    beta = params.beta
-    c = bounds.distortion_slope(params)
-    tail = _cumulative_radial(
-        lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x), grid.radii, tol
-    )
-    upper_ref = grid.radii + 0.5 * c * grid.radii**2 + tail
-    floor_ref = _cumulative_radial(
-        lambda x: (1.0 - c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x),
-        grid.radii,
-        tol,
-    )
-    worst = math.inf
-    witness = ""
-    for r_idx, r in enumerate(grid.radii):
-        worst, witness = _track(
-            upper_ref[r_idx] - fm[r_idx],
-            lambda i, r=r: f"|f| upper at r={r:.6g}, theta={grid.angles[i]:.6g}",
-            worst,
-            witness,
-        )
-        worst, witness = _track(
-            fm[r_idx] - floor_ref[r_idx],
-            lambda i, r=r: f"|f| floor at r={r:.6g}, theta={grid.angles[i]:.6g}",
-            worst,
-            witness,
-        )
-    return _report("f_growth", worst, witness, slack)
+    return _f_growth(_GridSample(f, grid), _EnvelopeTable(params, grid, tol), slack)
 
 
 def verify_covering(
@@ -331,7 +311,7 @@ def verify_covering(
         raise ValueError("need at least 64 boundary samples")
     r = 0.999
     z = r * np.exp(2j * np.pi * np.arange(boundary_samples) / boundary_samples)
-    fm = np.abs(_f_values(f, z))
+    fm = np.abs(evaluate(f.h, z) + np.conj(evaluate(f.g, z)))
     floor = bounds.f_growth_floor(params, r, tol)
     idx = int(np.argmin(fm))
     worst = float(fm[idx] - floor)
@@ -342,18 +322,10 @@ def verify_covering(
     return _report("covering", worst, witness, slack)
 
 
-def verify_bloch(
-    f: HarmonicMapSpec,
-    params: ClassParams,
-    grid: PolarGrid | None = None,
-    slack: float = DEFAULT_SLACK,
+def _bloch(
+    sample: _GridSample, params: ClassParams, grid: PolarGrid, slack: float
 ) -> VerificationReport:
-    """Grid supremum of (1 - |z|^2)(|h'| + |g'|) against the Bloch bound."""
-    grid = grid or default_polar_grid()
-    z = grid.points()
-    hp = np.abs(evaluate(differentiate(f.h), z))
-    stretch = hp * (1.0 + np.abs(evaluate_dilatation(f.w, z)))
-    weighted = (1.0 - grid.radii[:, None] ** 2) * stretch
+    weighted = (1.0 - grid.radii[:, None] ** 2) * (sample.hprime * (1.0 + sample.w))
     bound = bounds.bloch_bound(params).bound
     r_idx, t_idx = np.unravel_index(int(np.argmax(weighted)), weighted.shape)
     measured = float(weighted[r_idx, t_idx])
@@ -362,6 +334,17 @@ def verify_bloch(
         f"theta={grid.angles[t_idx]:.6g} vs bound {bound:.12g}"
     )
     return _report("bloch", bound - measured, witness, slack)
+
+
+def verify_bloch(
+    f: HarmonicMapSpec,
+    params: ClassParams,
+    grid: PolarGrid | None = None,
+    slack: float = DEFAULT_SLACK,
+) -> VerificationReport:
+    """Grid supremum of (1 - |z|^2)(|h'| + |g'|) against the Bloch bound."""
+    grid = grid or default_polar_grid()
+    return _bloch(_GridSample(f, grid), params, grid, slack)
 
 
 def verify_convexity(
@@ -401,14 +384,26 @@ def verify_member(
 ) -> list[VerificationReport]:
     """All seven per-member checks, in a fixed order."""
     grid = grid or default_polar_grid()
+    return _verify_member(f, params, n_max, _EnvelopeTable(params, grid), slack, area_tol)
+
+
+def _verify_member(
+    f: HarmonicMapSpec,
+    params: ClassParams,
+    n_max: int,
+    table: _EnvelopeTable,
+    slack: float,
+    area_tol: float = 1e-8,
+) -> list[VerificationReport]:
+    sample = _GridSample(f, table.grid)
     return [
         verify_coefficients(f, params, n_max, slack),
-        verify_distortion(f, params, grid, slack),
-        verify_g_growth(f, params, grid, slack),
+        _distortion(sample, table, slack),
+        _g_growth(sample, table, slack),
         verify_area(f, params, area_tol, slack),
-        verify_f_growth(f, params, grid, slack),
+        _f_growth(sample, table, slack),
         verify_covering(f, params, slack=slack),
-        verify_bloch(f, params, grid, slack),
+        _bloch(sample, params, table.grid, slack),
     ]
 
 
@@ -428,7 +423,7 @@ def run_member_suite(
     stream is determined by ``seed``.
     """
     rng = np.random.default_rng(seed)
-    grid = grid or default_polar_grid()
+    table = _EnvelopeTable(params, grid or default_polar_grid())
     out = []
     for index in range(members):
         fill = float(rng.uniform())
@@ -437,5 +432,5 @@ def run_member_suite(
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         h = sample_certified_h(params, max_degree, fill, sub_seed)
         member = build_member(h, moebius_dilatation(params.beta, mu, phi), params)
-        out.append((index, member, verify_member(member, params, n_max, grid, slack)))
+        out.append((index, member, _verify_member(member, params, n_max, table, slack)))
     return out

@@ -160,6 +160,27 @@ def test_env_tol_override(capsys, monkeypatch):
     assert json.loads(out)["tol"] == 1e-6
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_invalid_tol_flag_exits_two(capsys, tol):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["area", "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", tol])
+    assert excinfo.value.code == 2
+
+
+def test_invalid_env_tol_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("HCL_TOL", "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["area", "--alpha", "0", "--beta", "0", "--delta", "1"])
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["bounds", "bloch", "verify"])
+def test_commands_without_quadrature_reject_tol(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", "1e-8"])
+    assert excinfo.value.code == 2
+
+
 def test_env_tol_invalid_rejected(monkeypatch, capsys):
     monkeypatch.setenv("HCL_TOL", "banana")
     with pytest.raises(SystemExit):

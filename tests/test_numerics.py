@@ -7,8 +7,9 @@ from harmclass.errors import QuadratureError
 from harmclass.numerics import (
     Polynomial,
     adaptive_quadrature,
+    bisect_bracket,
+    cumulative_quadrature,
     digamma,
-    isolate_root,
     sign_variations,
     vincent_variation_count,
 )
@@ -155,35 +156,93 @@ def test_vincent_count_bounds_root_count_and_parity():
         assert (count - inside) % 2 == 0
 
 
+# ------------------------------------------------------- cumulative quadrature
+
+def _running_adaptive(f, points, tol, breakpoints=()):
+    """Running sum of adaptive_quadrature over consecutive intervals from 0."""
+    out, acc, prev = [], 0.0, 0.0
+    for p in points:
+        acc += adaptive_quadrature(f, prev, p, tol, breakpoints=breakpoints)
+        out.append(acc)
+        prev = p
+    return out
+
+
+@pytest.mark.parametrize("kink", [0.45, 0.5])  # inside an interval, on a point
+def test_cumulative_quadrature_matches_running_adaptive_sums_exactly(kink):
+    f = lambda x: abs(kink - x) / (1.0 - kink * x) * (1.0 - 0.7 * x)
+    points = np.array([0.05, 0.2, 0.44, 0.5, 0.9, 0.999])
+    got = cumulative_quadrature(f, points, 1e-9, breakpoints=(kink, 1.5))
+    assert got.tolist() == _running_adaptive(f, points, 1e-9, breakpoints=(kink, 1.5))
+
+
+def test_cumulative_quadrature_subdivided_panel_matches_exactly():
+    # the steep panel next to x = 0.99 fails level 0 and takes the recursion
+    scalar_calls = []
+
+    def f(x):
+        if np.ndim(x) == 0:
+            scalar_calls.append(x)
+        return abs(0.99 - x) / (1.0 - 0.99 * x)
+
+    points = [0.4975, 0.995]
+    got = cumulative_quadrature(f, points, 1e-9, breakpoints=(0.99,))
+    assert scalar_calls
+    assert got.tolist() == _running_adaptive(f, points, 1e-9, breakpoints=(0.99,))
+
+
+def test_cumulative_quadrature_polynomial_values():
+    got = cumulative_quadrature(lambda x: 3.0 * x * x, [0.5, 1.0, 2.0], 1e-12)
+    assert got == pytest.approx([0.125, 1.0, 8.0], abs=1e-14)
+
+
+def test_cumulative_quadrature_nonconvergence_is_an_error():
+    step = lambda x: np.where(x < 1 / 3, 0.0, 1.0)
+    with pytest.raises(QuadratureError):
+        cumulative_quadrature(step, [0.5, 1.0], 1e-13)
+
+
+@pytest.mark.parametrize("points", [[], [0.5, 0.5], [0.6, 0.2], [0.0, 0.5], [[0.1, 0.2]]])
+def test_cumulative_quadrature_rejects_bad_points(points):
+    with pytest.raises(ValueError):
+        cumulative_quadrature(lambda x: x, points, 1e-10)
+
+
 # ----------------------------------------------------------------- bisection
+
+def bracket_midpoint(p, a, b, tol):
+    """Midpoint of the final bisection bracket, as bloch_bound takes it."""
+    lo, hi = bisect_bracket(p, a, b, tol)
+    return 0.5 * (lo + hi)
+
 
 def test_isolate_root_quartic():
     # frozen from the eigenvalue companion-matrix oracle (np.polynomial roots)
-    root = isolate_root(QUARTIC, 0.0, 1.0, 1e-12)
+    root = bracket_midpoint(QUARTIC, 0.0, 1.0, 1e-12)
     assert root == pytest.approx(0.4430004681646913, abs=1e-6)
 
 
 def test_isolate_root_eigen_oracle_agreement():
     eig_roots = np.polynomial.Polynomial(QUARTIC.coeffs).roots()
     real_root = [z.real for z in eig_roots if abs(z.imag) < 1e-12 and 0 < z.real < 1][0]
-    assert isolate_root(QUARTIC, 0.0, 1.0, 1e-13) == pytest.approx(real_root, abs=1e-10)
+    assert bracket_midpoint(QUARTIC, 0.0, 1.0, 1e-13) == pytest.approx(real_root, abs=1e-10)
 
 
 def test_isolate_root_half():
-    assert isolate_root(Polynomial([-0.25, 0, 1]), 0.0, 1.0, 1e-12) == pytest.approx(0.5)
+    assert bracket_midpoint(Polynomial([-0.25, 0, 1]), 0.0, 1.0, 1e-12) == pytest.approx(0.5)
 
 
 def test_isolate_root_quartic_unit():
-    assert isolate_root(Polynomial([-1, 0, 0, 0, 1]), 0.0, 1.5, 1e-12) == pytest.approx(1.0)
+    assert bracket_midpoint(Polynomial([-1, 0, 0, 0, 1]), 0.0, 1.5, 1e-12) == pytest.approx(1.0)
 
 
 def test_isolate_root_rejects_non_bracketing():
     with pytest.raises(ValueError):
-        isolate_root(Polynomial([1, 0, 1]), 0.0, 1.0, 1e-10)
+        bracket_midpoint(Polynomial([1, 0, 1]), 0.0, 1.0, 1e-10)
 
 
 def test_isolate_root_residual_scale():
     tol = 1e-10
-    root = isolate_root(QUARTIC, 0.0, 1.0, tol)
+    root = bracket_midpoint(QUARTIC, 0.0, 1.0, tol)
     slope = abs(-2 - 18 * root - 12 * root**2)
     assert abs(QUARTIC(root)) <= slope * tol * 10

@@ -4,16 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from harmclass.bounds import bloch_bound
-from harmclass.factory import build_member, extremal_h
+from harmclass.bounds import bloch_bound, distortion_slope
+from harmclass.factory import build_member, extremal_h, sample_certified_h
 from harmclass.model import (
     ClassParams,
     custom_dilatation,
     harmonic_map,
+    moebius_dilatation,
     rotation_dilatation,
 )
+from harmclass import numerics
+from harmclass.numerics import adaptive_quadrature
 from harmclass.series import TruncatedSeries
 from harmclass.verify import (
+    PolarGrid,
+    _EnvelopeTable,
     default_polar_grid,
     report_to_dict,
     run_member_suite,
@@ -23,6 +28,8 @@ from harmclass.verify import (
     verify_convexity,
     verify_covering,
     verify_distortion,
+    verify_f_growth,
+    verify_g_growth,
     verify_member,
 )
 
@@ -194,3 +201,114 @@ def test_member_suite_reports_seven_per_member():
     for _, _, reports in results:
         assert len(reports) == 7
         assert all(r.passed for r in reports)
+
+
+# ------------------------------------------------------------- grid and table
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        [0.9, 0.2],  # unsorted: the g-growth reference reused the 0.9 integral at 0.2
+        [0.2, 0.2, 0.9],
+        [0.0, 0.5],
+        [0.5, 1.0],
+        [-0.1, 0.5],
+        [],
+        [[0.2, 0.9]],
+    ],
+)
+def test_polar_grid_rejects_bad_radii(radii):
+    with pytest.raises(ValueError):
+        PolarGrid(radii=np.array(radii), angles=np.linspace(0.0, 6.0, 8))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.99])
+def test_envelope_table_integrals_match_quadrature_oracle(beta):
+    params = ClassParams(0.3, beta, 1.0)
+    grid = default_polar_grid()
+    table = _EnvelopeTable(params, grid)
+    c = distortion_slope(params)
+    upper = lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
+    lower = lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
+    floor = lambda x: (1.0 - c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x)
+    if beta > 0.0:
+        # the radius interval holding the kink is covered below
+        assert np.any((grid.radii[:-1] < beta) & (beta < grid.radii[1:]))
+    for i, r in enumerate(grid.radii):
+        oracle = lambda f: adaptive_quadrature(f, 0.0, r, 1e-13, breakpoints=(beta,))
+        assert table.g_upper[i, 0] == pytest.approx(oracle(upper), abs=1e-12)
+        assert table.g_lower[i, 0] == pytest.approx(oracle(lower), abs=1e-12)
+        assert table.f_floor[i, 0] == pytest.approx(oracle(floor), abs=1e-12)
+        assert table.f_upper[i, 0] == pytest.approx(r + 0.5 * c * r * r + oracle(upper), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.99])
+def test_envelope_table_reproduces_per_interval_quadrature(beta):
+    """Bit for bit the former references: adaptive_quadrature between
+    consecutive radii (split at the kink), summed in order."""
+    params = ClassParams(0.3, beta, 1.0)
+    radii = default_polar_grid().radii
+    table = _EnvelopeTable(params, default_polar_grid())
+    c = distortion_slope(params)
+    lower = lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
+    running, prev = 0.0, 0.0
+    for i, r in enumerate(radii):
+        running += adaptive_quadrature(lower, prev, r, 1e-9, breakpoints=(beta,))
+        prev = r
+        assert table.g_lower[i, 0] == running
+
+
+def test_extremal_member_touches_g_growth_lower_envelope():
+    # for beta = 0 the lower side is scored at every radius, and w = z attains it
+    rep = verify_g_growth(extremal_member(), P011)
+    assert rep.passed
+    assert rep.witness.startswith("|g| lower")
+    assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("params", [P011, ClassParams(0.3, 0.5, 1), ClassParams(0.6, 0.9, 0)])
+def test_standalone_grid_checks_equal_member_reports(params):
+    grid = default_polar_grid(n_radii=16, n_angles=32)
+    members = [member for _, member, _ in run_member_suite(params, members=3, seed=5)]
+    if params == P011:
+        members.append(extremal_member())
+    for member in members:
+        reports = verify_member(member, params, grid=grid)
+        assert verify_distortion(member, params, grid) == reports[1]
+        assert verify_g_growth(member, params, grid) == reports[2]
+        assert verify_f_growth(member, params, grid) == reports[4]
+        assert verify_bloch(member, params, grid) == reports[6]
+
+
+def test_member_suite_shares_one_table_with_verify_member():
+    params = ClassParams(0.3, 0.6, 1)
+    for _, member, reports in run_member_suite(params, members=3, seed=12):
+        assert verify_member(member, params) == reports
+
+
+def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
+    """At beta = 0.99 on two radii, the |g'| lower panel [0.4975, 0.99] fails
+    its level-0 error test and is subdivided (165 integrand evaluations over
+    3 panels in the former per-radius quadrature).  Values frozen from that
+    implementation."""
+    params = ClassParams(0.3, 0.99, 1.0)
+    grid = default_polar_grid(n_radii=2)
+    recursion = []
+    panel = numerics._adaptive_panel
+    monkeypatch.setattr(
+        numerics, "_adaptive_panel", lambda *args: recursion.append(args) or panel(*args)
+    )
+    table = _EnvelopeTable(params, grid)
+    assert recursion
+    assert table.g_lower.ravel().tolist() == [0.43884989302329186, 0.7418941549142266]
+    member = build_member(
+        sample_certified_h(params, 16, 0.7, 123), moebius_dilatation(0.99, 0.4, 1.1), params
+    )
+    got = [(r.worst_margin, r.witness) for r in verify_member(member, params, grid=grid)]
+    assert got[1] == (0.16347889581230723, "|h'| lower at r=0.4975, theta=5.39961")
+    assert got[2] == (0.04505901298512749, "|g| upper at r=0.4975, theta=2.74889")
+    assert got[4] == (0.009539978662133783, "|f| floor at r=0.4975, theta=1.37445")
+    assert got[6] == (
+        0.5225574172124516,
+        "measured 1.54899102864 at r=0.4975, theta=2.69981 vs bound 2.07154844585",
+    )
