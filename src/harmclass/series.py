@@ -17,6 +17,7 @@ __all__ = [
     "integrate_coeffs",
     "cauchy_product",
     "evaluate",
+    "evaluate_polar",
     "lincomb",
     "series_to_json",
     "series_from_json",
@@ -99,6 +100,34 @@ def evaluate(s: TruncatedSeries, z):
     if val.ndim == 0:
         return complex(val)
     return val
+
+
+def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
+    """Values on polar rings: ``out[i, k] = s(radii[i] * exp(2j*pi*k/n_angles))``.
+
+    Writing n = q*M + j with M = ``n_angles``, s(r w^k) = sum_j w^(jk) r^j P_j(r^M)
+    with P_j(t) = sum_q a_(qM+j) t^q.  The coefficients are folded modulo M
+    into a (ceil((N+1)/M), M) block, Horner runs in t = r^M over its rows, the
+    result is scaled by r^j, and one inverse FFT per ring sums over j.  At
+    order N that is ceil((N+1)/M) in-place passes over a (radii, M) array
+    instead of N passes of ``evaluate`` over the same points.
+    """
+    radii = np.asarray(radii, dtype=float)
+    m = int(n_angles)
+    if radii.ndim != 1 or m < 1:
+        raise ValueError("need a 1-d array of radii and n_angles >= 1")
+    rows = -(-s.coeffs.size // m)
+    block = np.zeros(rows * m, dtype=complex)
+    block[: s.coeffs.size] = s.coeffs
+    block = block.reshape(rows, m)
+    t = radii[:, None] ** m
+    val = np.empty((radii.size, m), dtype=complex)
+    val[:] = block[-1]
+    for row in block[-2::-1]:
+        val *= t
+        val += row
+    val *= radii[:, None] ** np.arange(m)
+    return np.fft.ifft(val, axis=1, norm="forward")
 
 
 def lincomb(weights, series_list) -> TruncatedSeries:

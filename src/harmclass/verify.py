@@ -10,10 +10,20 @@ The grid checks (distortion, g-growth, f-growth, Bloch) read one sample per
 member (|h'|, |w|, |g| and |f| on the grid, each evaluated once) and one
 envelope table per (params, grid): the |h'| and |g'| envelopes over the radii
 and the cumulative radial integrals of the |g'| upper envelope (shared by g-
-and f-growth), the |g'| lower envelope (kink at beta) and the f floor.
-``run_member_suite`` builds the table once for all its members.  Each check is
-one margin array of shape (radii, sides, angles) and one argmin, so the first
-minimum in that order wins ties; the witness is formatted at that point only.
+and f-growth), the |g'| lower envelope (kink at beta) and the f floor.  The
+table also holds the member-independent scalar references: the coefficient
+bounds, the area envelope, the covering floor and the Bloch bound.
+``run_member_suite`` builds the table once for all its members.  Sample and
+table fields are computed when a check first reads them, so a standalone
+check computes only what it reads.  Each grid check is one margin array of
+shape (radii, sides, angles) and one argmin, so the first minimum in that
+order wins ties; the witness is formatted at that point only.
+
+Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
+the covering circle, the area rings) goes through ``series.evaluate_polar``:
+coefficients folded modulo the angle count, Horner in r^M, one FFT per ring.
+The dilatation w is always evaluated from its closed form, so the references
+the checks compare against stay independent of the series machinery.
 
 Two checks deliberately reference the derived companions of the stated
 growth forms (see the bounds module):
@@ -32,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +52,10 @@ from .model import (
     ClassParams,
     HarmonicMapSpec,
     evaluate_dilatation,
-    jacobian_at,
     moebius_dilatation,
 )
 from .numerics import adaptive_quadrature, cumulative_quadrature
-from .series import TruncatedSeries, differentiate, evaluate, lincomb
+from .series import TruncatedSeries, differentiate, evaluate_polar, lincomb
 
 __all__ = [
     "DEFAULT_SLACK",
@@ -70,10 +80,20 @@ DEFAULT_SLACK = 1e-9
 
 MEMBER_THEOREMS = ("coeff", "distortion", "g_growth", "area", "f_growth", "covering", "bloch")
 
+#: Circle on which the covering proxy samples |f|: its radius and point count.
+_COVERING_RADIUS = 0.999
+_COVERING_SAMPLES = 256
+
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Evaluation grid: strictly increasing radii in (0, 1) crossed with angles."""
+    """Evaluation grid: strictly increasing radii in (0, 1) crossed with the M
+    uniform angles 2*pi*k/M, k = 0..M-1.
+
+    The angles must be exactly ``2.0 * np.pi * np.arange(M) / M`` (as
+    ``default_polar_grid`` builds them): the checks evaluate members on the
+    grid with ``series.evaluate_polar``, which assumes that angle set.
+    """
 
     radii: np.ndarray
     angles: np.ndarray
@@ -84,6 +104,11 @@ class PolarGrid:
             raise ValueError("grid radii must be a non-empty 1-d array inside (0, 1)")
         if not np.all(r[1:] > r[:-1]):
             raise ValueError("grid radii must be strictly increasing")
+        a = self.angles
+        if a.ndim != 1 or a.size == 0 or not np.array_equal(
+            a, 2.0 * np.pi * np.arange(a.size) / a.size
+        ):
+            raise ValueError("grid angles must be 2*pi*arange(M)/M for some M >= 1")
 
     def points(self) -> np.ndarray:
         return self.radii[:, None] * np.exp(1j * self.angles)[None, :]
@@ -135,42 +160,105 @@ def report_to_dict(report: VerificationReport, **extra) -> dict:
     return rec
 
 
+def _on_ring(s: TruncatedSeries, r: float, n_angles: int) -> np.ndarray:
+    """``s`` at r * exp(2j*pi*k/n_angles), k = 0..n_angles-1."""
+    return evaluate_polar(s, [r], n_angles)[0]
+
+
 class _GridSample:
-    """One member on the grid: |h'|, |w|, |g| and |f|, each evaluated once."""
+    """One member on the grid: |h'|, |w|, |g| and |f|, each evaluated once, when
+    a check first reads it."""
 
     def __init__(self, f: HarmonicMapSpec, grid: PolarGrid) -> None:
-        z = grid.points()
-        g = evaluate(f.g, z)
-        self.hprime = np.abs(evaluate(differentiate(f.h), z))
-        self.w = np.abs(evaluate_dilatation(f.w, z))
-        self.g = np.abs(g)
-        self.f = np.abs(evaluate(f.h, z) + np.conj(g))
+        self.member = f
+        self.grid = grid
+
+    def _polar(self, s: TruncatedSeries) -> np.ndarray:
+        return evaluate_polar(s, self.grid.radii, self.grid.angles.size)
+
+    @cached_property
+    def hprime(self) -> np.ndarray:
+        return np.abs(self._polar(differentiate(self.member.h)))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return np.abs(evaluate_dilatation(self.member.w, self.grid.points()))
+
+    @cached_property
+    def g_values(self) -> np.ndarray:
+        return self._polar(self.member.g)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return np.abs(self.g_values)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        return np.abs(self._polar(self.member.h) + np.conj(self.g_values))
 
 
 class _EnvelopeTable:
-    """Member-independent references, one row per grid radius (column arrays)."""
+    """Member-independent references for one (params, grid).  Grid rows are
+    column arrays over the radii; the scalar bounds serve the coefficient,
+    area, covering and Bloch checks.  Each field is computed on first read."""
 
-    def __init__(self, params: ClassParams, grid: PolarGrid, tol: float = 1e-9) -> None:
+    def __init__(
+        self, params: ClassParams, grid: PolarGrid, tol: float = 1e-9, area_tol: float = 1e-8
+    ) -> None:
         params.require_nonnegative_delta()
         beta, r = params.beta, grid.radii[:, None]
-        c = bounds.distortion_slope(params)
-        gprime_lower = bounds._gprime_lower_integrand(params)
-        gprime_upper = bounds._gprime_upper_integrand(params)
-
-        def integral(f, kinks=()):
-            return cumulative_quadrature(f, grid.radii, tol, kinks)[:, None]
-
+        self.params = params
         self.grid = grid
+        self.tol = tol
+        self.area_tol = area_tol
+        self._bn: dict[int, float] = {}
+        self._c = c = bounds.distortion_slope(params)
+        self._gprime_lower = bounds._gprime_lower_integrand(params)
+        self._gprime_upper = bounds._gprime_upper_integrand(params)
         self.hprime_lower = np.maximum(0.0, 1.0 - c * r)
         self.hprime_upper = 1.0 + c * r
-        self.gprime_lower = gprime_lower(r)
-        self.gprime_upper = gprime_upper(r)
-        self.g_upper = integral(gprime_upper)
-        self.g_lower = integral(gprime_lower, (beta,))
+        self.gprime_lower = self._gprime_lower(r)
+        self.gprime_upper = self._gprime_upper(r)
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
         self.g_lower_scored = (r <= beta) | (beta == 0.0)
-        self.f_upper = r + 0.5 * c * r**2 + self.g_upper
-        self.f_floor = integral(bounds._f_lower_integrand(params, -1.0))
+
+    def _integral(self, f, kinks=()) -> np.ndarray:
+        return cumulative_quadrature(f, self.grid.radii, self.tol, kinks)[:, None]
+
+    @cached_property
+    def g_upper(self) -> np.ndarray:
+        return self._integral(self._gprime_upper)
+
+    @cached_property
+    def g_lower(self) -> np.ndarray:
+        return self._integral(self._gprime_lower, (self.params.beta,))
+
+    @cached_property
+    def f_upper(self) -> np.ndarray:
+        r = self.grid.radii[:, None]
+        return r + 0.5 * self._c * r**2 + self.g_upper
+
+    @cached_property
+    def f_floor(self) -> np.ndarray:
+        return self._integral(bounds._f_lower_integrand(self.params, -1.0))
+
+    @cached_property
+    def area_envelope(self) -> bounds.BoundEnvelope:
+        return bounds.area_envelope(self.params, min(self.area_tol, bounds.DEFAULT_QUAD_TOL))
+
+    @cached_property
+    def covering_floor(self) -> float:
+        return bounds.f_growth_floor(self.params, _COVERING_RADIUS, bounds.DEFAULT_QUAD_TOL)
+
+    @cached_property
+    def bloch_bound(self) -> float:
+        return bounds.bloch_bound(self.params).bound
+
+    def bn_bound(self, n: int) -> float:
+        """``bounds.bn_bound`` at this table's params, computed once per index."""
+        if n not in self._bn:
+            self._bn[n] = bounds.bn_bound(self.params, n)
+        return self._bn[n]
 
 
 def _grid_report(
@@ -189,11 +277,15 @@ def verify_coefficients(
     slack: float = DEFAULT_SLACK,
 ) -> VerificationReport:
     """Check |b_n| <= coefficient bound for 2 <= n <= n_max."""
+    return _coefficients(f, n_max, lambda n: bounds.bn_bound(params, n), slack)
+
+
+def _coefficients(f: HarmonicMapSpec, n_max: int, bn_bound, slack: float) -> VerificationReport:
     n_top = min(n_max, f.g.order)
     worst = math.inf
     witness = "no index checked"
     for n in range(2, n_top + 1):
-        margin = bounds.bn_bound(params, n) - abs(f.g.coeffs[n])
+        margin = bn_bound(n) - abs(f.g.coeffs[n])
         if margin < worst:
             worst, witness = margin, f"n={n}"
     if math.isinf(worst):
@@ -249,13 +341,17 @@ def _measure_area(
     f: HarmonicMapSpec, tol: float = 1e-8, n_angles: int = 128
 ) -> float:
     """Area of the image counted with multiplicity: tensor quadrature of the
-    Jacobian in polar coordinates (adaptive radial x trapezoid angular)."""
+    Jacobian |h'|^2 (1 - |w|^2) in polar coordinates (adaptive radial x
+    trapezoid angular)."""
+    hprime = differentiate(f.h)
     angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
 
     def ring_mean(r: float) -> float:
         if r == 0.0:
             return 0.0
-        return r * float(np.mean(jacobian_at(f, r * angles)))
+        hp = _on_ring(hprime, r, n_angles)
+        w = evaluate_dilatation(f.w, r * angles)
+        return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - np.abs(w) ** 2)))
 
     return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
 
@@ -268,7 +364,10 @@ def verify_area(
 ) -> VerificationReport:
     """Measure the Jacobian integral and place it inside the area envelope."""
     measured = _measure_area(f, tol)
-    env = bounds.area_envelope(params, min(tol, bounds.DEFAULT_QUAD_TOL))
+    return _area(measured, bounds.area_envelope(params, min(tol, bounds.DEFAULT_QUAD_TOL)), slack)
+
+
+def _area(measured: float, env: bounds.BoundEnvelope, slack: float) -> VerificationReport:
     margins = (measured - env.lower, env.upper - measured)
     if margins[0] <= margins[1]:
         worst, witness = margins[0], f"area {measured:.12g} vs lower {env.lower:.12g}"
@@ -297,7 +396,7 @@ def verify_f_growth(
 def verify_covering(
     f: HarmonicMapSpec,
     params: ClassParams,
-    boundary_samples: int = 256,
+    boundary_samples: int = _COVERING_SAMPLES,
     slack: float = DEFAULT_SLACK,
     tol: float = bounds.DEFAULT_QUAD_TOL,
 ) -> VerificationReport:
@@ -309,10 +408,17 @@ def verify_covering(
     """
     if boundary_samples < 64:
         raise ValueError("need at least 64 boundary samples")
-    r = 0.999
-    z = r * np.exp(2j * np.pi * np.arange(boundary_samples) / boundary_samples)
-    fm = np.abs(evaluate(f.h, z) + np.conj(evaluate(f.g, z)))
-    floor = bounds.f_growth_floor(params, r, tol)
+    floor = bounds.f_growth_floor(params, _COVERING_RADIUS, tol)
+    return _covering(f, boundary_samples, floor, slack)
+
+
+def _covering(
+    f: HarmonicMapSpec, boundary_samples: int, floor: float, slack: float
+) -> VerificationReport:
+    r = _COVERING_RADIUS
+    fm = np.abs(
+        _on_ring(f.h, r, boundary_samples) + np.conj(_on_ring(f.g, r, boundary_samples))
+    )
     idx = int(np.argmin(fm))
     worst = float(fm[idx] - floor)
     witness = (
@@ -322,11 +428,10 @@ def verify_covering(
     return _report("covering", worst, witness, slack)
 
 
-def _bloch(
-    sample: _GridSample, params: ClassParams, grid: PolarGrid, slack: float
-) -> VerificationReport:
+def _bloch(sample: _GridSample, table: _EnvelopeTable, slack: float) -> VerificationReport:
+    grid = table.grid
     weighted = (1.0 - grid.radii[:, None] ** 2) * (sample.hprime * (1.0 + sample.w))
-    bound = bounds.bloch_bound(params).bound
+    bound = table.bloch_bound
     r_idx, t_idx = np.unravel_index(int(np.argmax(weighted)), weighted.shape)
     measured = float(weighted[r_idx, t_idx])
     witness = (
@@ -344,7 +449,7 @@ def verify_bloch(
 ) -> VerificationReport:
     """Grid supremum of (1 - |z|^2)(|h'| + |g'|) against the Bloch bound."""
     grid = grid or default_polar_grid()
-    return _bloch(_GridSample(f, grid), params, grid, slack)
+    return _bloch(_GridSample(f, grid), _EnvelopeTable(params, grid), slack)
 
 
 def verify_convexity(
@@ -383,27 +488,22 @@ def verify_member(
     area_tol: float = 1e-8,
 ) -> list[VerificationReport]:
     """All seven per-member checks, in a fixed order."""
-    grid = grid or default_polar_grid()
-    return _verify_member(f, params, n_max, _EnvelopeTable(params, grid), slack, area_tol)
+    table = _EnvelopeTable(params, grid or default_polar_grid(), area_tol=area_tol)
+    return _verify_member(f, n_max, table, slack)
 
 
 def _verify_member(
-    f: HarmonicMapSpec,
-    params: ClassParams,
-    n_max: int,
-    table: _EnvelopeTable,
-    slack: float,
-    area_tol: float = 1e-8,
+    f: HarmonicMapSpec, n_max: int, table: _EnvelopeTable, slack: float
 ) -> list[VerificationReport]:
     sample = _GridSample(f, table.grid)
     return [
-        verify_coefficients(f, params, n_max, slack),
+        _coefficients(f, n_max, table.bn_bound, slack),
         _distortion(sample, table, slack),
         _g_growth(sample, table, slack),
-        verify_area(f, params, area_tol, slack),
+        _area(_measure_area(f, table.area_tol), table.area_envelope, slack),
         _f_growth(sample, table, slack),
-        verify_covering(f, params, slack=slack),
-        _bloch(sample, params, table.grid, slack),
+        _covering(f, _COVERING_SAMPLES, table.covering_floor, slack),
+        _bloch(sample, table, slack),
     ]
 
 
@@ -432,5 +532,5 @@ def run_member_suite(
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         h = sample_certified_h(params, max_degree, fill, sub_seed)
         member = build_member(h, moebius_dilatation(params.beta, mu, phi), params)
-        out.append((index, member, _verify_member(member, params, n_max, table, slack)))
+        out.append((index, member, _verify_member(member, n_max, table, slack)))
     return out

@@ -6,6 +6,7 @@ from harmclass.series import (
     cauchy_product,
     differentiate,
     evaluate,
+    evaluate_polar,
     integrate_coeffs,
     lincomb,
     series_from_json,
@@ -61,6 +62,42 @@ def test_evaluate_vectorized_matches_scalar():
     vec = evaluate(s, zs)
     for z, v in zip(zs, vec):
         assert evaluate(s, complex(z)) == pytest.approx(v)
+
+
+def _random_series(order, seed):
+    # coefficients of modulus ~ 1/(n+1): partial sums stay O(log n) up to r = 1
+    rng = np.random.default_rng(seed)
+    n = np.arange(order + 1)
+    return TruncatedSeries((rng.normal(size=n.size) + 1j * rng.normal(size=n.size)) / (n + 1))
+
+
+# N + 1 below, equal to, a multiple of, and not a multiple of each M
+@pytest.mark.parametrize("order", [0, 1, 15, 31, 64, 127, 255, 269, 511, 2818])
+@pytest.mark.parametrize("n_angles", [32, 128, 256])
+def test_evaluate_polar_matches_horner_on_grid(order, n_angles):
+    from harmclass.verify import PolarGrid, default_polar_grid
+
+    grid = default_polar_grid(n_radii=16, n_angles=n_angles)
+    grid = PolarGrid(radii=np.append(grid.radii, 0.999), angles=grid.angles)
+    s = _random_series(order, seed=order)
+    out = evaluate_polar(s, grid.radii, n_angles)
+    assert out.shape == (grid.radii.size, n_angles)
+    assert np.max(np.abs(out - evaluate(s, grid.points()))) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.999])
+def test_evaluate_polar_single_radius(r):
+    s = _random_series(269, seed=3)
+    z = r * np.exp(2j * np.pi * np.arange(128) / 128)
+    out = evaluate_polar(s, [r], 128)
+    assert out.shape == (1, 128)
+    assert np.max(np.abs(out[0] - evaluate(s, z))) <= 1e-13
+
+
+@pytest.mark.parametrize("radii, n_angles", [([[0.5]], 8), (0.5, 8), ([0.5], 0)])
+def test_evaluate_polar_rejects_bad_shapes(radii, n_angles):
+    with pytest.raises(ValueError):
+        evaluate_polar(TruncatedSeries([0, 1]), radii, n_angles)
 
 
 def test_cauchy_product_squares_binomial():

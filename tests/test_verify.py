@@ -15,10 +15,11 @@ from harmclass.model import (
 )
 from harmclass import numerics
 from harmclass.numerics import adaptive_quadrature
-from harmclass.series import TruncatedSeries
+from harmclass.series import TruncatedSeries, differentiate, evaluate
 from harmclass.verify import (
     PolarGrid,
     _EnvelopeTable,
+    _GridSample,
     default_polar_grid,
     report_to_dict,
     run_member_suite,
@@ -218,8 +219,23 @@ def test_member_suite_reports_seven_per_member():
     ],
 )
 def test_polar_grid_rejects_bad_radii(radii):
-    with pytest.raises(ValueError):
-        PolarGrid(radii=np.array(radii), angles=np.linspace(0.0, 6.0, 8))
+    with pytest.raises(ValueError, match="radii"):
+        PolarGrid(radii=np.array(radii), angles=2.0 * np.pi * np.arange(8) / 8)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        np.linspace(0.0, 6.0, 8),
+        np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 1e-3,
+        np.roll(2.0 * np.pi * np.arange(8) / 8, 1),
+        np.array([]),
+        (2.0 * np.pi * np.arange(8) / 8)[None, :],
+    ],
+)
+def test_polar_grid_rejects_non_uniform_angles(angles):
+    with pytest.raises(ValueError, match="angles"):
+        PolarGrid(radii=np.array([0.2, 0.9]), angles=angles)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.99])
@@ -298,17 +314,80 @@ def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
     monkeypatch.setattr(
         numerics, "_adaptive_panel", lambda *args: recursion.append(args) or panel(*args)
     )
-    table = _EnvelopeTable(params, grid)
+    g_lower = _EnvelopeTable(params, grid).g_lower.ravel().tolist()
     assert recursion
-    assert table.g_lower.ravel().tolist() == [0.43884989302329186, 0.7418941549142266]
+    assert g_lower == [0.43884989302329186, 0.7418941549142266]
     member = build_member(
         sample_certified_h(params, 16, 0.7, 123), moebius_dilatation(0.99, 0.4, 1.1), params
     )
     got = [(r.worst_margin, r.witness) for r in verify_member(member, params, grid=grid)]
-    assert got[1] == (0.16347889581230723, "|h'| lower at r=0.4975, theta=5.39961")
-    assert got[2] == (0.04505901298512749, "|g| upper at r=0.4975, theta=2.74889")
-    assert got[4] == (0.009539978662133783, "|f| floor at r=0.4975, theta=1.37445")
-    assert got[6] == (
-        0.5225574172124516,
-        "measured 1.54899102864 at r=0.4975, theta=2.69981 vs bound 2.07154844585",
-    )
+    # Margins re-frozen after the grid moved from Horner to series.evaluate_polar;
+    # the witnesses are unchanged and the Horner-era values lie within 1e-14.
+    expected = {
+        1: (0.16347889581230735, "|h'| lower at r=0.4975, theta=5.39961"),
+        2: (0.04505901298512738, "|g| upper at r=0.4975, theta=2.74889"),
+        4: (0.009539978662133729, "|f| floor at r=0.4975, theta=1.37445"),
+        6: (
+            0.5225574172124512,
+            "measured 1.54899102864 at r=0.4975, theta=2.69981 vs bound 2.07154844585",
+        ),
+    }
+    horner_margins = {
+        1: 0.16347889581230723, 2: 0.04505901298512749, 4: 0.009539978662133783, 6: 0.5225574172124516
+    }
+    for index, frozen in expected.items():
+        assert got[index] == frozen
+        assert abs(horner_margins[index] - frozen[0]) <= 1e-14
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or original(*a, **k))
+    return calls
+
+
+def test_member_suite_computes_member_independent_bounds_once(monkeypatch):
+    from harmclass import bounds
+
+    counted = {
+        name: _counting(monkeypatch, bounds, name)
+        for name in ("bloch_bound", "area_envelope", "f_growth_floor", "bn_bound")
+    }
+    run_member_suite(ClassParams(0.3, 0.5, 1), members=3, seed=3, n_max=12)
+    assert len(counted["bloch_bound"]) == 1
+    assert len(counted["area_envelope"]) == 1
+    assert len(counted["f_growth_floor"]) == 1
+    assert sorted(n for _, n in counted["bn_bound"]) == list(range(2, 13))
+
+
+def test_standalone_checks_compute_only_what_they_read(monkeypatch):
+    from harmclass import verify
+
+    member = run_member_suite(ClassParams(0.3, 0.99, 1), members=1, seed=4)[0][1]
+    params = ClassParams(0.3, 0.99, 1)
+    quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
+    evaluated = _counting(monkeypatch, verify, "evaluate_polar")
+    verify_distortion(member, params)
+    assert quadratures == []
+    verify_bloch(member, params)
+    assert quadratures == []
+    # h' only: neither g (order 2818 here) nor h is evaluated on the grid
+    assert [s.order for s, *_ in evaluated] == [member.h.order - 1] * 2
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
+def test_grid_sample_matches_horner(beta):
+    params = ClassParams(0.3, beta, 1)
+    member = run_member_suite(params, members=1, seed=11)[0][1]
+    grid = default_polar_grid()
+    z = grid.points()
+    sample = _GridSample(member, grid)
+    g = evaluate(member.g, z)
+    horner = {
+        "hprime": np.abs(evaluate(differentiate(member.h), z)),
+        "g": np.abs(g),
+        "f": np.abs(evaluate(member.h, z) + np.conj(g)),
+    }
+    for name, values in horner.items():
+        assert np.max(np.abs(getattr(sample, name) - values)) <= 1e-13, name
