@@ -40,7 +40,6 @@ __all__ = [
     "BlochResult",
     "GrowthFormCheck",
     "DEFAULT_QUAD_TOL",
-    "DEFAULT_ROOT_TOL",
     "bn_bound",
     "bn_bound_digamma",
     "hprime_envelope",
@@ -62,7 +61,9 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_TOL = 1e-10
-DEFAULT_ROOT_TOL = 1e-12
+
+#: Width to which bisection narrows the bracket of the Bloch critical radius.
+_BLOCH_BRACKET_WIDTH = 1e-14
 
 #: beta below which the closed g-growth forms (which divide by beta^3) are
 #: abandoned for direct quadrature of the envelope.
@@ -444,7 +445,7 @@ def _bloch_profile(params: ClassParams, r) -> np.ndarray:
     return num / (1.0 + beta * r)
 
 
-def bloch_bound(params: ClassParams, tol: float = DEFAULT_ROOT_TOL) -> BlochResult:
+def bloch_bound(params: ClassParams) -> BlochResult:
     """Bloch-constant bound: isolate the unique critical radius r0 in (0, 1),
     then evaluate ((1+beta)/((2-alpha) 2^(delta-1))) G(r0).
 
@@ -460,7 +461,7 @@ def bloch_bound(params: ClassParams, tol: float = DEFAULT_ROOT_TOL) -> BlochResu
         raise RootCountError(
             f"expected exactly one critical radius in (0, 1), variation count is {count}"
         )
-    bracket = bisect_bracket(H, 0.0, 1.0, min(tol, 1e-14))
+    bracket = bisect_bracket(H, 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
     r0 = 0.5 * (bracket[0] + bracket[1])
     alpha, beta, delta = params.alpha, params.beta, params.delta
     prefactor = (1.0 + beta) / ((2.0 - alpha) * 2.0 ** (delta - 1.0))

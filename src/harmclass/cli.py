@@ -28,7 +28,7 @@ from typing import Iterable
 
 from . import bounds, verify
 from .errors import QuadratureError, RootCountError
-from .model import ClassParams
+from .model import ClassParams, default_truncation_order
 
 __all__ = ["main", "build_parser"]
 
@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = commands.add_parser("table", help="bound summary over a parameter lattice")
     _add_param_flags(p_table, lists=True)
-    p_table.add_argument("--n-max", type=int, default=3)
     _add_io_flags(p_table)
 
     p_verify = commands.add_parser("verify", help="sample members and verify every bound")
@@ -171,10 +170,14 @@ def _rows_to_lines(rows: list[dict], fmt: str) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _cmd_bounds(args, parser) -> int:
-    params = _params_from(args, parser)
+def _require_n_max(args, parser) -> None:
     if args.n_max < 2:
         parser.error("--n-max must be >= 2")
+
+
+def _cmd_bounds(args, parser) -> int:
+    params = _params_from(args, parser)
+    _require_n_max(args, parser)
     rows = [
         {
             "theorem": "coeff_bound",
@@ -220,8 +223,13 @@ def _cmd_table(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
+    _require_n_max(args, parser)
     if args.members < 1:
         parser.error("--members must be >= 1")
+    try:
+        default_truncation_order(params.beta)
+    except ValueError as exc:
+        parser.error(str(exc))
     results = verify.run_member_suite(
         params, members=args.members, seed=args.seed, n_max=args.n_max
     )

@@ -22,8 +22,7 @@ from .model import (
     DilatationSpec,
     HarmonicMapSpec,
     IDENT_TOL,
-    co_analytic_from,
-    default_truncation_order,
+    harmonic_map,
 )
 from .series import TruncatedSeries, series_to_json
 
@@ -122,9 +121,7 @@ def build_member(
         raise ValueError(
             f"dilatation beta {w.beta} does not match class beta {params.beta}"
         )
-    if order is None:
-        order = max(h.order + 1, default_truncation_order(w.beta))
-    return HarmonicMapSpec(h=h, w=w, g=co_analytic_from(h, w, order))
+    return harmonic_map(h, w, order)
 
 
 def member_to_json(

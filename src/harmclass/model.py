@@ -35,6 +35,9 @@ __all__ = [
 #: Tail target for the automatic dilatation truncation order.
 COEFF_TAIL_TARGET = 1e-12
 
+#: Largest automatic truncation order (terms per series).
+MAX_TRUNCATION_ORDER = 10**6
+
 #: Tolerance for exact-identity checks (|b1| = beta, normalization, ...).
 IDENT_TOL = 1e-12
 
@@ -72,13 +75,20 @@ def default_truncation_order(beta: float) -> int:
 
     The geometric tail sum_{n>N} |c_n| = (1-beta^2) beta^N / (1-beta) is
     solved for N; the result is floored at 64 so small-beta series keep a
-    comfortable default resolution.
+    comfortable default resolution.  An order above ``MAX_TRUNCATION_ORDER``
+    (beta above about 0.99997) raises ValueError instead of asking for arrays
+    that do not fit in memory.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError("beta must be in [0, 1)")
     if beta == 0.0:
         return 64
     n = math.log(COEFF_TAIL_TARGET * (1.0 - beta) / (1.0 - beta * beta)) / math.log(beta)
+    if n > MAX_TRUNCATION_ORDER:
+        raise ValueError(
+            f"beta = {beta!r} needs {n:.3g} series terms, above the cap of "
+            f"{MAX_TRUNCATION_ORDER}"
+        )
     return max(64, int(math.ceil(n)))
 
 
@@ -87,9 +97,9 @@ class DilatationSpec:
     """Admissible dilatation: |w| < 1 on the disk with |w(0)| = beta.
 
     kinds:
-      * ``moebius``  - w(z) = e^{i mu} (e^{i phi} z + beta) / (1 + beta e^{i phi} z)
-      * ``rotation`` - w(z) = e^{i(mu + phi)} z (the beta = 0 disk automorphism)
-      * ``custom``   - an explicit truncated series
+      * ``moebius`` - w(z) = e^{i mu} (e^{i phi} z + beta) / (1 + beta e^{i phi} z);
+        at beta = 0 it is the rotation e^{i(mu + phi)} z
+      * ``custom``  - an explicit truncated series
     """
 
     kind: str
@@ -99,12 +109,10 @@ class DilatationSpec:
     series: Optional[TruncatedSeries] = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("moebius", "rotation", "custom"):
+        if self.kind not in ("moebius", "custom"):
             raise ValueError(f"unknown dilatation kind {self.kind!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if self.kind == "rotation" and self.beta != 0.0:
-            raise ValueError("rotation dilatation has w(0) = 0, so beta must be 0")
         if self.kind == "custom":
             if self.series is None:
                 raise ValueError("custom dilatation requires a series")
@@ -117,7 +125,8 @@ def moebius_dilatation(beta: float, mu: float = 0.0, phi: float = 0.0) -> Dilata
 
 
 def rotation_dilatation(mu: float = 0.0, phi: float = 0.0) -> DilatationSpec:
-    return DilatationSpec(kind="rotation", beta=0.0, mu=mu, phi=phi)
+    """The disk rotation w(z) = e^{i(mu + phi)} z: the Moebius kind at beta = 0."""
+    return moebius_dilatation(0.0, mu, phi)
 
 
 def custom_dilatation(series: TruncatedSeries, beta: float) -> DilatationSpec:
@@ -152,10 +161,6 @@ def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
         coeffs[:take] = w.series.coeffs[:take]
         return TruncatedSeries(coeffs)
     coeffs = np.zeros(order + 1, dtype=complex)
-    if w.kind == "rotation":
-        if order >= 1:
-            coeffs[1] = np.exp(1j * (w.mu + w.phi))
-        return TruncatedSeries(coeffs)
     beta = w.beta
     coeffs[0] = beta * np.exp(1j * w.mu)
     if order >= 1:
@@ -178,9 +183,6 @@ def evaluate_dilatation(w: DilatationSpec, z):
     z = np.asarray(z, dtype=complex)
     if w.kind == "custom":
         return evaluate(w.series, z)
-    if w.kind == "rotation":
-        out = np.exp(1j * (w.mu + w.phi)) * z
-        return complex(out) if out.ndim == 0 else out
     u = np.exp(1j * w.phi) * z
     out = np.exp(1j * w.mu) * (u + w.beta) / (1.0 + w.beta * u)
     return complex(out) if out.ndim == 0 else out

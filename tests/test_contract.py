@@ -1,0 +1,64 @@
+"""Output contract of the CLI: full stdout records pinned against a recording.
+
+``data/cli_contract.json`` holds, per case, the argv, the exit code and the
+stdout lines of ``hcl <argv>``.  Keys, strings (witnesses included), booleans,
+integers and exit codes must match exactly.  Floats may move by at most
+``FLOAT_TOL``: SIMD dispatch changes last digits between machines.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import pytest
+
+from harmclass import cli
+
+CASES = json.loads((Path(__file__).parent / "data" / "cli_contract.json").read_text())
+
+FLOAT_TOL = 1e-12
+
+
+def _as_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _mismatches(expected, actual, path):
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        if expected.keys() != actual.keys():
+            return [f"{path}: keys {sorted(actual)} != {sorted(expected)}"]
+        return [d for k in expected for d in _mismatches(expected[k], actual[k], f"{path}.{k}")]
+    if isinstance(expected, list) and isinstance(actual, list) and len(expected) == len(actual):
+        return [
+            d for i, pair in enumerate(zip(expected, actual))
+            for d in _mismatches(*pair, f"{path}[{i}]")
+        ]
+    if type(expected) is float and type(actual) is float:
+        if abs(expected - actual) <= FLOAT_TOL:
+            return []
+    elif isinstance(expected, str) and isinstance(actual, str):
+        # CSV cells: numbers compare as floats, everything else exactly
+        x, y = _as_float(expected), _as_float(actual)
+        if expected == actual or (x is not None and y is not None and abs(x - y) <= FLOAT_TOL):
+            return []
+    elif type(expected) is type(actual) and expected == actual:
+        return []
+    return [f"{path}: {actual!r} != {expected!r}"]
+
+
+def _records(lines):
+    if lines and lines[0].startswith("{"):
+        return [json.loads(line) for line in lines]
+    return list(csv.reader(lines))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["argv"] for case in CASES])
+def test_cli_output_matches_recording(capsys, case):
+    code = cli.main(case["argv"].split())
+    lines = capsys.readouterr().out.splitlines()
+    assert code == case["exit_code"]
+    assert len(lines) == len(case["stdout"])
+    assert _mismatches(_records(case["stdout"]), _records(lines), "stdout") == []

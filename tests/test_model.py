@@ -50,6 +50,12 @@ def test_truncation_order_default_and_tail_control():
         assert n >= 64
 
 
+def test_truncation_order_cap():
+    # at beta = 1 - 1e-12 the tail target would need ~2.8e13 terms
+    with pytest.raises(ValueError, match="cap"):
+        default_truncation_order(1.0 - 1e-12)
+
+
 # -------------------------------------------------------------- dilatations
 
 def test_moebius_coeffs_degenerate_to_rotation():
@@ -82,6 +88,13 @@ def test_rotation_coeffs():
     out = dilatation_coeffs(rotation_dilatation(mu=0.4, phi=0.3), order=4)
     assert out.coeffs[1] == pytest.approx(np.exp(0.7j))
     assert np.allclose(np.delete(out.coeffs, 1), 0)
+
+
+@pytest.mark.parametrize("z", [0.3, -0.5 + 0.6j])
+def test_rotation_is_moebius_at_beta_zero(z):
+    w = rotation_dilatation(mu=0.4, phi=0.3)
+    assert w.kind == "moebius" and w.beta == 0.0
+    assert evaluate_dilatation(w, z) == pytest.approx(np.exp(0.7j) * z, abs=1e-15)
 
 
 def test_custom_coeffs_truncated_copy():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from harmclass.bounds import bloch_bound, distortion_slope
+from harmclass.bounds import bloch_bound, bn_bound, distortion_slope
 from harmclass.factory import build_member, extremal_h, sample_certified_h
 from harmclass.model import (
     ClassParams,
@@ -177,6 +177,17 @@ def test_covering_requires_enough_samples():
         verify_covering(extremal_member(), P011, boundary_samples=32)
 
 
+def test_coefficient_check_stops_at_the_g_order():
+    h = extremal_h(3, 0.5, P011)
+    member = harmonic_map(h, moebius_dilatation(0.0, 0.2, 0.7), order=4)
+    rep = verify_coefficients(member, P011, n_max=12)
+    margins = [bn_bound(P011, n) - abs(member.g.coeffs[n]) for n in range(2, 5)]
+    assert rep.worst_margin == min(margins)
+    assert rep.witness == f"n={2 + margins.index(min(margins))}"
+    rep = verify_coefficients(member, P011, n_max=1)
+    assert (rep.passed, rep.worst_margin, rep.witness) == (True, 0.0, "no index checked")
+
+
 def test_report_serializes_to_json_line():
     rep = verify_coefficients(extremal_member(), P011, n_max=4)
     record = report_to_dict(rep, member=3, alpha=0.0)
@@ -290,9 +301,12 @@ def test_standalone_grid_checks_equal_member_reports(params):
         members.append(extremal_member())
     for member in members:
         reports = verify_member(member, params, grid=grid)
+        assert verify_coefficients(member, params, 12) == reports[0]
         assert verify_distortion(member, params, grid) == reports[1]
         assert verify_g_growth(member, params, grid) == reports[2]
+        assert verify_area(member, params) == reports[3]
         assert verify_f_growth(member, params, grid) == reports[4]
+        assert verify_covering(member, params) == reports[5]
         assert verify_bloch(member, params, grid) == reports[6]
 
 
