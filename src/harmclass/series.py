@@ -41,11 +41,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        """True when coeff[0] = 0 and coeff[1] = 1 (analytic-part normalization)."""
+    def is_normalized(self) -> bool:
+        """True when coeff[0] = 0 and coeff[1] = 1 to within 1e-12 (analytic-part
+        normalization)."""
         if self.order < 1:
             return False
-        return abs(self.coeffs[0]) <= tol and abs(self.coeffs[1] - 1.0) <= tol
+        return abs(self.coeffs[0]) <= 1e-12 and abs(self.coeffs[1] - 1.0) <= 1e-12
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and np.array_equal(

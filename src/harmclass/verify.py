@@ -124,17 +124,16 @@ class PolarGrid:
         return self.radii[:, None] * np.exp(1j * self.angles)[None, :]
 
 
-def default_polar_grid(
-    n_radii: int = 64, n_angles: int = 128, r_max: float = 0.995
-) -> PolarGrid:
-    """Chebyshev-spaced radii (clustered near 0 and r_max) x uniform angles.
+def default_polar_grid(n_radii: int = 64, n_angles: int = 128) -> PolarGrid:
+    """Chebyshev-spaced radii in (0, 0.995] (clustered near both ends) x
+    uniform angles.
 
     Uses the Lobatto flavor without the origin, so doubling either count
     yields a strict superset of points: measured grid suprema are then
     non-decreasing under refinement.
     """
     j = np.arange(1, n_radii + 1)
-    radii = 0.5 * r_max * (1.0 - np.cos(np.pi * j / n_radii))
+    radii = 0.5 * 0.995 * (1.0 - np.cos(np.pi * j / n_radii))
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     return PolarGrid(radii=radii, angles=angles)
 
@@ -205,7 +204,8 @@ class _GridSample:
 class _EnvelopeTable:
     """Member-independent references for one (params, grid, n_max), plus the
     area tolerance and covering sample count.  Grid rows are column arrays
-    over the radii.  Each field is computed on first read."""
+    over the radii.  Each field is computed on first read.  ``n_max`` below 2
+    raises ``ValueError``: the coefficient check would check nothing."""
 
     def __init__(
         self,
@@ -216,6 +216,8 @@ class _EnvelopeTable:
         covering_samples: int = _COVERING_SAMPLES,
     ) -> None:
         params.require_nonnegative_delta()
+        if n_max < 2:
+            raise ValueError("n_max must be >= 2: no coefficient index would be checked")
         grid = grid or default_polar_grid()
         beta, r = params.beta, grid.radii[:, None]
         self.params = params
@@ -389,7 +391,7 @@ def _run(check, f: HarmonicMapSpec, table: _EnvelopeTable) -> VerificationReport
 
 
 def verify_coefficients(f: HarmonicMapSpec, params: ClassParams, n_max: int) -> VerificationReport:
-    """Check |b_n| <= coefficient bound for 2 <= n <= n_max."""
+    """Check |b_n| <= coefficient bound for 2 <= n <= n_max (at least 2)."""
     return _run(_coefficients, f, _EnvelopeTable(params, n_max=n_max))
 
 
@@ -487,6 +489,8 @@ def run_member_suite(
     uniform in [0, 1]) and a Moebius dilatation with random rotation phases;
     the whole stream is determined by ``seed``.
     """
+    if members < 1:
+        raise ValueError("members must be >= 1")
     rng = np.random.default_rng(seed)
     table = _EnvelopeTable(params, n_max=n_max)
     out = []

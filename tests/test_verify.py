@@ -184,8 +184,21 @@ def test_coefficient_check_stops_at_the_g_order():
     margins = [bn_bound(P011, n) - abs(member.g.coeffs[n]) for n in range(2, 5)]
     assert rep.worst_margin == min(margins)
     assert rep.witness == f"n={2 + margins.index(min(margins))}"
-    rep = verify_coefficients(member, P011, n_max=1)
-    assert (rep.passed, rep.worst_margin, rep.witness) == (True, 0.0, "no index checked")
+    with pytest.raises(ValueError, match="n_max"):
+        verify_coefficients(member, P011, n_max=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_member(extremal_member(), P011, n_max=1),
+        lambda: run_member_suite(P011, members=0, seed=1),
+    ],
+    ids=["verify_member_n_max_1", "run_member_suite_no_members"],
+)
+def test_checks_that_check_nothing_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_report_serializes_to_json_line():
