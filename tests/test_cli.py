@@ -166,6 +166,24 @@ def test_hcl_tol_does_not_change_stdout(capsys, monkeypatch, value):
     assert json.loads(out)["tol"] == 1e-10
 
 
+def test_invalid_env_tol_exits_two(monkeypatch, capsys):
+    # An invalid tolerance exits 2 through --tol; HCL_TOL neither adds nor removes that.
+    monkeypatch.setenv("HCL_TOL", "abc")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["area", "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", "-1"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_env_tol_invalid_rejected(monkeypatch, capsys):
+    # A valid HCL_TOL does not stand in for an invalid --tol.
+    monkeypatch.setenv("HCL_TOL", "1e-6")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["area", "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", "banana"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_invalid_tol_flag_exits_two(capsys, tol):
     with pytest.raises(SystemExit) as excinfo:
