@@ -8,7 +8,7 @@ the higher-level bound evaluators treat these as trusted primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,14 +78,14 @@ def _gauss_kronrod_15(f: Callable, a, b) -> tuple:
     return kronrod, abs(kronrod - gauss)
 
 
-def _adaptive_panel(f, a, b, tol, depth, depth_limit) -> float:
+def _adaptive_panel(f, a, b, tol, depth) -> float:
     est, err = _gauss_kronrod_15(f, a, b)
     if err <= tol:
         return est
-    if depth >= depth_limit:
+    if depth >= _DEPTH_LIMIT:
         raise QuadratureError(
             f"quadrature on [{a:.17g}, {b:.17g}] did not converge within "
-            f"{depth_limit} subdivision levels (error estimate {err:.3g}, tol {tol:.3g})"
+            f"{_DEPTH_LIMIT} subdivision levels (error estimate {err:.3g}, tol {tol:.3g})"
         )
     mid = 0.5 * (a + b)
     if mid <= a or mid >= b:
@@ -93,8 +93,8 @@ def _adaptive_panel(f, a, b, tol, depth, depth_limit) -> float:
             f"quadrature interval [{a:.17g}, {b:.17g}] cannot be subdivided further"
         )
     half_tol = 0.5 * tol
-    return _adaptive_panel(f, a, mid, half_tol, depth + 1, depth_limit) + _adaptive_panel(
-        f, mid, b, half_tol, depth + 1, depth_limit
+    return _adaptive_panel(f, a, mid, half_tol, depth + 1) + _adaptive_panel(
+        f, mid, b, half_tol, depth + 1
     )
 
 
@@ -104,13 +104,12 @@ def adaptive_quadrature(
     b: float,
     tol: float = 1e-10,
     breakpoints: Sequence[float] = (),
-    depth_limit: int = _DEPTH_LIMIT,
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     The interval is split at the supplied interior breakpoints first (known
     kinks), then each panel is refined adaptively with the 15-point Kronrod
-    rule.  Failure to converge within ``depth_limit`` bisection levels raises
+    rule.  Failure to converge within ``_DEPTH_LIMIT`` bisection levels raises
     QuadratureError rather than returning a silently degraded estimate.
     """
     if tol <= 0:
@@ -124,7 +123,7 @@ def adaptive_quadrature(
     total = b - a
     result = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        result += _adaptive_panel(f, lo, hi, tol * (hi - lo) / total, 0, depth_limit)
+        result += _adaptive_panel(f, lo, hi, tol * (hi - lo) / total, 0)
     return result
 
 
@@ -149,7 +148,7 @@ def cumulative_quadrature(
     share = tol * (hi - lo) / (points[owner] - starts[owner])
     est, err = _gauss_kronrod_15(f, lo, hi)
     for k in np.flatnonzero(~(err <= share)):
-        est[k] = _adaptive_panel(f, float(lo[k]), float(hi[k]), float(share[k]), 0, _DEPTH_LIMIT)
+        est[k] = _adaptive_panel(f, float(lo[k]), float(hi[k]), float(share[k]), 0)
     per_interval = np.zeros(points.size)
     np.add.at(per_interval, owner, est)
     return np.cumsum(per_interval)
@@ -197,7 +196,7 @@ class Polynomial:
     ``degree`` is always recomputed from the last exactly-nonzero entry.
     """
 
-    coeffs: np.ndarray = field()
+    coeffs: np.ndarray
 
     def __init__(self, coeffs) -> None:
         arr = np.asarray(coeffs, dtype=float).copy()
@@ -211,12 +210,12 @@ class Polynomial:
         nz = np.nonzero(self.coeffs)[0]
         return int(nz[-1]) if nz.size else 0
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        val = np.full(x.shape, self.coeffs[-1], dtype=float)
-        for c in self.coeffs[-2::-1]:
+    def __call__(self, x: float) -> float:
+        coeffs = self.coeffs.tolist()
+        val = coeffs[-1]
+        for c in coeffs[-2::-1]:
             val = val * x + c
-        return float(val) if val.ndim == 0 else val
+        return val
 
 
 def sign_variations(p: Polynomial | Sequence[float]) -> int:
@@ -241,8 +240,7 @@ def vincent_variation_count(p: Polynomial, a: float, b: float) -> int:
     acc = np.zeros(n + 1)
     lin = np.array([a, b])  # a + b*x
     lin_pow = np.array([1.0])  # (a + b x)^i, updated incrementally
-    for i in range(n + 1):
-        ci = p.coeffs[i] if i < p.coeffs.size else 0.0
+    for i, ci in enumerate(p.coeffs[: n + 1]):
         if ci != 0.0:
             shift_pow = _binomial_row(n - i)  # (1 + x)^(n-i)
             term = np.convolve(lin_pow, shift_pow)

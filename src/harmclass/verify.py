@@ -14,14 +14,14 @@ member-independent references are computed: the |h'| and |g'| envelopes over
 the radii; the cumulative radial integrals of the |g'| upper envelope (shared
 by g- and f-growth), the |g'| lower envelope (kink at beta) and the f floor;
 the coefficient bounds for n = 2..n_max; the area envelope, the covering
-floor and the Bloch bound.  It also fixes the area tolerance and the number
-of covering samples.  ``run_member_suite`` builds one table for all its
-members, a standalone ``verify_*`` builds its own.  Sample and table fields
-are computed when a check first reads them, so a standalone check computes
-only what it reads.  Each grid check is one margin array of shape (radii,
-sides, angles) and one argmin, so the first minimum in that order wins ties;
-the witness is formatted at that point only.  Margins are judged against the
-fixed ``DEFAULT_SLACK``.
+floor and the Bloch bound.  It also fixes the area tolerance.
+``run_member_suite`` builds one table for all its members, a standalone
+``verify_*`` builds its own.  Sample and table fields are computed when a
+check first reads them, so a standalone check computes only what it reads.
+Each grid check is one margin array of shape (radii, sides, angles) and one
+argmin, so the first minimum in that order wins ties; the witness is
+formatted at that point only.  Margins are judged against the fixed
+``DEFAULT_SLACK``.
 
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
@@ -84,7 +84,7 @@ DEFAULT_SLACK = 1e-9
 
 MEMBER_THEOREMS = ("coeff", "distortion", "g_growth", "area", "f_growth", "covering", "bloch")
 
-#: Circle on which the covering proxy samples |f|: its radius and default point count.
+#: Circle on which the covering proxy samples |f|: its radius and point count.
 _COVERING_RADIUS = 0.999
 _COVERING_SAMPLES = 256
 
@@ -97,16 +97,12 @@ _AREA_ANGLES = 128
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Evaluation grid: strictly increasing radii in (0, 1) crossed with the M
-    uniform angles 2*pi*k/M, k = 0..M-1.
-
-    The angles must be exactly ``2.0 * np.pi * np.arange(M) / M`` (as
-    ``default_polar_grid`` builds them): the checks evaluate members on the
-    grid with ``series.evaluate_polar``, which assumes that angle set.
-    """
+    """Evaluation grid: strictly increasing radii in (0, 1) crossed with the
+    M = ``n_angles`` uniform angles 2*pi*k/M, k = 0..M-1, the angle set that
+    ``series.evaluate_polar`` evaluates on."""
 
     radii: np.ndarray
-    angles: np.ndarray
+    n_angles: int
 
     def __post_init__(self) -> None:
         r = self.radii
@@ -114,11 +110,12 @@ class PolarGrid:
             raise ValueError("grid radii must be a non-empty 1-d array inside (0, 1)")
         if not np.all(r[1:] > r[:-1]):
             raise ValueError("grid radii must be strictly increasing")
-        a = self.angles
-        if a.ndim != 1 or a.size == 0 or not np.array_equal(
-            a, 2.0 * np.pi * np.arange(a.size) / a.size
-        ):
-            raise ValueError("grid angles must be 2*pi*arange(M)/M for some M >= 1")
+        if not isinstance(self.n_angles, (int, np.integer)) or self.n_angles < 1:
+            raise ValueError("grid n_angles must be an integer >= 1")
+
+    @property
+    def angles(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
 
     def points(self) -> np.ndarray:
         return self.radii[:, None] * np.exp(1j * self.angles)[None, :]
@@ -134,8 +131,7 @@ def default_polar_grid(n_radii: int = 64, n_angles: int = 128) -> PolarGrid:
     """
     j = np.arange(1, n_radii + 1)
     radii = 0.5 * 0.995 * (1.0 - np.cos(np.pi * j / n_radii))
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    return PolarGrid(radii=radii, angles=angles)
+    return PolarGrid(radii=radii, n_angles=n_angles)
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ class _GridSample:
         self.grid = grid
 
     def _polar(self, s: TruncatedSeries) -> np.ndarray:
-        return evaluate_polar(s, self.grid.radii, self.grid.angles.size)
+        return evaluate_polar(s, self.grid.radii, self.grid.n_angles)
 
     @cached_property
     def hprime(self) -> np.ndarray:
@@ -203,9 +199,9 @@ class _GridSample:
 
 class _EnvelopeTable:
     """Member-independent references for one (params, grid, n_max), plus the
-    area tolerance and covering sample count.  Grid rows are column arrays
-    over the radii.  Each field is computed on first read.  ``n_max`` below 2
-    raises ``ValueError``: the coefficient check would check nothing."""
+    area tolerance.  Grid rows are column arrays over the radii.  Each field
+    is computed on first read.  ``n_max`` below 2 raises ``ValueError``: the
+    coefficient check would check nothing."""
 
     def __init__(
         self,
@@ -213,44 +209,54 @@ class _EnvelopeTable:
         grid: PolarGrid | None = None,
         n_max: int = 12,
         area_tol: float = 1e-8,
-        covering_samples: int = _COVERING_SAMPLES,
     ) -> None:
         params.require_nonnegative_delta()
         if n_max < 2:
             raise ValueError("n_max must be >= 2: no coefficient index would be checked")
-        grid = grid or default_polar_grid()
-        beta, r = params.beta, grid.radii[:, None]
         self.params = params
-        self.grid = grid
+        self.grid = grid or default_polar_grid()
         self.n_max = n_max
         self.area_tol = area_tol
-        self.covering_samples = covering_samples
         self._bn: list[float] = []
-        self._c = c = bounds.distortion_slope(params)
-        self._gprime_lower = bounds._gprime_lower_integrand(params)
-        self._gprime_upper = bounds._gprime_upper_integrand(params)
-        self.hprime_lower = np.maximum(0.0, 1.0 - c * r)
-        self.hprime_upper = 1.0 + c * r
-        self.gprime_lower = self._gprime_lower(r)
-        self.gprime_upper = self._gprime_upper(r)
+        self._c = bounds.distortion_slope(params)
+        self._r = self.grid.radii[:, None]
+
+    @cached_property
+    def hprime_lower(self) -> np.ndarray:
+        return np.maximum(0.0, 1.0 - self._c * self._r)
+
+    @cached_property
+    def hprime_upper(self) -> np.ndarray:
+        return 1.0 + self._c * self._r
+
+    @cached_property
+    def gprime_lower(self) -> np.ndarray:
+        return bounds._gprime_lower_integrand(self.params)(self._r)
+
+    @cached_property
+    def gprime_upper(self) -> np.ndarray:
+        return bounds._gprime_upper_integrand(self.params)(self._r)
+
+    @cached_property
+    def g_lower_scored(self) -> np.ndarray:
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
-        self.g_lower_scored = (r <= beta) | (beta == 0.0)
+        beta = self.params.beta
+        return (self._r <= beta) | (beta == 0.0)
 
     def _integral(self, f, kinks=()) -> np.ndarray:
         return cumulative_quadrature(f, self.grid.radii, _TABLE_TOL, kinks)[:, None]
 
     @cached_property
     def g_upper(self) -> np.ndarray:
-        return self._integral(self._gprime_upper)
+        return self._integral(bounds._gprime_upper_integrand(self.params))
 
     @cached_property
     def g_lower(self) -> np.ndarray:
-        return self._integral(self._gprime_lower, (self.params.beta,))
+        return self._integral(bounds._gprime_lower_integrand(self.params), (self.params.beta,))
 
     @cached_property
     def f_upper(self) -> np.ndarray:
-        r = self.grid.radii[:, None]
-        return r + 0.5 * self._c * r**2 + self.g_upper
+        return self._r + 0.5 * self._c * self._r**2 + self.g_upper
 
     @cached_property
     def f_floor(self) -> np.ndarray:
@@ -291,9 +297,9 @@ def _grid_report(
 
 def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     g = sample.member.g
+    if g.order < 2:
+        raise ValueError("g has order < 2: no coefficient index would be checked")
     n_top = min(table.n_max, g.order)
-    if n_top < 2:
-        return _report("coeff", 0.0, "no index checked")
     # builtin abs per coefficient: np.abs on the array can differ in the last bit
     moduli = np.array([abs(b) for b in g.coeffs[2 : n_top + 1]])
     margins = table.bn(n_top) - moduli
@@ -352,7 +358,7 @@ def _f_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 
 def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    f, m, floor = sample.member, table.covering_samples, table.covering_floor
+    f, m, floor = sample.member, _COVERING_SAMPLES, table.covering_floor
     h, g = (evaluate_polar(s, [_COVERING_RADIUS], m)[0] for s in (f.h, f.g))
     fm = np.abs(h + np.conj(g))
     idx = int(np.argmin(fm))
@@ -425,18 +431,14 @@ def verify_f_growth(
     return _run(_f_growth, f, _EnvelopeTable(params, grid))
 
 
-def verify_covering(
-    f: HarmonicMapSpec, params: ClassParams, boundary_samples: int = _COVERING_SAMPLES
-) -> VerificationReport:
-    """Proxy covering check: the boundary minimum modulus at r = 0.999 must
-    clear the attainable growth floor.
+def verify_covering(f: HarmonicMapSpec, params: ClassParams) -> VerificationReport:
+    """Proxy covering check: the minimum modulus on r = 0.999 (256 samples)
+    must clear the attainable growth floor.
 
     This verifies the inequality the covering statement integrates, not image
     containment itself.
     """
-    if boundary_samples < 64:
-        raise ValueError("need at least 64 boundary samples")
-    return _run(_covering, f, _EnvelopeTable(params, covering_samples=boundary_samples))
+    return _run(_covering, f, _EnvelopeTable(params))
 
 
 def verify_bloch(
@@ -491,6 +493,8 @@ def run_member_suite(
     """
     if members < 1:
         raise ValueError("members must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     table = _EnvelopeTable(params, n_max=n_max)
     out = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,8 +25,10 @@ from harmclass.bounds import (
     hprime_envelope,
     normality_constant,
 )
+from harmclass.bounds import _BLOCH_BRACKET_WIDTH
 from harmclass.errors import RootCountError
 from harmclass.model import ClassParams
+from harmclass.numerics import bisect_bracket
 
 P011 = ClassParams(0, 0, 1)
 
@@ -351,6 +354,23 @@ def test_bloch_bracket_brackets_the_root():
     assert lo <= result.r0 <= hi
     assert poly(0.4) > 0 > poly(0.5)
     assert abs(poly(result.r0)) < 1e-12
+
+
+def test_bloch_root_is_bisection_on_numpy_horner():
+    """On a seeded 6 x 6 x 6 lattice, r0 and the bracket equal exactly the
+    bisection of the quartic evaluated by ``np.polynomial.polynomial.polyval``,
+    which runs the same Horner order as ``Polynomial``."""
+    rng = np.random.default_rng(2018)
+    axes = (rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 3.0, 6))
+    for alpha, beta, delta in itertools.product(*axes):
+        params = ClassParams(float(alpha), float(beta), float(delta))
+        coeffs = bloch_H_poly(params)
+        lo, hi = bisect_bracket(
+            lambda x: np.polynomial.polynomial.polyval(x, coeffs), 0.0, 1.0, _BLOCH_BRACKET_WIDTH
+        )
+        result = bloch_bound(params)
+        assert result.bracket == (lo, hi)
+        assert result.r0 == 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)

@@ -90,7 +90,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
         # the former debugging commands are gone
         ("digamma", "--x", "1.0"),
         ("quad", "--coeffs", "0,1"),
-        # a seed numpy rejects, an --out that cannot be opened, empty float lists
+        # a negative seed, an --out that cannot be opened, empty float lists
         ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--seed", "-1"),
         ("bloch", "--alpha", "0", "--beta", "0", "--delta", "1",
          "--out", "/nonexistent/dir/x.json"),
@@ -103,6 +103,15 @@ def test_invalid_flags_exit_two(capsys, argv):
         cli.main(list(argv))
     assert excinfo.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_negative_seed_error_names_the_seed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--seed", "-1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be >= 0, got -1" in captured.err
 
 
 def test_area_record(capsys):

@@ -56,12 +56,6 @@ def test_quadrature_nonconvergence_is_an_error():
         adaptive_quadrature(step, 0.0, 1.0, 1e-13)
 
 
-def test_quadrature_depth_limit_controls_failure():
-    step = lambda x: 0.0 if x < 1 / 3 else 1.0
-    with pytest.raises(QuadratureError):
-        adaptive_quadrature(step, 0.0, 1.0, 1e-13, depth_limit=5)
-
-
 def test_quadrature_oscillatory():
     value = adaptive_quadrature(lambda x: math.sin(40 * x), 0.0, 1.0, 1e-12)
     assert value == pytest.approx((1 - math.cos(40)) / 40, abs=1e-12)

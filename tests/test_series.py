@@ -78,7 +78,7 @@ def test_evaluate_polar_matches_horner_on_grid(order, n_angles):
     from harmclass.verify import PolarGrid, default_polar_grid
 
     grid = default_polar_grid(n_radii=16, n_angles=n_angles)
-    grid = PolarGrid(radii=np.append(grid.radii, 0.999), angles=grid.angles)
+    grid = PolarGrid(radii=np.append(grid.radii, 0.999), n_angles=n_angles)
     s = _random_series(order, seed=order)
     out = evaluate_polar(s, grid.radii, n_angles)
     assert out.shape == (grid.radii.size, n_angles)

@@ -13,7 +13,7 @@ from harmclass.model import (
     moebius_dilatation,
     rotation_dilatation,
 )
-from harmclass import numerics
+from harmclass import numerics, verify
 from harmclass.numerics import adaptive_quadrature
 from harmclass.series import TruncatedSeries, differentiate, evaluate
 from harmclass.verify import (
@@ -172,11 +172,6 @@ def test_convexity_rejects_uncertified_input():
         )
 
 
-def test_covering_requires_enough_samples():
-    with pytest.raises(ValueError):
-        verify_covering(extremal_member(), P011, boundary_samples=32)
-
-
 def test_coefficient_check_stops_at_the_g_order():
     h = extremal_h(3, 0.5, P011)
     member = harmonic_map(h, moebius_dilatation(0.0, 0.2, 0.7), order=4)
@@ -186,6 +181,10 @@ def test_coefficient_check_stops_at_the_g_order():
     assert rep.witness == f"n={2 + margins.index(min(margins))}"
     with pytest.raises(ValueError, match="n_max"):
         verify_coefficients(member, P011, n_max=1)
+    # a g of order 1 has no index n >= 2 to check
+    linear = harmonic_map(h, moebius_dilatation(0.0, 0.2, 0.7), order=1)
+    with pytest.raises(ValueError, match="order"):
+        verify_coefficients(linear, P011, n_max=12)
 
 
 @pytest.mark.parametrize(
@@ -244,22 +243,13 @@ def test_member_suite_reports_seven_per_member():
 )
 def test_polar_grid_rejects_bad_radii(radii):
     with pytest.raises(ValueError, match="radii"):
-        PolarGrid(radii=np.array(radii), angles=2.0 * np.pi * np.arange(8) / 8)
+        PolarGrid(radii=np.array(radii), n_angles=8)
 
 
-@pytest.mark.parametrize(
-    "angles",
-    [
-        np.linspace(0.0, 6.0, 8),
-        np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 1e-3,
-        np.roll(2.0 * np.pi * np.arange(8) / 8, 1),
-        np.array([]),
-        (2.0 * np.pi * np.arange(8) / 8)[None, :],
-    ],
-)
-def test_polar_grid_rejects_non_uniform_angles(angles):
-    with pytest.raises(ValueError, match="angles"):
-        PolarGrid(radii=np.array([0.2, 0.9]), angles=angles)
+@pytest.mark.parametrize("n_angles", [0, -8, 8.0])
+def test_polar_grid_rejects_bad_n_angles(n_angles):
+    with pytest.raises(ValueError, match="n_angles"):
+        PolarGrid(radii=np.array([0.2, 0.9]), n_angles=n_angles)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.99])
@@ -388,9 +378,19 @@ def test_member_suite_computes_member_independent_bounds_once(monkeypatch):
     assert sorted(n for _, n in counted["bn_bound"]) == list(range(2, 13))
 
 
-def test_standalone_checks_compute_only_what_they_read(monkeypatch):
-    from harmclass import verify
+@pytest.mark.parametrize(
+    "check", [verify._coefficients, verify._area, verify._covering], ids=["coeff", "area", "covering"]
+)
+def test_checks_off_the_grid_build_no_grid_row(check):
+    params = ClassParams(0.3, 0.6, 1)
+    member = run_member_suite(params, members=1, seed=4)[0][1]
+    table = _EnvelopeTable(params)
+    verify._run(check, member, table)
+    rows = ("hprime_lower", "hprime_upper", "gprime_lower", "gprime_upper", "g_lower_scored")
+    assert not set(rows) & set(vars(table))
 
+
+def test_standalone_checks_compute_only_what_they_read(monkeypatch):
     member = run_member_suite(ClassParams(0.3, 0.99, 1), members=1, seed=4)[0][1]
     params = ClassParams(0.3, 0.99, 1)
     quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
