@@ -54,48 +54,122 @@ _WG = (
     0.4179591836734694,
 )
 
+#: Node offsets of one panel, times its half-width: the centre, then the pair
+#: -x_i, +x_i for i = 0..6.
+_NODES = np.array([0.0, *(s * x for x in _XGK[:7] for s in (-1.0, 1.0))])
+
 #: Bisection levels after which a panel raises QuadratureError.
 _DEPTH_LIMIT = 40
 
+#: Most panels one call of the integrand evaluates in the level-at-a-time driver.
+_LEVEL_PANELS = 256
 
-def _gauss_kronrod_15(f: Callable, a, b) -> tuple:
-    """One 15-point Kronrod panel; returns (estimate, error_estimate).  With arrays
-    of panel ends, ``f`` takes arrays and each panel gets the scalar result."""
+
+def _kronrod_weights(center, pairs, half) -> tuple:
+    """(estimate, error_estimate) from the integrand at the panel centre and
+    ``pairs[i] = f(mid - half*x_i) + f(mid + half*x_i)``, i = 0..6; elementwise
+    when they and ``half`` are arrays over panels.  The sums run left to right,
+    in the order of the nodes."""
+    p0, p1, p2, p3, p4, p5, p6 = pairs
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
+    kronrod = (
+        k7 * center + k0 * p0 + k1 * p1 + k2 * p2 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6
+    ) * half
+    gauss = (g3 * center + g0 * p1 + g1 * p3 + g2 * p5) * half
+    return kronrod, abs(kronrod - gauss)
+
+
+def _gauss_kronrod_15(f: Callable, a: float, b: float) -> tuple:
+    """One 15-point Kronrod panel on [a, b] with scalar calls of ``f``;
+    returns (estimate, error_estimate)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
-    kronrod = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        kronrod += _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (f1 + f2)
-    kronrod *= half
-    gauss *= half
-    return kronrod, abs(kronrod - gauss)
+    center = f(mid)
+    pairs = []
+    for x in _XGK[:7]:
+        dx = half * x
+        pairs.append(f(mid - dx) + f(mid + dx))
+    return _kronrod_weights(center, pairs, half)
+
+
+def _gauss_kronrod_level(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """``_gauss_kronrod_15`` on every panel [lo[k], hi[k]] with one call of
+    ``f`` on all their nodes.  ``mid + half * -x`` is bitwise ``mid - half * x``,
+    so each node, value and estimate equals the scalar panel's."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    nodes = mid[:, None] + half[:, None] * _NODES
+    fx = np.reshape(f(nodes.ravel()), nodes.shape)
+    return _kronrod_weights(fx[:, 0], (fx[:, 1::2] + fx[:, 2::2]).T, half)
+
+
+def _failure(a, b, err, tol, depth) -> QuadratureError:
+    """Why the panel [a, b] at ``depth`` whose error estimate ``err`` exceeds
+    ``tol`` cannot be refined."""
+    a, b = float(a), float(b)
+    if depth >= _DEPTH_LIMIT:
+        return QuadratureError(
+            f"quadrature on [{a:.17g}, {b:.17g}] did not converge within "
+            f"{_DEPTH_LIMIT} subdivision levels (error estimate {err:.3g}, tol {tol:.3g})"
+        )
+    return QuadratureError(f"quadrature interval [{a:.17g}, {b:.17g}] cannot be subdivided further")
 
 
 def _adaptive_panel(f, a, b, tol, depth) -> float:
     est, err = _gauss_kronrod_15(f, a, b)
     if err <= tol:
         return est
-    if depth >= _DEPTH_LIMIT:
-        raise QuadratureError(
-            f"quadrature on [{a:.17g}, {b:.17g}] did not converge within "
-            f"{_DEPTH_LIMIT} subdivision levels (error estimate {err:.3g}, tol {tol:.3g})"
-        )
     mid = 0.5 * (a + b)
-    if mid <= a or mid >= b:
-        raise QuadratureError(
-            f"quadrature interval [{a:.17g}, {b:.17g}] cannot be subdivided further"
-        )
+    if depth >= _DEPTH_LIMIT or mid <= a or mid >= b:
+        raise _failure(a, b, err, tol, depth)
     half_tol = 0.5 * tol
     return _adaptive_panel(f, a, mid, half_tol, depth + 1) + _adaptive_panel(
         f, mid, b, half_tol, depth + 1
     )
+
+
+def _adaptive_levels(
+    f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray, depth: int = 0
+) -> np.ndarray:
+    """``_adaptive_panel(f, lo[k], hi[k], tol[k], depth)`` for every k, bit for
+    bit, with one call of ``f`` per bisection level on the nodes of all its
+    panels.
+
+    Each level keeps its estimates and which panels it split; the children of
+    the split panels, in order, form the next level.  Once all panels are
+    accepted, every split panel becomes ``left + right``, from the deepest
+    level up.  A panel that cannot be split ends the refinement to its right:
+    the recursion, depth first and left first, raises for the leftmost one.
+    A level of more than ``_LEVEL_PANELS`` panels is finished chunk by chunk,
+    left to right, so an integrand that converges nowhere costs about
+    ``_DEPTH_LIMIT`` chunks instead of 2**_DEPTH_LIMIT panels.
+    """
+    levels, failure = [], None
+    while 0 < lo.size <= _LEVEL_PANELS:
+        est, err = _gauss_kronrod_level(f, lo, hi)
+        split = ~(err <= tol)
+        levels.append((est, split))
+        lo, hi, tol, err = lo[split], hi[split], tol[split], err[split]
+        mid = 0.5 * (lo + hi)
+        stuck = (mid <= lo) | (mid >= hi) | (depth >= _DEPTH_LIMIT)
+        if stuck.any():
+            k = int(np.argmax(stuck))
+            failure = _failure(lo[k], hi[k], err[k], tol[k], depth)
+            lo, hi, tol, mid = lo[:k], hi[:k], tol[:k], mid[:k]
+        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+        tol = np.repeat(0.5 * tol, 2)
+        depth += 1
+    chunks = [slice(i, i + _LEVEL_PANELS) for i in range(0, lo.size, _LEVEL_PANELS)]
+    value = np.concatenate(
+        [np.empty(0), *(_adaptive_levels(f, lo[c], hi[c], tol[c], depth) for c in chunks)]
+    )
+    if failure is not None:
+        raise failure
+    for est, split in reversed(levels):
+        est[split] = value[0::2] + value[1::2]
+        value = est
+    return value
 
 
 def adaptive_quadrature(
@@ -109,8 +183,9 @@ def adaptive_quadrature(
 
     The interval is split at the supplied interior breakpoints first (known
     kinks), then each panel is refined adaptively with the 15-point Kronrod
-    rule.  Failure to converge within ``_DEPTH_LIMIT`` bisection levels raises
-    QuadratureError rather than returning a silently degraded estimate.
+    rule, calling ``f`` with one float at a time.  Failure to converge within
+    ``_DEPTH_LIMIT`` bisection levels raises QuadratureError rather than
+    returning a silently degraded estimate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -132,9 +207,12 @@ def cumulative_quadrature(
 ) -> np.ndarray:
     """Integrals of ``f`` from 0 to each of the strictly increasing ``points``,
     bit for bit the running sum of ``adaptive_quadrature(f, lo, hi, tol,
-    breakpoints)`` over [0, points[0]], [points[0], points[1]], ...  Level 0 of
-    all panels evaluates ``f`` on arrays; only panels failing their share of
-    ``tol`` enter the scalar recursion."""
+    breakpoints)`` over [0, points[0]], [points[0], points[1]], ...
+
+    ``f`` takes a 1-d float array and returns an array of the same shape.  It
+    is called once per bisection level, on the nodes of every panel of that
+    level, whichever interval the panel belongs to (at most ``_LEVEL_PANELS``
+    panels per call)."""
     points = np.asarray(points, dtype=float)
     if tol <= 0 or points.ndim != 1 or points.size == 0:
         raise ValueError("need tol > 0 and a non-empty 1-d sequence of points")
@@ -146,11 +224,8 @@ def cumulative_quadrature(
     lo, hi = edges[:-1], edges[1:]
     owner = np.searchsorted(points, hi)
     share = tol * (hi - lo) / (points[owner] - starts[owner])
-    est, err = _gauss_kronrod_15(f, lo, hi)
-    for k in np.flatnonzero(~(err <= share)):
-        est[k] = _adaptive_panel(f, float(lo[k]), float(hi[k]), float(share[k]), 0)
     per_interval = np.zeros(points.size)
-    np.add.at(per_interval, owner, est)
+    np.add.at(per_interval, owner, _adaptive_levels(f, lo, hi, share))
     return np.cumsum(per_interval)
 
 

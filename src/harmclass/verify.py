@@ -26,8 +26,11 @@ formatted at that point only.  Margins are judged against the fixed
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
 coefficients folded modulo the angle count, Horner in r^M, one FFT per ring.
-The dilatation w is always evaluated from its closed form, so the references
-the checks compare against stay independent of the series machinery.
+The area is an adaptive radial quadrature (``numerics.cumulative_quadrature``)
+of ring means: the rings of one bisection level are one ``evaluate_polar``
+call.  The dilatation w is always evaluated from its closed form, so the
+references the checks compare against stay independent of the series
+machinery.
 
 Two checks deliberately reference the derived companions of the stated
 growth forms (see the bounds module):
@@ -58,7 +61,7 @@ from .model import (
     evaluate_dilatation,
     moebius_dilatation,
 )
-from .numerics import adaptive_quadrature, cumulative_quadrature
+from .numerics import cumulative_quadrature
 from .series import TruncatedSeries, differentiate, evaluate_polar, lincomb
 
 __all__ = [
@@ -327,18 +330,17 @@ def _g_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 def _measure_area(f: HarmonicMapSpec, tol: float) -> float:
     """Area of the image counted with multiplicity: tensor quadrature of the
     Jacobian |h'|^2 (1 - |w|^2) in polar coordinates (adaptive radial x
-    trapezoid angular)."""
+    trapezoid angular).  The rings of one bisection level are evaluated
+    together: one ``evaluate_polar`` call for h' and one closed-form call for w."""
     hprime = differentiate(f.h)
     angles = np.exp(2j * np.pi * np.arange(_AREA_ANGLES) / _AREA_ANGLES)
 
-    def ring_mean(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        hp = evaluate_polar(hprime, [r], _AREA_ANGLES)[0]
-        w = evaluate_dilatation(f.w, r * angles)
-        return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - np.abs(w) ** 2)))
+    def ring_mean(r: np.ndarray) -> np.ndarray:
+        hp = evaluate_polar(hprime, r, _AREA_ANGLES)
+        w = evaluate_dilatation(f.w, r[:, None] * angles)
+        return r * np.mean(np.abs(hp) ** 2 * (1.0 - np.abs(w) ** 2), axis=1)
 
-    return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
+    return 2.0 * math.pi * cumulative_quadrature(ring_mean, [1.0], tol)[0]
 
 
 def _area(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:

@@ -62,3 +62,28 @@ def test_cli_output_matches_recording(capsys, case):
     assert code == case["exit_code"]
     assert len(lines) == len(case["stdout"])
     assert _mismatches(_records(case["stdout"]), _records(lines), "stdout") == []
+
+
+def test_cli_output_is_the_same_when_main_runs_again(capsys):
+    """``main`` reuses one parser: two rounds in one process, the second in
+    rotated order, give the recorded records and byte-identical stdout.  A
+    growth call with the default ``--r`` follows one with an explicit ``--r``."""
+    default_r = "growth --alpha 0 --beta 0.5 --delta 1"
+    argvs = [case["argv"] for case in CASES]
+    explicit = next(i for i, argv in enumerate(argvs) if argv.startswith("growth"))
+    argvs.insert(explicit + 1, default_r)
+    rounds = []
+    for order in (argvs, argvs[3:] + argvs[:3]):
+        outputs = {}
+        for argv in order:
+            code = cli.main(argv.split())
+            outputs[argv] = (code, capsys.readouterr().out)
+        rounds.append(outputs)
+    assert rounds[0] == rounds[1]
+    for case in CASES:
+        code, out = rounds[0][case["argv"]]
+        assert code == case["exit_code"]
+        lines = out.splitlines()
+        assert _mismatches(_records(case["stdout"]), _records(lines), "stdout") == []
+    growth = [json.loads(line) for line in rounds[0][default_r][1].splitlines()]
+    assert [row["r"] for row in growth] == [0.25, 0.5, 0.75]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from harmclass import numerics
 from harmclass.errors import QuadratureError
 from harmclass.numerics import (
     Polynomial,
@@ -171,18 +172,71 @@ def test_cumulative_quadrature_matches_running_adaptive_sums_exactly(kink):
 
 
 def test_cumulative_quadrature_subdivided_panel_matches_exactly():
-    # the steep panel next to x = 0.99 fails level 0 and takes the recursion
-    scalar_calls = []
+    # the steep panel next to x = 0.99 fails level 0 and is subdivided
+    sizes = []
 
     def f(x):
-        if np.ndim(x) == 0:
-            scalar_calls.append(x)
+        sizes.append(np.size(x))
         return abs(0.99 - x) / (1.0 - 0.99 * x)
 
     points = [0.4975, 0.995]
     got = cumulative_quadrature(f, points, 1e-9, breakpoints=(0.99,))
-    assert scalar_calls
+    assert len(sizes) > 1
     assert got.tolist() == _running_adaptive(f, points, 1e-9, breakpoints=(0.99,))
+
+
+def test_cumulative_quadrature_levels_hold_several_panels():
+    # one kink per interval: each level rejects the two panels holding a kink
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return abs(x - 0.3) + abs(x - 0.7)
+
+    points = [0.5, 1.0]
+    got = cumulative_quadrature(f, points, 1e-9)
+    rejected = [size // 30 for size in sizes[1:]]  # two children of 15 nodes each
+    assert any(a >= 2 and b >= 2 for a, b in zip(rejected, rejected[1:]))
+    assert got.tolist() == _running_adaptive(f, points, 1e-9)
+
+
+def test_cumulative_quadrature_wide_levels_match_exactly():
+    # 601 panels at level 0: more than one integrand call may take
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return abs(x - 0.3) / (1.0 + x)
+
+    points = np.linspace(0.001, 0.999, 601)
+    got = cumulative_quadrature(f, points, 1e-9)
+    assert max(sizes) <= 15 * numerics._LEVEL_PANELS < 15 * points.size
+    assert got.tolist() == _running_adaptive(f, points, 1e-9)
+
+
+# NaN from 1e6 on: every panel there is split until it is one float wide
+_NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "f, points, reason",
+    [
+        (lambda x: (x >= 1 / 3) * 1.0, [1.0], "40 subdivision levels"),
+        (lambda x: (x >= 1 / 3) + (x >= 2 / 3) * 1.0, [0.5, 1.0], "40 subdivision levels"),
+        (lambda x: x * math.nan, [1.0], "40 subdivision levels"),
+        (_NAN_FROM_1E6, [1e6, 1e6 + 1e-4], "cannot be subdivided"),
+        # the right interval gets stuck ~20 levels before the left one hits the limit
+        (lambda x: (x >= 1e6 / 3) + _NAN_FROM_1E6(x), [1e6, 1e6 + 1e-4], "40 subdivision levels"),
+    ],
+    ids=["step", "two-steps", "nan-everywhere", "unsplittable", "stuck-right-of-limit"],
+)
+def test_cumulative_quadrature_raises_the_recursions_error(f, points, reason):
+    """The error the depth-first recursion meets first, with the same message."""
+    with pytest.raises(QuadratureError, match=reason) as scalar:
+        _running_adaptive(f, points, 1e-13)
+    with pytest.raises(QuadratureError) as levels:
+        cumulative_quadrature(f, points, 1e-13)
+    assert str(levels.value) == str(scalar.value)
 
 
 def test_cumulative_quadrature_polynomial_values():

@@ -9,13 +9,14 @@ from harmclass.factory import build_member, extremal_h, sample_certified_h
 from harmclass.model import (
     ClassParams,
     custom_dilatation,
+    evaluate_dilatation,
     harmonic_map,
     moebius_dilatation,
     rotation_dilatation,
 )
-from harmclass import numerics, verify
+from harmclass import bounds, verify
 from harmclass.numerics import adaptive_quadrature
-from harmclass.series import TruncatedSeries, differentiate, evaluate
+from harmclass.series import TruncatedSeries, differentiate, evaluate, evaluate_polar
 from harmclass.verify import (
     PolarGrid,
     _EnvelopeTable,
@@ -326,13 +327,16 @@ def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
     implementation."""
     params = ClassParams(0.3, 0.99, 1.0)
     grid = default_polar_grid(n_radii=2)
-    recursion = []
-    panel = numerics._adaptive_panel
-    monkeypatch.setattr(
-        numerics, "_adaptive_panel", lambda *args: recursion.append(args) or panel(*args)
-    )
+    sizes = []
+    integrand = bounds._gprime_lower_integrand
+
+    def spy(params):
+        f = integrand(params)
+        return lambda x: sizes.append(np.size(x)) or f(x)
+
+    monkeypatch.setattr(bounds, "_gprime_lower_integrand", spy)
     g_lower = _EnvelopeTable(params, grid).g_lower.ravel().tolist()
-    assert recursion
+    assert len(sizes) > 1
     assert g_lower == [0.43884989302329186, 0.7418941549142266]
     member = build_member(
         sample_certified_h(params, 16, 0.7, 123), moebius_dilatation(0.99, 0.4, 1.1), params
@@ -355,6 +359,32 @@ def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
     for index, frozen in expected.items():
         assert got[index] == frozen
         assert abs(horner_margins[index] - frozen[0]) <= 1e-14
+
+
+def _ring_by_ring_area(f, tol):
+    """The former area measurement: ``adaptive_quadrature`` calling the ring
+    mean with one radius at a time."""
+    hprime = differentiate(f.h)
+    angles = np.exp(2j * np.pi * np.arange(128) / 128)
+
+    def ring_mean(r):
+        if r == 0.0:
+            return 0.0
+        hp = evaluate_polar(hprime, [r], 128)[0]
+        w = evaluate_dilatation(f.w, r * angles)
+        return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - np.abs(w) ** 2)))
+
+    return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.6, 0.9, 0.97, 0.99])
+def test_area_equals_ring_by_ring_quadrature(beta):
+    params = ClassParams(0.3, beta, 1.0)
+    members = [member for _, member, _ in run_member_suite(params, members=3, seed=9)]
+    if beta == 0.0:
+        members.append(extremal_member())
+    for member in members:
+        assert verify._measure_area(member, 1e-8) == _ring_by_ring_area(member, 1e-8)
 
 
 def _counting(monkeypatch, module, name):
