@@ -111,7 +111,8 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     into a (ceil((N+1)/M), M) block, Horner runs in t = r^M over its rows, the
     result is scaled by r^j, and one inverse FFT per ring sums over j.  At
     order N that is ceil((N+1)/M) in-place passes over a (radii, M) array
-    instead of N passes of ``evaluate`` over the same points.
+    instead of N passes of ``evaluate`` over the same points.  Only the first
+    min(M, N+1) columns are scaled: the others hold exact zeros.
     """
     radii = np.asarray(radii, dtype=float)
     m = int(n_angles)
@@ -127,7 +128,8 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     for row in block[-2::-1]:
         val *= t
         val += row
-    val *= radii[:, None] ** np.arange(m)
+    k = min(m, s.coeffs.size)
+    val[:, :k] *= radii[:, None] ** np.arange(k)
     return np.fft.ifft(val, axis=1, norm="forward")
 
 

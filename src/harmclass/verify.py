@@ -18,10 +18,16 @@ floor and the Bloch bound.  It also fixes the area tolerance.
 ``run_member_suite`` builds one table for all its members, a standalone
 ``verify_*`` builds its own.  Sample and table fields are computed when a
 check first reads them, so a standalone check computes only what it reads.
-Each grid check is one margin array of shape (radii, sides, angles) and one
-argmin, so the first minimum in that order wins ties; the witness is
-formatted at that point only.  Margins are judged against the fixed
-``DEFAULT_SLACK``.
+A grid check reduces each of its sides over the angles first: the least
+margin of a side at a radius is its envelope against the row maximum (upper
+side) or minimum (lower side) of the values, exactly, because rounding is
+monotone.  One argmin over the (radii, sides) rows picks the winner, and only
+that row is rebuilt over the angles to find the witness angle, so the first
+minimum in (radius, side, angle) order wins ties, as one argmin over the full
+(radii, sides, angles) margins would; the witness is formatted at that point
+only.  Margins are judged against the fixed ``DEFAULT_SLACK``.  Grids are
+immutable, and ``default_polar_grid`` builds one grid per argument tuple per
+process, shared by every table on it.
 
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
@@ -49,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -102,31 +108,47 @@ _AREA_ANGLES = 128
 class PolarGrid:
     """Evaluation grid: strictly increasing radii in (0, 1) crossed with the
     M = ``n_angles`` uniform angles 2*pi*k/M, k = 0..M-1, the angle set that
-    ``series.evaluate_polar`` evaluates on."""
+    ``series.evaluate_polar`` evaluates on.
+
+    The grid keeps a read-only float copy of the radii, so it cannot change
+    after validation; its angles and points are computed once, when first read.
+    """
 
     radii: np.ndarray
     n_angles: int
 
     def __post_init__(self) -> None:
-        r = self.radii
+        r = np.array(self.radii, dtype=float)
         if r.ndim != 1 or r.size == 0 or not (r[0] > 0.0 and r[-1] < 1.0):
             raise ValueError("grid radii must be a non-empty 1-d array inside (0, 1)")
         if not np.all(r[1:] > r[:-1]):
             raise ValueError("grid radii must be strictly increasing")
-        if not isinstance(self.n_angles, (int, np.integer)) or self.n_angles < 1:
+        m = self.n_angles
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError("grid n_angles must be an integer >= 1")
+        r.setflags(write=False)
+        object.__setattr__(self, "radii", r)
 
-    @property
+    @cached_property
     def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
+        angles = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
+        angles.setflags(write=False)
+        return angles
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        points = self.radii[:, None] * np.exp(1j * self.angles)[None, :]
+        points.setflags(write=False)
+        return points
 
     def points(self) -> np.ndarray:
-        return self.radii[:, None] * np.exp(1j * self.angles)[None, :]
+        return self._points
 
 
+@cache
 def default_polar_grid(n_radii: int = 64, n_angles: int = 128) -> PolarGrid:
     """Chebyshev-spaced radii in (0, 0.995] (clustered near both ends) x
-    uniform angles.
+    uniform angles.  One grid is built per argument tuple and shared.
 
     Uses the Lobatto flavor without the origin, so doubling either count
     yields a strict superset of points: measured grid suprema are then
@@ -241,6 +263,10 @@ class _EnvelopeTable:
         return bounds._gprime_upper_integrand(self.params)(self._r)
 
     @cached_property
+    def bloch_weight(self) -> np.ndarray:
+        return 1.0 - self._r**2
+
+    @cached_property
     def g_lower_scored(self) -> np.ndarray:
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
         beta = self.params.beta
@@ -289,13 +315,39 @@ class _EnvelopeTable:
         return bounds.bloch_bound(self.params).bound
 
 
-def _grid_report(
-    theorem: str, margins: np.ndarray, sides: tuple, grid: PolarGrid
-) -> VerificationReport:
-    """Report the first minimum of ``margins[radius, side, angle]``."""
-    r_idx, side, t_idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    witness = f"{sides[side]} at r={grid.radii[r_idx]:.6g}, theta={grid.angles[t_idx]:.6g}"
-    return _report(theorem, margins[r_idx, side, t_idx], witness)
+def _side_margins(values, envelope, upper: bool, scored) -> np.ndarray:
+    margins = envelope - values if upper else values - envelope
+    return np.where(scored, margins, np.inf)
+
+
+def _grid_report(theorem: str, sides: tuple, grid: PolarGrid) -> VerificationReport:
+    """Report the first minimum, in (radius, side, angle) order, of the
+    margins of ``sides``.
+
+    Each side is ``(label, values, envelope, upper, scored)``: the values on
+    the grid, the envelope and the scored mask as columns over the radii (or
+    ``True``).  The margin is ``envelope - values`` on an upper side,
+    ``values - envelope`` on a lower one, and +inf at unscored radii.
+    Rounding is monotone, so for finite envelopes a side's least margin at a
+    radius is its envelope against the row maximum (upper) or minimum (lower)
+    of the values: the sides are reduced over the angles first, and only the
+    winning row is rebuilt in full to find the witness angle.
+    """
+    rows = np.hstack([
+        _side_margins(
+            values.max(axis=1, keepdims=True) if upper else values.min(axis=1, keepdims=True),
+            envelope, upper, scored,
+        )
+        for _, values, envelope, upper, scored in sides
+    ])
+    r_idx, side = np.unravel_index(int(np.argmin(rows)), rows.shape)
+    label, values, envelope, upper, scored = sides[side]
+    row = _side_margins(
+        values[r_idx], envelope[r_idx], upper, np.broadcast_to(scored, envelope.shape)[r_idx]
+    )
+    t_idx = int(np.argmin(row))
+    witness = f"{label} at r={grid.radii[r_idx]:.6g}, theta={grid.angles[t_idx]:.6g}"
+    return _report(theorem, row[t_idx], witness)
 
 
 def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
@@ -312,19 +364,21 @@ def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationRep
 
 def _distortion(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     hp, gp = sample.hprime, sample.hprime * sample.w
-    margins = np.stack(
-        (hp - table.hprime_lower, table.hprime_upper - hp,
-         gp - table.gprime_lower, table.gprime_upper - gp),
-        axis=1,
+    sides = (
+        ("|h'| lower", hp, table.hprime_lower, False, True),
+        ("|h'| upper", hp, table.hprime_upper, True, True),
+        ("|g'| lower", gp, table.gprime_lower, False, True),
+        ("|g'| upper", gp, table.gprime_upper, True, True),
     )
-    sides = ("|h'| lower", "|h'| upper", "|g'| lower", "|g'| upper")
-    return _grid_report("distortion", margins, sides, table.grid)
+    return _grid_report("distortion", sides, table.grid)
 
 
 def _g_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    lower = np.where(table.g_lower_scored, sample.g - table.g_lower, np.inf)
-    margins = np.stack((table.g_upper - sample.g, lower), axis=1)
-    return _grid_report("g_growth", margins, ("|g| upper", "|g| lower"), table.grid)
+    sides = (
+        ("|g| upper", sample.g, table.g_upper, True, True),
+        ("|g| lower", sample.g, table.g_lower, False, table.g_lower_scored),
+    )
+    return _grid_report("g_growth", sides, table.grid)
 
 
 def _measure_area(f: HarmonicMapSpec, tol: float) -> float:
@@ -355,8 +409,11 @@ def _area(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 
 def _f_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    margins = np.stack((table.f_upper - sample.f, sample.f - table.f_floor), axis=1)
-    return _grid_report("f_growth", margins, ("|f| upper", "|f| floor"), table.grid)
+    sides = (
+        ("|f| upper", sample.f, table.f_upper, True, True),
+        ("|f| floor", sample.f, table.f_floor, False, True),
+    )
+    return _grid_report("f_growth", sides, table.grid)
 
 
 def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
@@ -374,7 +431,7 @@ def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 def _bloch(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     grid = table.grid
-    weighted = (1.0 - grid.radii[:, None] ** 2) * (sample.hprime * (1.0 + sample.w))
+    weighted = table.bloch_weight * (sample.hprime * (1.0 + sample.w))
     bound = table.bloch_bound
     r_idx, t_idx = np.unravel_index(int(np.argmax(weighted)), weighted.shape)
     measured = float(weighted[r_idx, t_idx])

@@ -71,9 +71,30 @@ def _random_series(order, seed):
     return TruncatedSeries((rng.normal(size=n.size) + 1j * rng.normal(size=n.size)) / (n + 1))
 
 
-# N + 1 below, equal to, a multiple of, and not a multiple of each M
-@pytest.mark.parametrize("order", [0, 1, 15, 31, 64, 127, 255, 269, 511, 2818])
-@pytest.mark.parametrize("n_angles", [32, 128, 256])
+def _all_columns_polar(s, radii, m):
+    """The former kernel: every one of the M columns is scaled by r^j,
+    including the columns of exact zeros above the order."""
+    radii = np.asarray(radii, dtype=float)
+    rows = -(-s.coeffs.size // m)
+    block = np.zeros(rows * m, dtype=complex)
+    block[: s.coeffs.size] = s.coeffs
+    block = block.reshape(rows, m)
+    t = radii[:, None] ** m
+    val = np.empty((radii.size, m), dtype=complex)
+    val[:] = block[-1]
+    for row in block[-2::-1]:
+        val *= t
+        val += row
+    val *= radii[:, None] ** np.arange(m)
+    return np.fft.ifft(val, axis=1, norm="forward")
+
+
+# N + 1 below, equal to, a multiple of, and not a multiple of each M;
+# orders M - 2, M - 1 and M for each M
+@pytest.mark.parametrize(
+    "order", [0, 1, 15, 30, 31, 32, 64, 126, 127, 128, 254, 255, 256, 269, 511, 2818]
+)
+@pytest.mark.parametrize("n_angles", [1, 32, 128, 256])
 def test_evaluate_polar_matches_horner_on_grid(order, n_angles):
     from harmclass.verify import PolarGrid, default_polar_grid
 
@@ -83,6 +104,8 @@ def test_evaluate_polar_matches_horner_on_grid(order, n_angles):
     out = evaluate_polar(s, grid.radii, n_angles)
     assert out.shape == (grid.radii.size, n_angles)
     assert np.max(np.abs(out - evaluate(s, grid.points()))) <= 1e-13
+    # scaling only the nonzero columns changes no bit
+    assert out.tobytes() == _all_columns_polar(s, grid.radii, n_angles).tobytes()
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.999])
@@ -92,6 +115,7 @@ def test_evaluate_polar_single_radius(r):
     out = evaluate_polar(s, [r], 128)
     assert out.shape == (1, 128)
     assert np.max(np.abs(out[0] - evaluate(s, z))) <= 1e-13
+    assert out.tobytes() == _all_columns_polar(s, [r], 128).tobytes()
 
 
 @pytest.mark.parametrize("radii, n_angles", [([[0.5]], 8), (0.5, 8), ([0.5], 0)])

@@ -247,10 +247,99 @@ def test_polar_grid_rejects_bad_radii(radii):
         PolarGrid(radii=np.array(radii), n_angles=8)
 
 
-@pytest.mark.parametrize("n_angles", [0, -8, 8.0])
+@pytest.mark.parametrize("n_angles", [0, -8, 8.0, True])
 def test_polar_grid_rejects_bad_n_angles(n_angles):
     with pytest.raises(ValueError, match="n_angles"):
         PolarGrid(radii=np.array([0.2, 0.9]), n_angles=n_angles)
+
+
+def test_polar_grid_owns_read_only_radii():
+    source = np.array([0.2, 0.5])
+    grid = PolarGrid(radii=source, n_angles=8)
+    source[0] = 0.9  # would leave the grid unsorted after validation if aliased
+    assert grid.radii.tolist() == [0.2, 0.5]
+    with pytest.raises(ValueError):
+        grid.radii[0] = 0.9
+    for derived in (grid.angles, grid.points()):
+        with pytest.raises(ValueError):
+            derived[0] = 0.0
+
+
+def test_polar_grid_accepts_a_list_of_radii():
+    grid = PolarGrid(radii=[0.2, 0.5], n_angles=8)
+    assert grid.radii.dtype == float
+    assert grid.radii.tolist() == [0.2, 0.5]
+
+
+def test_default_grid_and_its_points_are_built_once():
+    grid = default_polar_grid()
+    assert default_polar_grid() is grid
+    assert default_polar_grid(16, 32) is default_polar_grid(16, 32) is not grid
+    assert grid.angles is grid.angles
+    assert grid.points() is grid.points()
+    assert _EnvelopeTable(P011).grid is grid
+
+
+def _stacked_report(margins, labels, grid):
+    """The former grid report: the first minimum of one stacked margin array
+    of shape (radii, sides, angles)."""
+    r_idx, side, t_idx = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    witness = f"{labels[side]} at r={grid.radii[r_idx]:.6g}, theta={grid.angles[t_idx]:.6g}"
+    return margins[r_idx, side, t_idx], witness
+
+
+def _random_sides(rng, n_radii, n_angles):
+    """Sides on a coarse lattice of values, so exact ties are common across
+    angles, sides and radii; at most one masked lower side, as in g-growth."""
+    shape = (n_radii, n_angles)
+    sides = []
+    masked = rng.uniform() < 0.5
+    for k in range(int(rng.integers(1, 5))):
+        values = rng.integers(0, 4, size=shape) * 0.25
+        envelope = rng.integers(-1, 5, size=(n_radii, 1)) * 0.25
+        upper = bool(rng.integers(0, 2))
+        scored = True
+        if masked and k == 0:
+            upper, scored = False, rng.uniform(size=(n_radii, 1)) < 0.5
+            scored[int(rng.integers(0, n_radii))] = False
+        sides.append([f"side {k}", values, envelope, upper, scored])
+    if rng.uniform() < 0.5:
+        # the same least margin planted on every side at one radius and angle
+        i, j = int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))
+        for side in sides:
+            side[1][i, j] = side[2][i, 0] + (-1.0 if side[3] else 1.0)
+    return [tuple(side) for side in sides]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_report_equals_stacked_argmin(seed):
+    rng = np.random.default_rng(seed)
+    for case in range(100):
+        n_radii, n_angles = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        grid = PolarGrid(radii=np.linspace(0.1, 0.9, n_radii), n_angles=n_angles)
+        sides = _random_sides(rng, n_radii, n_angles)
+        if case % 4 == 1:
+            sides[0][1][int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))] = np.nan
+        if case % 4 == 2 and sides[0][4] is not True:
+            # a NaN inside a masked row and one outside it
+            masked = np.flatnonzero(~sides[0][4][:, 0])
+            sides[0][1][masked[0], int(rng.integers(0, n_angles))] = np.nan
+            sides[-1][1][int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))] = np.nan
+        if case % 4 == 3:
+            sides[0][1][int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))] = -0.0
+        stacked = np.stack(
+            [
+                np.where(scored, envelope - values if upper else values - envelope, np.inf)
+                if scored is not True
+                else (envelope - values if upper else values - envelope)
+                for _, values, envelope, upper, scored in sides
+            ],
+            axis=1,
+        )
+        expected = _stacked_report(stacked, [side[0] for side in sides], grid)
+        got = verify._grid_report("t", tuple(sides), grid)
+        assert got.witness == expected[1]
+        assert np.float64(got.worst_margin).tobytes() == np.float64(expected[0]).tobytes()
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.99])
@@ -416,7 +505,10 @@ def test_checks_off_the_grid_build_no_grid_row(check):
     member = run_member_suite(params, members=1, seed=4)[0][1]
     table = _EnvelopeTable(params)
     verify._run(check, member, table)
-    rows = ("hprime_lower", "hprime_upper", "gprime_lower", "gprime_upper", "g_lower_scored")
+    rows = (
+        "hprime_lower", "hprime_upper", "gprime_lower", "gprime_upper", "g_lower_scored",
+        "bloch_weight",
+    )
     assert not set(rows) & set(vars(table))
 
 
