@@ -14,10 +14,15 @@ member-independent references are computed: the |h'| and |g'| envelopes over
 the radii; the cumulative radial integrals of the |g'| upper envelope (shared
 by g- and f-growth), the |g'| lower envelope (kink at beta) and the f floor;
 the coefficient bounds for n = 2..n_max; the area envelope, the covering
-floor and the Bloch bound.  It also fixes the area tolerance.
-``run_member_suite`` builds one table for all its members, a standalone
-``verify_*`` builds its own.  Sample and table fields are computed when a
-check first reads them, so a standalone check computes only what it reads.
+floor and the Bloch bound.  It also fixes the area tolerance.  Every entry
+point (``run_member_suite``, ``verify_member`` and each standalone
+``verify_*``) takes its table from ``_table``, which looks it up in one
+process-wide LRU cache of 32 tables (``_tables``) keyed by (params, grid,
+n_max, area tolerance), so repeated calls at the same params share one
+table.  Table values are deterministic, so a cached table gives the same
+reports as a fresh one; its arrays are read-only.  Sample and table fields
+are computed when a check first reads them, so a standalone check computes
+only what it reads.
 A grid check reduces each of its sides over the angles first: the least
 margin of a side at a radius is its envelope against the row maximum (upper
 side) or minimum (lower side) of the values, exactly, because rounding is
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -104,7 +109,7 @@ _TABLE_TOL = 1e-9
 _AREA_ANGLES = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarGrid:
     """Evaluation grid: strictly increasing radii in (0, 1) crossed with the
     M = ``n_angles`` uniform angles 2*pi*k/M, k = 0..M-1, the angle set that
@@ -112,6 +117,7 @@ class PolarGrid:
 
     The grid keeps a read-only float copy of the radii, so it cannot change
     after validation; its angles and points are computed once, when first read.
+    Grids compare and hash by identity.
     """
 
     radii: np.ndarray
@@ -222,16 +228,22 @@ class _GridSample:
         return np.abs(self._polar(self.member.h) + np.conj(self.g_values))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class _EnvelopeTable:
     """Member-independent references for one (params, grid, n_max), plus the
-    area tolerance.  Grid rows are column arrays over the radii.  Each field
-    is computed on first read.  ``n_max`` below 2 raises ``ValueError``: the
-    coefficient check would check nothing."""
+    area tolerance.  Grid rows are read-only column arrays over the radii.
+    Each field is computed on first read, with the same value by any caller,
+    so one table can be shared (see ``_table``).  ``n_max`` below 2 raises
+    ``ValueError``: the coefficient check would check nothing."""
 
     def __init__(
         self,
         params: ClassParams,
-        grid: PolarGrid | None = None,
+        grid: PolarGrid,
         n_max: int = 12,
         area_tol: float = 1e-8,
     ) -> None:
@@ -239,41 +251,41 @@ class _EnvelopeTable:
         if n_max < 2:
             raise ValueError("n_max must be >= 2: no coefficient index would be checked")
         self.params = params
-        self.grid = grid or default_polar_grid()
+        self.grid = grid
         self.n_max = n_max
         self.area_tol = area_tol
-        self._bn: list[float] = []
+        self._bn: dict[int, float] = {}
         self._c = bounds.distortion_slope(params)
         self._r = self.grid.radii[:, None]
 
     @cached_property
     def hprime_lower(self) -> np.ndarray:
-        return np.maximum(0.0, 1.0 - self._c * self._r)
+        return _read_only(np.maximum(0.0, 1.0 - self._c * self._r))
 
     @cached_property
     def hprime_upper(self) -> np.ndarray:
-        return 1.0 + self._c * self._r
+        return _read_only(1.0 + self._c * self._r)
 
     @cached_property
     def gprime_lower(self) -> np.ndarray:
-        return bounds._gprime_lower_integrand(self.params)(self._r)
+        return _read_only(bounds._gprime_lower_integrand(self.params)(self._r))
 
     @cached_property
     def gprime_upper(self) -> np.ndarray:
-        return bounds._gprime_upper_integrand(self.params)(self._r)
+        return _read_only(bounds._gprime_upper_integrand(self.params)(self._r))
 
     @cached_property
     def bloch_weight(self) -> np.ndarray:
-        return 1.0 - self._r**2
+        return _read_only(1.0 - self._r**2)
 
     @cached_property
     def g_lower_scored(self) -> np.ndarray:
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
         beta = self.params.beta
-        return (self._r <= beta) | (beta == 0.0)
+        return _read_only((self._r <= beta) | (beta == 0.0))
 
     def _integral(self, f, kinks=()) -> np.ndarray:
-        return cumulative_quadrature(f, self.grid.radii, _TABLE_TOL, kinks)[:, None]
+        return _read_only(cumulative_quadrature(f, self.grid.radii, _TABLE_TOL, kinks)[:, None])
 
     @cached_property
     def g_upper(self) -> np.ndarray:
@@ -285,7 +297,7 @@ class _EnvelopeTable:
 
     @cached_property
     def f_upper(self) -> np.ndarray:
-        return self._r + 0.5 * self._c * self._r**2 + self.g_upper
+        return _read_only(self._r + 0.5 * self._c * self._r**2 + self.g_upper)
 
     @cached_property
     def f_floor(self) -> np.ndarray:
@@ -294,13 +306,16 @@ class _EnvelopeTable:
     def bn(self, n_top: int) -> np.ndarray:
         """``bounds.bn_bound`` for n = 2..n_top (at index n - 2), n_top <= n_max.
 
-        Each index is computed once per table, and only up to the largest
-        index a member has asked for: above the order of g there is nothing
-        to check, and each bound costs O(n).
+        Each index is computed once per table, under its own key, and only up
+        to the largest index a member has asked for: above the order of g
+        there is nothing to check, and each bound costs O(n).  A call made
+        while another is still filling the table reads the same values.
         """
-        start = len(self._bn) + 2
-        self._bn += [bounds.bn_bound(self.params, n) for n in range(start, n_top + 1)]
-        return np.array(self._bn[: n_top - 1])
+        indices = range(2, n_top + 1)
+        for n in indices:
+            if n not in self._bn:
+                self._bn[n] = bounds.bn_bound(self.params, n)
+        return np.array([self._bn[n] for n in indices])
 
     @cached_property
     def area_envelope(self) -> bounds.BoundEnvelope:
@@ -313,6 +328,26 @@ class _EnvelopeTable:
     @cached_property
     def bloch_bound(self) -> float:
         return bounds.bloch_bound(self.params).bound
+
+
+#: The shared tables, keyed by (params, grid, n_max, area_tol): the 32 most
+#: recently used, enough for the 18-point criterion-7 lattice.
+_tables = lru_cache(maxsize=32)(_EnvelopeTable)
+
+
+def _table(
+    params: ClassParams,
+    grid: PolarGrid | None = None,
+    n_max: int = 12,
+    area_tol: float = 1e-8,
+) -> _EnvelopeTable:
+    """The shared table for (params, grid, n_max, area_tol) from ``_tables``.
+
+    ``grid=None`` is resolved to the default grid before the lookup, so both
+    spellings share one entry.  Grids are keyed by identity, and each entry
+    keeps its grid alive.
+    """
+    return _tables(params, grid or default_polar_grid(), n_max, area_tol)
 
 
 def _side_margins(values, envelope, upper: bool, scored) -> np.ndarray:
@@ -457,14 +492,14 @@ def _run(check, f: HarmonicMapSpec, table: _EnvelopeTable) -> VerificationReport
 
 def verify_coefficients(f: HarmonicMapSpec, params: ClassParams, n_max: int) -> VerificationReport:
     """Check |b_n| <= coefficient bound for 2 <= n <= n_max (at least 2)."""
-    return _run(_coefficients, f, _EnvelopeTable(params, n_max=n_max))
+    return _run(_coefficients, f, _table(params, n_max=n_max))
 
 
 def verify_distortion(
     f: HarmonicMapSpec, params: ClassParams, grid: PolarGrid | None = None
 ) -> VerificationReport:
     """Check the |h'| and |g'| envelopes at every grid point."""
-    return _run(_distortion, f, _EnvelopeTable(params, grid))
+    return _run(_distortion, f, _table(params, grid))
 
 
 def verify_g_growth(
@@ -475,19 +510,19 @@ def verify_g_growth(
     Upper margins are scored at all radii; lower margins only on the sound
     regime (all radii for beta = 0, radii <= beta otherwise).
     """
-    return _run(_g_growth, f, _EnvelopeTable(params, grid))
+    return _run(_g_growth, f, _table(params, grid))
 
 
 def verify_area(f: HarmonicMapSpec, params: ClassParams, tol: float = 1e-8) -> VerificationReport:
     """Measure the Jacobian integral and place it inside the area envelope."""
-    return _run(_area, f, _EnvelopeTable(params, area_tol=tol))
+    return _run(_area, f, _table(params, area_tol=tol))
 
 
 def verify_f_growth(
     f: HarmonicMapSpec, params: ClassParams, grid: PolarGrid | None = None
 ) -> VerificationReport:
     """Check |f| against the upper growth bound and the attainable floor."""
-    return _run(_f_growth, f, _EnvelopeTable(params, grid))
+    return _run(_f_growth, f, _table(params, grid))
 
 
 def verify_covering(f: HarmonicMapSpec, params: ClassParams) -> VerificationReport:
@@ -497,14 +532,14 @@ def verify_covering(f: HarmonicMapSpec, params: ClassParams) -> VerificationRepo
     This verifies the inequality the covering statement integrates, not image
     containment itself.
     """
-    return _run(_covering, f, _EnvelopeTable(params))
+    return _run(_covering, f, _table(params))
 
 
 def verify_bloch(
     f: HarmonicMapSpec, params: ClassParams, grid: PolarGrid | None = None
 ) -> VerificationReport:
     """Grid supremum of (1 - |z|^2)(|h'| + |g'|) against the Bloch bound."""
-    return _run(_bloch, f, _EnvelopeTable(params, grid))
+    return _run(_bloch, f, _table(params, grid))
 
 
 def verify_convexity(
@@ -537,7 +572,7 @@ def verify_member(
     grid: PolarGrid | None = None,
 ) -> list[VerificationReport]:
     """All seven per-member checks, in the order of ``MEMBER_THEOREMS``."""
-    return _verify_member(f, _EnvelopeTable(params, grid, n_max))
+    return _verify_member(f, _table(params, grid, n_max))
 
 
 def run_member_suite(
@@ -555,7 +590,7 @@ def run_member_suite(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    table = _EnvelopeTable(params, n_max=n_max)
+    table = _table(params, n_max=n_max)
     out = []
     for index in range(members):
         fill = float(rng.uniform())

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -265,6 +267,15 @@ def test_polar_grid_owns_read_only_radii():
             derived[0] = 0.0
 
 
+def test_polar_grid_compares_and_hashes_by_identity():
+    grid = default_polar_grid(16, 32)
+    copy = PolarGrid(radii=grid.radii, n_angles=grid.n_angles)
+    assert hash(grid) == hash(grid) != hash(copy)
+    assert grid == grid
+    assert grid != copy
+    assert len({grid, copy, grid}) == 2
+
+
 def test_polar_grid_accepts_a_list_of_radii():
     grid = PolarGrid(radii=[0.2, 0.5], n_angles=8)
     assert grid.radii.dtype == float
@@ -277,7 +288,7 @@ def test_default_grid_and_its_points_are_built_once():
     assert default_polar_grid(16, 32) is default_polar_grid(16, 32) is not grid
     assert grid.angles is grid.angles
     assert grid.points() is grid.points()
-    assert _EnvelopeTable(P011).grid is grid
+    assert verify._table(P011).grid is grid
 
 
 def _stacked_report(margins, labels, grid):
@@ -484,8 +495,7 @@ def _counting(monkeypatch, module, name):
 
 
 def test_member_suite_computes_member_independent_bounds_once(monkeypatch):
-    from harmclass import bounds
-
+    verify._tables.cache_clear()
     counted = {
         name: _counting(monkeypatch, bounds, name)
         for name in ("bloch_bound", "area_envelope", "f_growth_floor", "bn_bound")
@@ -503,7 +513,7 @@ def test_member_suite_computes_member_independent_bounds_once(monkeypatch):
 def test_checks_off_the_grid_build_no_grid_row(check):
     params = ClassParams(0.3, 0.6, 1)
     member = run_member_suite(params, members=1, seed=4)[0][1]
-    table = _EnvelopeTable(params)
+    table = _EnvelopeTable(params, default_polar_grid())
     verify._run(check, member, table)
     rows = (
         "hprime_lower", "hprime_upper", "gprime_lower", "gprime_upper", "g_lower_scored",
@@ -513,6 +523,7 @@ def test_checks_off_the_grid_build_no_grid_row(check):
 
 
 def test_standalone_checks_compute_only_what_they_read(monkeypatch):
+    verify._tables.cache_clear()
     member = run_member_suite(ClassParams(0.3, 0.99, 1), members=1, seed=4)[0][1]
     params = ClassParams(0.3, 0.99, 1)
     quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
@@ -540,3 +551,149 @@ def test_grid_sample_matches_horner(beta):
     }
     for name, values in horner.items():
         assert np.max(np.abs(getattr(sample, name) - values)) <= 1e-13, name
+
+
+def test_bn_reentrant_call_keeps_every_index(monkeypatch):
+    """A ``bn`` call made while another is still filling the table (here from
+    inside the first ``bn_bound``) must not shift the later indices."""
+    params = ClassParams(0.3, 0.6, 1)
+    table = _EnvelopeTable(params, default_polar_grid())
+    original = bounds.bn_bound
+    nested = []
+
+    def bn_bound(p, n):
+        if not nested:
+            nested.append(None)
+            nested[0] = table.bn(5)
+        return original(p, n)
+
+    monkeypatch.setattr(bounds, "bn_bound", bn_bound)
+    assert table.bn(12).tolist() == [original(params, n) for n in range(2, 13)]
+    assert nested[0].tolist() == [original(params, n) for n in range(2, 6)]
+
+
+_TABLE_ARRAYS = (
+    "hprime_lower", "hprime_upper", "gprime_lower", "gprime_upper", "bloch_weight",
+    "g_lower_scored", "g_upper", "g_lower", "f_upper", "f_floor",
+)
+
+
+def test_envelope_table_arrays_are_read_only():
+    table = _EnvelopeTable(ClassParams(0.3, 0.6, 1), default_polar_grid(16, 32))
+    for name in _TABLE_ARRAYS:
+        array = getattr(table, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
+_P = ClassParams(0.3, 0.6, 1)
+_SECOND_CALLS = {
+    "run_member_suite": lambda f: run_member_suite(_P, members=2, seed=3),
+    "verify_member": lambda f: verify_member(f, _P),
+    "verify_coefficients": lambda f: verify_coefficients(f, _P, 12),
+    "verify_distortion": lambda f: verify_distortion(f, _P),
+    "verify_g_growth": lambda f: verify_g_growth(f, _P),
+    "verify_area": lambda f: verify_area(f, _P),
+    "verify_f_growth": lambda f: verify_f_growth(f, _P),
+    "verify_covering": lambda f: verify_covering(f, _P),
+    "verify_bloch": lambda f: verify_bloch(f, _P),
+}
+
+
+@pytest.mark.parametrize("call", _SECOND_CALLS.values(), ids=_SECOND_CALLS)
+def test_second_call_reuses_the_shared_table(monkeypatch, call):
+    member = run_member_suite(_P, members=1, seed=4)[0][1]
+    verify._tables.cache_clear()
+    first = call(member)
+    # distortion_slope: every table construction calls it
+    counted = {
+        name: _counting(monkeypatch, bounds, name)
+        for name in (
+            "bloch_bound", "area_envelope", "f_growth_floor", "bn_bound", "distortion_slope"
+        )
+    }
+    quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
+    assert call(member) == first
+    assert counted == {name: [] for name in counted}
+    # only the area measurement over [0, 1] is left: no table integral over the radii
+    assert all(len(radii) == 1 for _, radii, *_ in quadratures)
+
+
+_LATTICE = [
+    ClassParams(alpha, beta, delta)
+    for alpha in (0.0, 0.3, 0.6)
+    for beta in (0.0, 0.3, 0.6)
+    for delta in (0.0, 1.0)
+] + [ClassParams(0.3, 0.9, 1), ClassParams(0.3, 0.99, 1)]
+
+
+@pytest.mark.parametrize("params", _LATTICE, ids=str)
+def test_cached_table_reports_equal_fresh_table_reports(params):
+    for _, member, reports in run_member_suite(params, members=2, seed=20260808):
+        fresh = verify._verify_member(member, _EnvelopeTable(params, default_polar_grid()))
+        assert reports == fresh
+        assert verify_member(member, params) == fresh
+
+
+def test_shared_table_keys():
+    verify._tables.cache_clear()
+    params, grid = ClassParams(0.3, 0.6, 1), default_polar_grid(16, 32)
+    table = verify._table(params)
+    assert verify._table(params, default_polar_grid()) is table
+    assert verify._table(ClassParams(0.3, 0.6, 1.0), None, 12, 1e-8) is table
+    assert verify._tables.cache_info().currsize == 1
+    others = [
+        verify._table(params, grid),
+        verify._table(params, PolarGrid(radii=grid.radii, n_angles=grid.n_angles)),
+        verify._table(params, n_max=13),
+        verify._table(params, area_tol=1e-9),
+        verify._table(ClassParams(0.3, 0.6, 2)),
+    ]
+    assert len({id(t) for t in [table, *others]}) == 6
+    assert verify._tables.cache_info().currsize == 6
+
+
+def test_negative_zero_params_share_the_zero_entry():
+    for zero, negative in [
+        (ClassParams(0.0, 0.3, 1.0), ClassParams(-0.0, 0.3, 1.0)),
+        (ClassParams(0.3, 0.0, 0.0), ClassParams(0.3, -0.0, -0.0)),
+    ]:
+        assert verify._table(negative) is verify._table(zero)
+        a, b = (_EnvelopeTable(p, default_polar_grid()) for p in (zero, negative))
+        for name in _TABLE_ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.bn(12).tobytes() == b.bn(12).tobytes()
+        for name in ("area_envelope", "covering_floor", "bloch_bound"):
+            assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+
+
+def test_threads_filling_one_shared_table_get_fresh_table_reports():
+    params = ClassParams(0.3, 0.6, 1)
+    members = [member for _, member, _ in run_member_suite(params, members=8, seed=21)]
+    fresh = _EnvelopeTable(params, default_polar_grid())
+    expected = [verify._verify_member(member, fresh) for member in members]
+    verify._tables.cache_clear()
+    got = [None] * len(members)
+
+    def work(i):
+        got[i] = verify_member(members[i], params)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(members))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+def test_shared_tables_are_bounded():
+    verify._tables.cache_clear()
+    for k in range(33):
+        verify._table(ClassParams(0.3, 0.6, k / 8))
+    assert verify._tables.cache_info().currsize == 32
