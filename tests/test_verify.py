@@ -523,9 +523,9 @@ def test_checks_off_the_grid_build_no_grid_row(check):
 
 
 def test_standalone_checks_compute_only_what_they_read(monkeypatch):
-    verify._tables.cache_clear()
     member = run_member_suite(ClassParams(0.3, 0.99, 1), members=1, seed=4)[0][1]
     params = ClassParams(0.3, 0.99, 1)
+    verify._tables.cache_clear()  # the suite above filled this table
     quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
     evaluated = _counting(monkeypatch, verify, "evaluate_polar")
     verify_distortion(member, params)
