@@ -199,11 +199,15 @@ def bn_bound_digamma(alpha: float, n: int) -> float:
 
 
 def hprime_envelope(params: ClassParams, r: float) -> BoundEnvelope:
-    """Distortion envelope 1 -+ c r <= |h'| <= 1 + c r (lower floored at 0)."""
+    """Distortion envelope 1 - c r <= |h'| <= 1 + c r.
+
+    The lower side is positive: c <= 1 for alpha in [0, 1) and delta >= 0,
+    and r < 1.
+    """
     params.require_nonnegative_delta()
     _check_radius(r)
     c = distortion_slope(params)
-    return BoundEnvelope(lower=max(0.0, 1.0 - c * r), upper=1.0 + c * r, at=r)
+    return BoundEnvelope(lower=1.0 - c * r, upper=1.0 + c * r, at=r)
 
 
 def dilatation_envelope(beta: float, r: float) -> BoundEnvelope:
@@ -221,11 +225,14 @@ def dilatation_envelope(beta: float, r: float) -> BoundEnvelope:
 
 
 def gprime_envelope(params: ClassParams, r: float) -> BoundEnvelope:
-    """Sides-matched product of the dilatation and |h'| envelopes."""
-    hp = hprime_envelope(params, r)
-    wv = dilatation_envelope(params.beta, r)
+    """Sides-matched product of the dilatation and |h'| envelopes.
+
+    The lower side is >= 0: both of its factors are (see ``hprime_envelope``).
+    """
+    params.require_nonnegative_delta()
+    _check_radius(r)
     return BoundEnvelope(
-        lower=max(0.0, wv.lower * hp.lower), upper=wv.upper * hp.upper, at=r
+        lower=_gprime_lower_integrand(params)(r), upper=_gprime_upper_integrand(params)(r), at=r
     )
 
 
@@ -245,15 +252,6 @@ def _g_growth_closed(params: ClassParams, r: float) -> tuple[float, float]:
     return abs(f_val) / scale, e_val / scale
 
 
-def _g_envelope_integrals(
-    params: ClassParams, r: float, tol: float
-) -> tuple[float, float]:
-    """Radial integrals of the |g'| envelope, split at the xi = beta kink."""
-    lo = adaptive_quadrature(_gprime_lower_integrand(params), 0.0, r, tol, (params.beta,))
-    up = adaptive_quadrature(_gprime_upper_integrand(params), 0.0, r, tol)
-    return lo, up
-
-
 def g_growth_bounds(
     params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
 ) -> BoundEnvelope:
@@ -264,14 +262,13 @@ def g_growth_bounds(
     envelope is integrated directly instead (the beta -> 0 limit of the
     closed forms).
     """
+    if params.beta < _G_GROWTH_BETA_SWITCH:
+        return g_growth_quadrature(params, r, tol)
     params.require_nonnegative_delta()
     _check_radius(r)
     if r == 0.0:
         return BoundEnvelope(0.0, 0.0, at=0.0)
-    if params.beta >= _G_GROWTH_BETA_SWITCH:
-        lo, up = _g_growth_closed(params, r)
-    else:
-        lo, up = _g_envelope_integrals(params, r, tol)
+    lo, up = _g_growth_closed(params, r)
     return BoundEnvelope(lower=lo, upper=up, at=r)
 
 
@@ -279,12 +276,14 @@ def g_growth_quadrature(
     params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
 ) -> BoundEnvelope:
     """Quadrature form of the |g| growth envelope; authoritative for member
-    verification wherever it disagrees with the closed forms."""
+    verification wherever it disagrees with the closed forms: the radial
+    integrals of the |g'| envelope, split at the xi = beta kink."""
     params.require_nonnegative_delta()
     _check_radius(r)
     if r == 0.0:
         return BoundEnvelope(0.0, 0.0, at=0.0)
-    lo, up = _g_envelope_integrals(params, r, tol)
+    lo = adaptive_quadrature(_gprime_lower_integrand(params), 0.0, r, tol, (params.beta,))
+    up = adaptive_quadrature(_gprime_upper_integrand(params), 0.0, r, tol)
     return BoundEnvelope(lower=lo, upper=up, at=r)
 
 
@@ -437,13 +436,11 @@ def bloch_L_coeffs(params: ClassParams, r: float) -> tuple[float, float]:
 
 
 def _bloch_profile(params: ClassParams, r: float) -> float:
-    """G(r) = ((1 + r - r^2 - r^3) d2 + (1-alpha)(r + r^2 - r^3 - r^4))/(1 + beta r)."""
+    """G(r) = ((1 + r - r^2 - r^3) d2 + (1-alpha)(r + r^2 - r^3 - r^4))/(1 + beta r),
+    in the factored form (1 + r)(1 - r^2)(d2 + (1-alpha) r)/(1 + beta r)."""
     alpha, beta, delta = params.alpha, params.beta, params.delta
     d2 = 2.0 ** (delta - 1.0) * (2.0 - alpha)
-    # np.power, not float ** (C pow): the two differ in the last bit for ~5 % of r
-    r2, r3, r4 = r * r, float(np.power(r, 3.0)), float(np.power(r, 4.0))
-    num = (1.0 + r - r2 - r3) * d2 + (1.0 - alpha) * (r + r2 - r3 - r4)
-    return num / (1.0 + beta * r)
+    return (1.0 + r) * (1.0 - r * r) * (d2 + (1.0 - alpha) * r) / (1.0 + beta * r)
 
 
 def bloch_bound(params: ClassParams) -> BlochResult:

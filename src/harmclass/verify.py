@@ -14,15 +14,15 @@ member-independent references are computed: the |h'| and |g'| envelopes over
 the radii; the cumulative radial integrals of the |g'| upper envelope (shared
 by g- and f-growth), the |g'| lower envelope (kink at beta) and the f floor;
 the coefficient bounds for n = 2..n_max; the area envelope, the covering
-floor and the Bloch bound.  It also fixes the area tolerance.  Every entry
-point (``run_member_suite``, ``verify_member`` and each standalone
-``verify_*``) takes its table from ``_table``, which looks it up in one
-process-wide LRU cache of 32 tables (``_tables``) keyed by (params, grid,
-n_max, area tolerance), so repeated calls at the same params share one
-table.  Table values are deterministic, so a cached table gives the same
-reports as a fresh one; its arrays are read-only.  Sample and table fields
-are computed when a check first reads them, so a standalone check computes
-only what it reads.
+floor and the Bloch bound.  Every entry point (``run_member_suite``,
+``verify_member`` and each standalone ``verify_*``) takes its table from
+``_table``, which looks it up in one process-wide LRU cache of 32 tables
+(``_tables``) keyed by (params, grid, n_max), so repeated calls at the same
+params share one table.  A table is built whole, with read-only arrays,
+before it is shared; only the coefficient bounds fill per index, up to the
+order of g.  Table values are deterministic, so a cached table gives the
+same reports as a fresh one.  Sample fields are computed when a check first
+reads them, so a standalone check evaluates only the member values it reads.
 A grid check reduces each of its sides over the angles first: the least
 margin of a side at a radius is its envelope against the row maximum (upper
 side) or minimum (lower side) of the values, exactly, because rounding is
@@ -59,7 +59,7 @@ growth forms (see the bounds module):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -105,8 +105,10 @@ _COVERING_SAMPLES = 256
 #: Tolerance of the table's cumulative radial integrals.
 _TABLE_TOL = 1e-9
 
-#: Angles per ring of the area measurement's trapezoid rule.
+#: Angles per ring of the area measurement's trapezoid rule, and the
+#: tolerance of its radial quadrature.
 _AREA_ANGLES = 128
+_AREA_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,15 +187,7 @@ def _report(theorem: str, worst: float, witness: str) -> VerificationReport:
 
 
 def report_to_dict(report: VerificationReport, **extra) -> dict:
-    rec = {
-        "theorem": report.theorem,
-        "passed": report.passed,
-        "worst_margin": report.worst_margin,
-        "witness": report.witness,
-        "slack": report.slack,
-    }
-    rec.update(extra)
-    return rec
+    return {**asdict(report), **extra}
 
 
 class _GridSample:
@@ -228,80 +222,45 @@ class _GridSample:
         return np.abs(self._polar(self.member.h) + np.conj(self.g_values))
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class _EnvelopeTable:
-    """Member-independent references for one (params, grid, n_max), plus the
-    area tolerance.  Grid rows are read-only column arrays over the radii.
-    Each field is computed on first read, with the same value by any caller,
-    so one table can be shared (see ``_table``).  ``n_max`` below 2 raises
-    ``ValueError``: the coefficient check would check nothing."""
+    """Member-independent references for one (params, grid, n_max), built
+    whole here: the envelopes and cumulative integrals as read-only column
+    arrays over the radii, then the area envelope, the covering floor and the
+    Bloch bound.  A table is complete before ``_table`` shares it; only ``bn``
+    fills per index.  ``n_max`` below 2 raises ``ValueError``: the
+    coefficient check would check nothing."""
 
-    def __init__(
-        self,
-        params: ClassParams,
-        grid: PolarGrid,
-        n_max: int = 12,
-        area_tol: float = 1e-8,
-    ) -> None:
+    def __init__(self, params: ClassParams, grid: PolarGrid, n_max: int = 12) -> None:
         params.require_nonnegative_delta()
         if n_max < 2:
             raise ValueError("n_max must be >= 2: no coefficient index would be checked")
         self.params = params
         self.grid = grid
         self.n_max = n_max
-        self.area_tol = area_tol
         self._bn: dict[int, float] = {}
-        self._c = bounds.distortion_slope(params)
-        self._r = self.grid.radii[:, None]
-
-    @cached_property
-    def hprime_lower(self) -> np.ndarray:
-        return _read_only(np.maximum(0.0, 1.0 - self._c * self._r))
-
-    @cached_property
-    def hprime_upper(self) -> np.ndarray:
-        return _read_only(1.0 + self._c * self._r)
-
-    @cached_property
-    def gprime_lower(self) -> np.ndarray:
-        return _read_only(bounds._gprime_lower_integrand(self.params)(self._r))
-
-    @cached_property
-    def gprime_upper(self) -> np.ndarray:
-        return _read_only(bounds._gprime_upper_integrand(self.params)(self._r))
-
-    @cached_property
-    def bloch_weight(self) -> np.ndarray:
-        return _read_only(1.0 - self._r**2)
-
-    @cached_property
-    def g_lower_scored(self) -> np.ndarray:
+        beta, c = params.beta, bounds.distortion_slope(params)
+        radii, r = grid.radii, grid.radii[:, None]
+        upper = bounds._gprime_upper_integrand(params)
+        lower = bounds._gprime_lower_integrand(params)
+        # c <= 1 for delta >= 0 and r < 1, so the |h'| lower side stays positive.
+        self.hprime_lower = 1.0 - c * r
+        self.hprime_upper = 1.0 + c * r
+        self.gprime_lower = lower(r)
+        self.gprime_upper = upper(r)
+        self.bloch_weight = 1.0 - r**2
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
-        beta = self.params.beta
-        return _read_only((self._r <= beta) | (beta == 0.0))
-
-    def _integral(self, f, kinks=()) -> np.ndarray:
-        return _read_only(cumulative_quadrature(f, self.grid.radii, _TABLE_TOL, kinks)[:, None])
-
-    @cached_property
-    def g_upper(self) -> np.ndarray:
-        return self._integral(bounds._gprime_upper_integrand(self.params))
-
-    @cached_property
-    def g_lower(self) -> np.ndarray:
-        return self._integral(bounds._gprime_lower_integrand(self.params), (self.params.beta,))
-
-    @cached_property
-    def f_upper(self) -> np.ndarray:
-        return _read_only(self._r + 0.5 * self._c * self._r**2 + self.g_upper)
-
-    @cached_property
-    def f_floor(self) -> np.ndarray:
-        return self._integral(bounds._f_lower_integrand(self.params, -1.0))
+        self.g_lower_scored = (r <= beta) | (beta == 0.0)
+        self.g_upper = cumulative_quadrature(upper, radii, _TABLE_TOL)[:, None]
+        self.g_lower = cumulative_quadrature(lower, radii, _TABLE_TOL, (beta,))[:, None]
+        floor = bounds._f_lower_integrand(params, -1.0)
+        self.f_floor = cumulative_quadrature(floor, radii, _TABLE_TOL)[:, None]
+        self.f_upper = r + 0.5 * c * r**2 + self.g_upper
+        self.area_envelope = bounds.area_envelope(params)
+        self.covering_floor = bounds.f_growth_floor(params, _COVERING_RADIUS)
+        self.bloch_bound = bounds.bloch_bound(params).bound
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def bn(self, n_top: int) -> np.ndarray:
         """``bounds.bn_bound`` for n = 2..n_top (at index n - 2), n_top <= n_max.
@@ -317,37 +276,22 @@ class _EnvelopeTable:
                 self._bn[n] = bounds.bn_bound(self.params, n)
         return np.array([self._bn[n] for n in indices])
 
-    @cached_property
-    def area_envelope(self) -> bounds.BoundEnvelope:
-        return bounds.area_envelope(self.params, min(self.area_tol, bounds.DEFAULT_QUAD_TOL))
 
-    @cached_property
-    def covering_floor(self) -> float:
-        return bounds.f_growth_floor(self.params, _COVERING_RADIUS, bounds.DEFAULT_QUAD_TOL)
-
-    @cached_property
-    def bloch_bound(self) -> float:
-        return bounds.bloch_bound(self.params).bound
-
-
-#: The shared tables, keyed by (params, grid, n_max, area_tol): the 32 most
-#: recently used, enough for the 18-point criterion-7 lattice.
+#: The shared tables, keyed by (params, grid, n_max): the 32 most recently
+#: used, enough for the 18-point criterion-7 lattice.
 _tables = lru_cache(maxsize=32)(_EnvelopeTable)
 
 
 def _table(
-    params: ClassParams,
-    grid: PolarGrid | None = None,
-    n_max: int = 12,
-    area_tol: float = 1e-8,
+    params: ClassParams, grid: PolarGrid | None = None, n_max: int = 12
 ) -> _EnvelopeTable:
-    """The shared table for (params, grid, n_max, area_tol) from ``_tables``.
+    """The shared table for (params, grid, n_max) from ``_tables``.
 
     ``grid=None`` is resolved to the default grid before the lookup, so both
     spellings share one entry.  Grids are keyed by identity, and each entry
     keeps its grid alive.
     """
-    return _tables(params, grid or default_polar_grid(), n_max, area_tol)
+    return _tables(params, grid or default_polar_grid(), n_max)
 
 
 def _side_margins(values, envelope, upper: bool, scored) -> np.ndarray:
@@ -433,7 +377,7 @@ def _measure_area(f: HarmonicMapSpec, tol: float) -> float:
 
 
 def _area(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    measured = _measure_area(sample.member, table.area_tol)
+    measured = _measure_area(sample.member, _AREA_TOL)
     env = table.area_envelope
     margins = (measured - env.lower, env.upper - measured)
     if margins[0] <= margins[1]:
@@ -513,9 +457,9 @@ def verify_g_growth(
     return _run(_g_growth, f, _table(params, grid))
 
 
-def verify_area(f: HarmonicMapSpec, params: ClassParams, tol: float = 1e-8) -> VerificationReport:
+def verify_area(f: HarmonicMapSpec, params: ClassParams) -> VerificationReport:
     """Measure the Jacobian integral and place it inside the area envelope."""
-    return _run(_area, f, _table(params, area_tol=tol))
+    return _run(_area, f, _table(params))
 
 
 def verify_f_growth(

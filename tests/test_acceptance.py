@@ -100,7 +100,7 @@ def test_criterion_5_area_envelope():
         member = hc.build_member(
             hc.TruncatedSeries([0, 1]), hc.rotation_dilatation(), params
         )
-        report = hc.verify_area(member, params, tol=1e-9)
+        report = hc.verify_area(member, params)
         assert report.passed
         measured = float(report.witness.split()[1])
         assert abs(measured - math.pi / 2) < 1e-6

@@ -25,7 +25,7 @@ from harmclass.bounds import (
     hprime_envelope,
     normality_constant,
 )
-from harmclass.bounds import _BLOCH_BRACKET_WIDTH
+from harmclass.bounds import _BLOCH_BRACKET_WIDTH, _bloch_profile
 from harmclass.errors import RootCountError
 from harmclass.model import ClassParams
 from harmclass.numerics import bisect_bracket
@@ -122,10 +122,12 @@ def test_hprime_envelope_rejects_radius():
         hprime_envelope(P011, 1.0)
 
 
-def test_hprime_lower_floor_at_zero():
-    # delta = 0, alpha = 0 puts the slope at 1; the lower side stays >= 0
-    env = hprime_envelope(ClassParams(0, 0, 0), 0.999999)
-    assert env.lower >= 0.0
+def test_hprime_lower_side_stays_positive_at_slope_one():
+    # delta = 0, alpha = 0 puts the slope at 1; the lower side stays > 0 for r < 1
+    params = ClassParams(0, 0, 0)
+    assert distortion_slope(params) == 1.0
+    env = hprime_envelope(params, float(np.nextafter(1.0, 0.0)))
+    assert env.lower > 0.0
 
 
 def test_dilatation_envelope_at_origin():
@@ -158,6 +160,16 @@ def test_gprime_envelope_half():
 def test_gprime_envelope_kink_zero():
     env = gprime_envelope(ClassParams(0.2, 0.4, 1), 0.4)
     assert env.lower == 0.0
+
+
+def test_gprime_envelope_is_the_product_of_the_sides():
+    rng = np.random.default_rng(24)
+    for _ in range(2000):
+        alpha, beta, r = rng.uniform(0.0, 1.0, 3)
+        params = ClassParams(float(alpha), float(beta), float(rng.uniform(0.0, 3.0)))
+        hp, wv = hprime_envelope(params, float(r)), dilatation_envelope(params.beta, float(r))
+        env = gprime_envelope(params, float(r))
+        assert (env.lower, env.upper) == (wv.lower * hp.lower, wv.upper * hp.upper)
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)
@@ -198,6 +210,9 @@ def test_g_growth_small_beta_switch_is_continuous():
     hi = g_growth_bounds(ClassParams(0, 2e-3, 1), 0.6)
     assert abs(lo.upper - hi.upper) < 2e-3
     assert abs(lo.lower - hi.lower) < 2e-3
+    # below the switch the bounds are the quadrature form, bit for bit
+    small = ClassParams(0.3, 5e-4, 1)
+    assert g_growth_bounds(small, 0.6) == g_growth_quadrature(small, 0.6)
 
 
 def test_g_growth_closed_matches_quadrature_inside_beta():
@@ -393,6 +408,22 @@ def test_bloch_bound_is_profile_maximum(params):
         ((1 + r - r**2 - r**3) * d2 + (1 - alpha) * (r + r**2 - r**3 - r**4)) / (1 + beta * r)
     )
     assert result.bound >= np.max(profile) * (1 - 1e-9)
+
+
+def test_bloch_profile_factored_form_matches_expanded_quartic():
+    # r below 0.9 covers every critical radius (H(1/2) <= 0, so r0 <= 1/2); towards
+    # r = 1 the expanded form loses digits to the cancellation in 1 + r - r^2 - r^3.
+    rng = np.random.default_rng(1809)
+    for _ in range(2000):
+        alpha, beta, r = (float(x) for x in rng.uniform(0.0, 1.0, 3))
+        r *= 0.9
+        delta = float(rng.uniform(0.0, 3.0))
+        d2 = 2.0 ** (delta - 1.0) * (2.0 - alpha)
+        expanded = (
+            (1 + r - r**2 - r**3) * d2 + (1 - alpha) * (r + r**2 - r**3 - r**4)
+        ) / (1 + beta * r)
+        got = _bloch_profile(ClassParams(alpha, beta, delta), r)
+        assert abs(got - expanded) <= 1e-15 * abs(expanded)
 
 
 def test_bloch_L_coefficients_negative():

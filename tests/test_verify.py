@@ -107,8 +107,16 @@ def test_vanishing_dilatation_violates_area_envelope():
     assert rep.worst_margin == pytest.approx(97 * math.pi / 120 - math.pi, abs=1e-6)
 
 
+@pytest.mark.parametrize("member", [half_square_member, identity_member])
+def test_area_of_polynomial_jacobian_is_exact_at_table_tolerance(member):
+    """The Jacobians of these members are polynomials in r on each ring, so the
+    Kronrod rule integrates them exactly: a tighter tolerance gives the same bits."""
+    f = member()
+    assert verify._measure_area(f, 1e-9) == verify._measure_area(f, 1e-8)
+
+
 def test_half_square_member_area_is_half_pi():
-    rep = verify_area(half_square_member(), P011, tol=1e-9)
+    rep = verify_area(half_square_member(), P011)
     assert rep.passed
     measured = float(rep.witness.split()[1])
     assert measured == pytest.approx(math.pi / 2, abs=1e-6)
@@ -507,31 +515,13 @@ def test_member_suite_computes_member_independent_bounds_once(monkeypatch):
     assert sorted(n for _, n in counted["bn_bound"]) == list(range(2, 13))
 
 
-@pytest.mark.parametrize(
-    "check", [verify._coefficients, verify._area, verify._covering], ids=["coeff", "area", "covering"]
-)
-def test_checks_off_the_grid_build_no_grid_row(check):
-    params = ClassParams(0.3, 0.6, 1)
-    member = run_member_suite(params, members=1, seed=4)[0][1]
-    table = _EnvelopeTable(params, default_polar_grid())
-    verify._run(check, member, table)
-    rows = (
-        "hprime_lower", "hprime_upper", "gprime_lower", "gprime_upper", "g_lower_scored",
-        "bloch_weight",
-    )
-    assert not set(rows) & set(vars(table))
-
-
 def test_standalone_checks_compute_only_what_they_read(monkeypatch):
     member = run_member_suite(ClassParams(0.3, 0.99, 1), members=1, seed=4)[0][1]
     params = ClassParams(0.3, 0.99, 1)
     verify._tables.cache_clear()  # the suite above filled this table
-    quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
     evaluated = _counting(monkeypatch, verify, "evaluate_polar")
     verify_distortion(member, params)
-    assert quadratures == []
     verify_bloch(member, params)
-    assert quadratures == []
     # h' only: neither g (order 2818 here) nor h is evaluated on the grid
     assert [s.order for s, *_ in evaluated] == [member.h.order - 1] * 2
 
@@ -584,6 +574,21 @@ def test_envelope_table_arrays_are_read_only():
         array = getattr(table, name)
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
+
+
+def test_envelope_table_is_built_whole():
+    table = _EnvelopeTable(ClassParams(0.3, 0.6, 1), default_polar_grid(16, 32))
+    fields = vars(table)
+    for name in (*_TABLE_ARRAYS, "area_envelope", "covering_floor", "bloch_bound"):
+        assert name in fields, name
+    arrays = [value for value in fields.values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == len(_TABLE_ARRAYS)
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_area_check_has_no_tolerance_knob():
+    with pytest.raises(TypeError):
+        verify_area(half_square_member(), P011, tol=1e-9)
 
 
 _P = ClassParams(0.3, 0.6, 1)
@@ -640,17 +645,16 @@ def test_shared_table_keys():
     params, grid = ClassParams(0.3, 0.6, 1), default_polar_grid(16, 32)
     table = verify._table(params)
     assert verify._table(params, default_polar_grid()) is table
-    assert verify._table(ClassParams(0.3, 0.6, 1.0), None, 12, 1e-8) is table
+    assert verify._table(ClassParams(0.3, 0.6, 1.0), None, 12) is table
     assert verify._tables.cache_info().currsize == 1
     others = [
         verify._table(params, grid),
         verify._table(params, PolarGrid(radii=grid.radii, n_angles=grid.n_angles)),
         verify._table(params, n_max=13),
-        verify._table(params, area_tol=1e-9),
         verify._table(ClassParams(0.3, 0.6, 2)),
     ]
-    assert len({id(t) for t in [table, *others]}) == 6
-    assert verify._tables.cache_info().currsize == 6
+    assert len({id(t) for t in [table, *others]}) == 5
+    assert verify._tables.cache_info().currsize == 5
 
 
 def test_negative_zero_params_share_the_zero_entry():
