@@ -20,6 +20,7 @@ from .bounds import (
     bloch_H_poly,
     bn_bound,
     bn_bound_digamma,
+    bn_bounds,
     covering_radius,
     covering_radius_floor,
     dilatation_envelope,

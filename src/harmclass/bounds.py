@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RootCountError
-from .model import ClassParams
+from .model import MAX_TRUNCATION_ORDER, ClassParams
 from .numerics import (
     Polynomial,
     adaptive_quadrature,
@@ -41,6 +41,7 @@ __all__ = [
     "GrowthFormCheck",
     "DEFAULT_QUAD_TOL",
     "bn_bound",
+    "bn_bounds",
     "bn_bound_digamma",
     "hprime_envelope",
     "dilatation_envelope",
@@ -166,26 +167,43 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"radius must be in [0, 1), got {r}")
 
 
+def _b2_bound(params: ClassParams) -> float:
+    """Entry n = 2 of ``bn_bounds``, as one scalar expression."""
+    alpha, beta, delta = params.alpha, params.beta, params.delta
+    return (1.0 - alpha) * beta / (2.0**delta * (2.0 - alpha)) + (1.0 - beta * beta) / 2.0
+
+
 def bn_bound(params: ClassParams, n: int) -> float:
-    """Upper bound for |b_n|, n >= 2.
+    """Upper bound for |b_n|, n >= 2: entry n of ``bn_bounds``, bit for bit."""
+    if n == 2:
+        params.require_nonnegative_delta()
+        return _b2_bound(params)
+    return float(bn_bounds(params, n)[-1])
+
+
+def bn_bounds(params: ClassParams, n_top: int) -> np.ndarray:
+    """Upper bounds for |b_n|, n = 2..n_top (at index n - 2), 2 <= n_top <=
+    ``model.MAX_TRUNCATION_ORDER`` (the largest order g can have).
 
     n = 2 is the special case (1-alpha) beta / (2^delta (2-alpha)) + (1-beta^2)/2;
     for n >= 3 the convolution estimate gives
 
         (1-alpha)(1-beta^2)/n * sum_{k=1}^{n-1} k^(1-delta)/(k-alpha)
-        + (1-alpha) beta / (n^delta (n-alpha)).
+        + (1-alpha) beta / (n^delta (n-alpha)),
+
+    whose partial sums are one running sum.
     """
     params.require_nonnegative_delta()
-    if n < 2:
-        raise ValueError("coefficient index must be >= 2")
+    if not 2 <= n_top <= MAX_TRUNCATION_ORDER:
+        raise ValueError(f"coefficient index must be in [2, {MAX_TRUNCATION_ORDER}], got {n_top}")
     alpha, beta, delta = params.alpha, params.beta, params.delta
-    if n == 2:
-        return (1.0 - alpha) * beta / (2.0**delta * (2.0 - alpha)) + (1.0 - beta * beta) / 2.0
-    k = np.arange(1, n, dtype=float)
-    partial = float(np.sum(k ** (1.0 - delta) / (k - alpha)))
-    return (1.0 - alpha) * (1.0 - beta * beta) / n * partial + (1.0 - alpha) * beta / (
+    k = np.arange(1, n_top, dtype=float)
+    partial = np.cumsum(k ** (1.0 - delta) / (k - alpha))[1:]
+    n = k[1:] + 1.0
+    rest = (1.0 - alpha) * (1.0 - beta * beta) / n * partial + (1.0 - alpha) * beta / (
         n**delta * (n - alpha)
     )
+    return np.concatenate(([_b2_bound(params)], rest))
 
 
 def bn_bound_digamma(alpha: float, n: int) -> float:

@@ -93,10 +93,8 @@ def _cmd_bounds(args) -> list[dict]:
     if args.n_max < 2:
         raise ValueError("--n-max must be >= 2")
     params = _params(args)
-    return [
-        _row("coeff_bound", params, n=n, value=bounds.bn_bound(params, n))
-        for n in range(2, args.n_max + 1)
-    ]
+    values = bounds.bn_bounds(params, args.n_max).tolist()
+    return [_row("coeff_bound", params, n=n, value=value) for n, value in enumerate(values, 2)]
 
 
 def _cmd_table(args) -> list[dict]:

@@ -165,11 +165,13 @@ def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
     coeffs[0] = beta * np.exp(1j * w.mu)
     if order >= 1:
         n = np.arange(1, order + 1)
+        # (-beta)^(n-1) as a sign times beta^(n-1): a negative base is ~15x slower
         coeffs[1:] = (
             np.exp(1j * w.mu)
             * np.exp(1j * n * w.phi)
             * (1.0 - beta * beta)
-            * (-beta) ** (n - 1)
+            * np.where(n % 2 == 1, 1.0, -1.0)
+            * beta ** (n - 1)
         )
     return TruncatedSeries(coeffs)
 

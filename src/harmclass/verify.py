@@ -13,14 +13,14 @@ envelope table, built once per (params, grid, n_max), is the only place the
 member-independent references are computed: the |h'| and |g'| envelopes over
 the radii; the cumulative radial integrals of the |g'| upper envelope (shared
 by g- and f-growth), the |g'| lower envelope (kink at beta) and the f floor;
-the coefficient bounds for n = 2..n_max; the area envelope, the covering
-floor and the Bloch bound.  Every entry point (``run_member_suite``,
-``verify_member`` and each standalone ``verify_*``) takes its table from
-``_table``, which looks it up in one process-wide LRU cache of 32 tables
-(``_tables``) keyed by (params, grid, n_max), so repeated calls at the same
-params share one table.  A table is built whole, with read-only arrays,
-before it is shared; only the coefficient bounds fill per index, up to the
-order of g.  Table values are deterministic, so a cached table gives the
+the coefficient bounds for n = 2..n_max (one ``bounds.bn_bounds`` call);
+the area envelope, the covering floor and the Bloch bound.  Every entry
+point (``run_member_suite``, ``verify_member`` and each standalone
+``verify_*``) takes its table from ``_table``, which looks it up in one
+process-wide LRU cache of 32 tables (``_tables``) keyed by (params, grid,
+n_max), so repeated calls at the same params share one table.  A table is
+built whole, with read-only arrays, before it is shared, and nothing fills
+it later.  Table values are deterministic, so a cached table gives the
 same reports as a fresh one.  Sample fields are computed when a check first
 reads them, so a standalone check evaluates only the member values it reads.
 A grid check reduces each of its sides over the angles first: the least
@@ -31,8 +31,9 @@ that row is rebuilt over the angles to find the witness angle, so the first
 minimum in (radius, side, angle) order wins ties, as one argmin over the full
 (radii, sides, angles) margins would; the witness is formatted at that point
 only.  Margins are judged against the fixed ``DEFAULT_SLACK``.  Grids are
-immutable, and ``default_polar_grid`` builds one grid per argument tuple per
-process, shared by every table on it.
+immutable and built whole (radii, angles and points), and
+``default_polar_grid`` builds one grid per argument tuple per process,
+shared by every table on it.
 
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
@@ -47,10 +48,11 @@ Two checks deliberately reference the derived companions of the stated
 growth forms (see the bounds module):
 
   * g-growth lower margins are only scored where the envelope derivation is
-    sound - all radii when beta = 0, radii <= beta otherwise.  Beyond that
-    regime the stated bound is violated even by the identity-like member
-    h = z with a Moebius dilatation, so scoring it would only measure the
-    formula's defect, which the cross-check records already capture.
+    sound - all radii when beta = 0, radii <= beta otherwise (elsewhere the
+    table's envelope is -inf).  Beyond that regime the stated bound is
+    violated even by the identity-like member h = z with a Moebius
+    dilatation, so scoring it would only measure the formula's defect,
+    which the cross-check records already capture.
   * covering / f-growth lower margins compare against ``f_growth_floor``,
     which the degree-2 extremal member attains with equality; the stated
     lower form lies strictly above that attainable envelope.
@@ -59,7 +61,7 @@ growth forms (see the bounds module):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -118,12 +120,14 @@ class PolarGrid:
     ``series.evaluate_polar`` evaluates on.
 
     The grid keeps a read-only float copy of the radii, so it cannot change
-    after validation; its angles and points are computed once, when first read.
-    Grids compare and hash by identity.
+    after validation; its angles and points (radii x angles, complex) are
+    computed with it, also read-only.  Grids compare and hash by identity.
     """
 
     radii: np.ndarray
     n_angles: int
+    angles: np.ndarray = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.array(self.radii, dtype=float)
@@ -134,23 +138,11 @@ class PolarGrid:
         m = self.n_angles
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError("grid n_angles must be an integer >= 1")
-        r.setflags(write=False)
-        object.__setattr__(self, "radii", r)
-
-    @cached_property
-    def angles(self) -> np.ndarray:
-        angles = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
-        angles.setflags(write=False)
-        return angles
-
-    @cached_property
-    def _points(self) -> np.ndarray:
-        points = self.radii[:, None] * np.exp(1j * self.angles)[None, :]
-        points.setflags(write=False)
-        return points
-
-    def points(self) -> np.ndarray:
-        return self._points
+        angles = 2.0 * np.pi * np.arange(m) / m
+        points = r[:, None] * np.exp(1j * angles)[None, :]
+        for name, value in (("radii", r), ("angles", angles), ("points", points)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @cache
@@ -207,7 +199,7 @@ class _GridSample:
 
     @cached_property
     def w(self) -> np.ndarray:
-        return np.abs(evaluate_dilatation(self.member.w, self.grid.points()))
+        return np.abs(evaluate_dilatation(self.member.w, self.grid.points))
 
     @cached_property
     def g_values(self) -> np.ndarray:
@@ -225,10 +217,12 @@ class _GridSample:
 class _EnvelopeTable:
     """Member-independent references for one (params, grid, n_max), built
     whole here: the envelopes and cumulative integrals as read-only column
-    arrays over the radii, then the area envelope, the covering floor and the
-    Bloch bound.  A table is complete before ``_table`` shares it; only ``bn``
-    fills per index.  ``n_max`` below 2 raises ``ValueError``: the
-    coefficient check would check nothing."""
+    arrays over the radii, the coefficient bounds ``bn`` for n = 2..n_max
+    (at index n - 2), then the area envelope, the covering floor and the
+    Bloch bound.  A table is complete before ``_table`` shares it.
+    ``g_lower_scored`` is ``g_lower`` where it is scored and -inf elsewhere.
+    ``n_max`` below 2 raises ``ValueError``: the coefficient check would
+    check nothing; so does ``n_max`` above ``model.MAX_TRUNCATION_ORDER``."""
 
     def __init__(self, params: ClassParams, grid: PolarGrid, n_max: int = 12) -> None:
         params.require_nonnegative_delta()
@@ -236,8 +230,7 @@ class _EnvelopeTable:
             raise ValueError("n_max must be >= 2: no coefficient index would be checked")
         self.params = params
         self.grid = grid
-        self.n_max = n_max
-        self._bn: dict[int, float] = {}
+        self.bn = bounds.bn_bounds(params, n_max)
         beta, c = params.beta, bounds.distortion_slope(params)
         radii, r = grid.radii, grid.radii[:, None]
         upper = bounds._gprime_upper_integrand(params)
@@ -248,10 +241,10 @@ class _EnvelopeTable:
         self.gprime_lower = lower(r)
         self.gprime_upper = upper(r)
         self.bloch_weight = 1.0 - r**2
-        # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
-        self.g_lower_scored = (r <= beta) | (beta == 0.0)
         self.g_upper = cumulative_quadrature(upper, radii, _TABLE_TOL)[:, None]
         self.g_lower = cumulative_quadrature(lower, radii, _TABLE_TOL, (beta,))[:, None]
+        # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
+        self.g_lower_scored = np.where((r <= beta) | (beta == 0.0), self.g_lower, -np.inf)
         floor = bounds._f_lower_integrand(params, -1.0)
         self.f_floor = cumulative_quadrature(floor, radii, _TABLE_TOL)[:, None]
         self.f_upper = r + 0.5 * c * r**2 + self.g_upper
@@ -261,20 +254,6 @@ class _EnvelopeTable:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-
-    def bn(self, n_top: int) -> np.ndarray:
-        """``bounds.bn_bound`` for n = 2..n_top (at index n - 2), n_top <= n_max.
-
-        Each index is computed once per table, under its own key, and only up
-        to the largest index a member has asked for: above the order of g
-        there is nothing to check, and each bound costs O(n).  A call made
-        while another is still filling the table reads the same values.
-        """
-        indices = range(2, n_top + 1)
-        for n in indices:
-            if n not in self._bn:
-                self._bn[n] = bounds.bn_bound(self.params, n)
-        return np.array([self._bn[n] for n in indices])
 
 
 #: The shared tables, keyed by (params, grid, n_max): the 32 most recently
@@ -294,36 +273,34 @@ def _table(
     return _tables(params, grid or default_polar_grid(), n_max)
 
 
-def _side_margins(values, envelope, upper: bool, scored) -> np.ndarray:
-    margins = envelope - values if upper else values - envelope
-    return np.where(scored, margins, np.inf)
+def _side_margins(values, envelope, upper: bool) -> np.ndarray:
+    return envelope - values if upper else values - envelope
 
 
 def _grid_report(theorem: str, sides: tuple, grid: PolarGrid) -> VerificationReport:
     """Report the first minimum, in (radius, side, angle) order, of the
     margins of ``sides``.
 
-    Each side is ``(label, values, envelope, upper, scored)``: the values on
-    the grid, the envelope and the scored mask as columns over the radii (or
-    ``True``).  The margin is ``envelope - values`` on an upper side,
-    ``values - envelope`` on a lower one, and +inf at unscored radii.
-    Rounding is monotone, so for finite envelopes a side's least margin at a
-    radius is its envelope against the row maximum (upper) or minimum (lower)
-    of the values: the sides are reduced over the angles first, and only the
-    winning row is rebuilt in full to find the witness angle.
+    Each side is ``(label, values, envelope, upper)``: the values on the
+    grid and the envelope as a column over the radii.  The margin is
+    ``envelope - values`` on an upper side and ``values - envelope`` on a
+    lower one, so a lower envelope of -inf leaves a radius unscored (margin
+    +inf) unless a value there is NaN.  Rounding is monotone, so a side's
+    least margin at a radius is its envelope against the row maximum (upper)
+    or minimum (lower) of the values: the sides are reduced over the angles
+    first, and only the winning row is rebuilt in full to find the witness
+    angle.
     """
     rows = np.hstack([
         _side_margins(
             values.max(axis=1, keepdims=True) if upper else values.min(axis=1, keepdims=True),
-            envelope, upper, scored,
+            envelope, upper,
         )
-        for _, values, envelope, upper, scored in sides
+        for _, values, envelope, upper in sides
     ])
     r_idx, side = np.unravel_index(int(np.argmin(rows)), rows.shape)
-    label, values, envelope, upper, scored = sides[side]
-    row = _side_margins(
-        values[r_idx], envelope[r_idx], upper, np.broadcast_to(scored, envelope.shape)[r_idx]
-    )
+    label, values, envelope, upper = sides[side]
+    row = _side_margins(values[r_idx], envelope[r_idx], upper)
     t_idx = int(np.argmin(row))
     witness = f"{label} at r={grid.radii[r_idx]:.6g}, theta={grid.angles[t_idx]:.6g}"
     return _report(theorem, row[t_idx], witness)
@@ -333,10 +310,10 @@ def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationRep
     g = sample.member.g
     if g.order < 2:
         raise ValueError("g has order < 2: no coefficient index would be checked")
-    n_top = min(table.n_max, g.order)
+    bn = table.bn[: g.order - 1]
     # builtin abs per coefficient: np.abs on the array can differ in the last bit
-    moduli = np.array([abs(b) for b in g.coeffs[2 : n_top + 1]])
-    margins = table.bn(n_top) - moduli
+    moduli = np.array([abs(b) for b in g.coeffs[2 : bn.size + 2]])
+    margins = bn - moduli
     i = int(np.argmin(margins))
     return _report("coeff", margins[i], f"n={i + 2}")
 
@@ -344,18 +321,18 @@ def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationRep
 def _distortion(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     hp, gp = sample.hprime, sample.hprime * sample.w
     sides = (
-        ("|h'| lower", hp, table.hprime_lower, False, True),
-        ("|h'| upper", hp, table.hprime_upper, True, True),
-        ("|g'| lower", gp, table.gprime_lower, False, True),
-        ("|g'| upper", gp, table.gprime_upper, True, True),
+        ("|h'| lower", hp, table.hprime_lower, False),
+        ("|h'| upper", hp, table.hprime_upper, True),
+        ("|g'| lower", gp, table.gprime_lower, False),
+        ("|g'| upper", gp, table.gprime_upper, True),
     )
     return _grid_report("distortion", sides, table.grid)
 
 
 def _g_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     sides = (
-        ("|g| upper", sample.g, table.g_upper, True, True),
-        ("|g| lower", sample.g, table.g_lower, False, table.g_lower_scored),
+        ("|g| upper", sample.g, table.g_upper, True),
+        ("|g| lower", sample.g, table.g_lower_scored, False),
     )
     return _grid_report("g_growth", sides, table.grid)
 
@@ -389,8 +366,8 @@ def _area(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 def _f_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     sides = (
-        ("|f| upper", sample.f, table.f_upper, True, True),
-        ("|f| floor", sample.f, table.f_floor, False, True),
+        ("|f| upper", sample.f, table.f_upper, True),
+        ("|f| floor", sample.f, table.f_floor, False),
     )
     return _grid_report("f_growth", sides, table.grid)
 

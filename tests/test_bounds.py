@@ -12,6 +12,7 @@ from harmclass.bounds import (
     bloch_L_coeffs,
     bn_bound,
     bn_bound_digamma,
+    bn_bounds,
     covering_radius,
     covering_radius_floor,
     dilatation_envelope,
@@ -27,7 +28,7 @@ from harmclass.bounds import (
 )
 from harmclass.bounds import _BLOCH_BRACKET_WIDTH, _bloch_profile
 from harmclass.errors import RootCountError
-from harmclass.model import ClassParams
+from harmclass.model import MAX_TRUNCATION_ORDER, ClassParams
 from harmclass.numerics import bisect_bracket
 
 P011 = ClassParams(0, 0, 1)
@@ -69,6 +70,43 @@ def test_bn_bound_rejections():
         bn_bound(P011, 1)
     with pytest.raises(ValueError):
         bn_bound(ClassParams(0, 0, -1), 2)
+
+
+def test_bn_bounds_rejections():
+    for n_top in (1, MAX_TRUNCATION_ORDER + 1):
+        with pytest.raises(ValueError, match="coefficient index"):
+            bn_bounds(P011, n_top)
+    with pytest.raises(ValueError, match="delta"):
+        bn_bounds(ClassParams(0, 0, -1), 3)
+
+
+# every index up to 64, then a spread of indices up to 3000
+_BN_INDICES = [*range(2, 65), *range(65, 3000, 37), 3000]
+
+
+@pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+def test_bn_bound_is_an_entry_of_bn_bounds(params):
+    table = bn_bounds(params, 3000)
+    for n in _BN_INDICES:
+        assert np.float64(bn_bound(params, n)).tobytes() == table[n - 2].tobytes(), n
+        assert bn_bound(params, n) == bn_bounds(params, n)[-1]
+
+
+def _bn_fsum(params, n):
+    """The coefficient bound of index n >= 3 with its partial sum exactly rounded."""
+    alpha, beta, delta = params.alpha, params.beta, params.delta
+    partial = math.fsum(k ** (1.0 - delta) / (k - alpha) for k in range(1, n))
+    return (1 - alpha) * (1 - beta * beta) / n * partial + (1 - alpha) * beta / (
+        n**delta * (n - alpha)
+    )
+
+
+@pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+def test_bn_bounds_match_exactly_summed_oracle(params):
+    table = bn_bounds(params, 3000)
+    for n in _BN_INDICES[1:]:
+        oracle = _bn_fsum(params, n)
+        assert abs(table[n - 2] - oracle) <= 1e-14 * oracle, n
 
 
 def test_digamma_form_values():

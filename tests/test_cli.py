@@ -82,6 +82,9 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
         ("bounds", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1"),
         ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--members", "0"),
         ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1"),
+        # --n-max above the series order cap of 10**6
+        ("bounds", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1000001"),
+        ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1000001"),
         ("table", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "9"),
         # the truncation order (~2.8e13 terms) is over the cap: rejected before sampling
         ("verify", "--alpha", "0", "--beta", "0.999999999999", "--delta", "1"),

@@ -84,6 +84,16 @@ def test_schwarz_pick_coefficient_inequality(beta):
     assert np.all(np.abs(c[1:]) <= cap + 1e-14)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
+def test_moebius_coeffs_match_the_negative_base_power(beta):
+    """The sign is applied to beta^(n-1): within one rounding of (-beta)^(n-1)."""
+    order = 2817
+    c = dilatation_coeffs(moebius_dilatation(beta, mu=0.7, phi=-1.2), order=order).coeffs
+    n = np.arange(1, order + 1)
+    ref = np.exp(0.7j) * np.exp(-1.2j * n) * (1.0 - beta * beta) * (-beta) ** (n - 1)
+    assert np.all(np.abs(c[1:] - ref) <= 2 * np.finfo(float).eps * np.abs(ref))
+
+
 def test_rotation_coeffs():
     out = dilatation_coeffs(rotation_dilatation(mu=0.4, phi=0.3), order=4)
     assert out.coeffs[1] == pytest.approx(np.exp(0.7j))

@@ -270,7 +270,7 @@ def test_polar_grid_owns_read_only_radii():
     assert grid.radii.tolist() == [0.2, 0.5]
     with pytest.raises(ValueError):
         grid.radii[0] = 0.9
-    for derived in (grid.angles, grid.points()):
+    for derived in (grid.angles, grid.points):
         with pytest.raises(ValueError):
             derived[0] = 0.0
 
@@ -295,7 +295,7 @@ def test_default_grid_and_its_points_are_built_once():
     assert default_polar_grid() is grid
     assert default_polar_grid(16, 32) is default_polar_grid(16, 32) is not grid
     assert grid.angles is grid.angles
-    assert grid.points() is grid.points()
+    assert grid.points is grid.points
     assert verify._table(P011).grid is grid
 
 
@@ -309,7 +309,8 @@ def _stacked_report(margins, labels, grid):
 
 def _random_sides(rng, n_radii, n_angles):
     """Sides on a coarse lattice of values, so exact ties are common across
-    angles, sides and radii; at most one masked lower side, as in g-growth."""
+    angles, sides and radii; at most one lower side with a -inf envelope at
+    some radii (unscored there), as in g-growth."""
     shape = (n_radii, n_angles)
     sides = []
     masked = rng.uniform() < 0.5
@@ -317,16 +318,17 @@ def _random_sides(rng, n_radii, n_angles):
         values = rng.integers(0, 4, size=shape) * 0.25
         envelope = rng.integers(-1, 5, size=(n_radii, 1)) * 0.25
         upper = bool(rng.integers(0, 2))
-        scored = True
         if masked and k == 0:
-            upper, scored = False, rng.uniform(size=(n_radii, 1)) < 0.5
-            scored[int(rng.integers(0, n_radii))] = False
-        sides.append([f"side {k}", values, envelope, upper, scored])
+            upper = False
+            envelope[rng.uniform(size=n_radii) < 0.5] = -np.inf
+            envelope[int(rng.integers(0, n_radii))] = -np.inf
+        sides.append([f"side {k}", values, envelope, upper])
     if rng.uniform() < 0.5:
         # the same least margin planted on every side at one radius and angle
         i, j = int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))
         for side in sides:
-            side[1][i, j] = side[2][i, 0] + (-1.0 if side[3] else 1.0)
+            if np.isfinite(side[2][i, 0]):
+                side[1][i, j] = side[2][i, 0] + (-1.0 if side[3] else 1.0)
     return [tuple(side) for side in sides]
 
 
@@ -339,19 +341,17 @@ def test_grid_report_equals_stacked_argmin(seed):
         sides = _random_sides(rng, n_radii, n_angles)
         if case % 4 == 1:
             sides[0][1][int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))] = np.nan
-        if case % 4 == 2 and sides[0][4] is not True:
-            # a NaN inside a masked row and one outside it
-            masked = np.flatnonzero(~sides[0][4][:, 0])
-            sides[0][1][masked[0], int(rng.integers(0, n_angles))] = np.nan
+        if case % 4 == 2 and np.isneginf(sides[0][2]).any():
+            # a NaN inside an unscored row and one outside it
+            unscored = np.flatnonzero(np.isneginf(sides[0][2][:, 0]))
+            sides[0][1][unscored[0], int(rng.integers(0, n_angles))] = np.nan
             sides[-1][1][int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))] = np.nan
         if case % 4 == 3:
             sides[0][1][int(rng.integers(0, n_radii)), int(rng.integers(0, n_angles))] = -0.0
         stacked = np.stack(
             [
-                np.where(scored, envelope - values if upper else values - envelope, np.inf)
-                if scored is not True
-                else (envelope - values if upper else values - envelope)
-                for _, values, envelope, upper, scored in sides
+                envelope - values if upper else values - envelope
+                for _, values, envelope, upper in sides
             ],
             axis=1,
         )
@@ -403,6 +403,27 @@ def test_extremal_member_touches_g_growth_lower_envelope():
     assert rep.passed
     assert rep.witness.startswith("|g| lower")
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
+
+
+def test_nan_at_an_unscored_radius_fails_g_growth():
+    params = ClassParams(0.3, 0.6, 1)
+    member = run_member_suite(params, members=1, seed=4)[0][1]
+    table = verify._table(params)
+    radii, angles = table.grid.radii, table.grid.angles
+    unscored = int(np.argmax(radii > params.beta))
+    assert table.g_lower_scored[unscored, 0] == -np.inf
+    sample = _GridSample(member, table.grid)
+    assert verify._g_growth(sample, table).passed
+    sample.g = sample.g.copy()
+    sample.g[unscored, 3] = np.nan
+    rep = verify._g_growth(sample, table)
+    assert not rep.passed and math.isnan(rep.worst_margin)
+    # the upper side comes first at that radius; the lower side alone fails too
+    assert rep.witness == f"|g| upper at r={radii[unscored]:.6g}, theta={angles[3]:.6g}"
+    lower = (("|g| lower", sample.g, table.g_lower_scored, False),)
+    rep = verify._grid_report("g_growth", lower, table.grid)
+    assert not rep.passed and math.isnan(rep.worst_margin)
+    assert rep.witness == f"|g| lower at r={radii[unscored]:.6g}, theta={angles[3]:.6g}"
 
 
 @pytest.mark.parametrize("params", [P011, ClassParams(0.3, 0.5, 1), ClassParams(0.6, 0.9, 0)])
@@ -506,13 +527,14 @@ def test_member_suite_computes_member_independent_bounds_once(monkeypatch):
     verify._tables.cache_clear()
     counted = {
         name: _counting(monkeypatch, bounds, name)
-        for name in ("bloch_bound", "area_envelope", "f_growth_floor", "bn_bound")
+        for name in ("bloch_bound", "area_envelope", "f_growth_floor", "bn_bounds", "bn_bound")
     }
     run_member_suite(ClassParams(0.3, 0.5, 1), members=3, seed=3, n_max=12)
     assert len(counted["bloch_bound"]) == 1
     assert len(counted["area_envelope"]) == 1
     assert len(counted["f_growth_floor"]) == 1
-    assert sorted(n for _, n in counted["bn_bound"]) == list(range(2, 13))
+    assert [n for _, n in counted["bn_bounds"]] == [12]
+    assert counted["bn_bound"] == []
 
 
 def test_standalone_checks_compute_only_what_they_read(monkeypatch):
@@ -531,7 +553,7 @@ def test_grid_sample_matches_horner(beta):
     params = ClassParams(0.3, beta, 1)
     member = run_member_suite(params, members=1, seed=11)[0][1]
     grid = default_polar_grid()
-    z = grid.points()
+    z = grid.points
     sample = _GridSample(member, grid)
     g = evaluate(member.g, z)
     horner = {
@@ -543,28 +565,9 @@ def test_grid_sample_matches_horner(beta):
         assert np.max(np.abs(getattr(sample, name) - values)) <= 1e-13, name
 
 
-def test_bn_reentrant_call_keeps_every_index(monkeypatch):
-    """A ``bn`` call made while another is still filling the table (here from
-    inside the first ``bn_bound``) must not shift the later indices."""
-    params = ClassParams(0.3, 0.6, 1)
-    table = _EnvelopeTable(params, default_polar_grid())
-    original = bounds.bn_bound
-    nested = []
-
-    def bn_bound(p, n):
-        if not nested:
-            nested.append(None)
-            nested[0] = table.bn(5)
-        return original(p, n)
-
-    monkeypatch.setattr(bounds, "bn_bound", bn_bound)
-    assert table.bn(12).tolist() == [original(params, n) for n in range(2, 13)]
-    assert nested[0].tolist() == [original(params, n) for n in range(2, 6)]
-
-
 _TABLE_ARRAYS = (
     "hprime_lower", "hprime_upper", "gprime_lower", "gprime_upper", "bloch_weight",
-    "g_lower_scored", "g_upper", "g_lower", "f_upper", "f_floor",
+    "g_lower_scored", "g_upper", "g_lower", "f_upper", "f_floor", "bn",
 )
 
 
@@ -573,7 +576,7 @@ def test_envelope_table_arrays_are_read_only():
     for name in _TABLE_ARRAYS:
         array = getattr(table, name)
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0
+            array[...] = 0
 
 
 def test_envelope_table_is_built_whole():
@@ -614,7 +617,7 @@ def test_second_call_reuses_the_shared_table(monkeypatch, call):
     counted = {
         name: _counting(monkeypatch, bounds, name)
         for name in (
-            "bloch_bound", "area_envelope", "f_growth_floor", "bn_bound", "distortion_slope"
+            "bloch_bound", "area_envelope", "f_growth_floor", "bn_bounds", "distortion_slope"
         )
     }
     quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
@@ -666,7 +669,6 @@ def test_negative_zero_params_share_the_zero_entry():
         a, b = (_EnvelopeTable(p, default_polar_grid()) for p in (zero, negative))
         for name in _TABLE_ARRAYS:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-        assert a.bn(12).tobytes() == b.bn(12).tobytes()
         for name in ("area_envelope", "covering_floor", "bloch_bound"):
             assert repr(getattr(a, name)) == repr(getattr(b, name)), name
 
