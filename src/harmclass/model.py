@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import TruncatedSeries, differentiate, evaluate
+from .series import TruncatedSeries, differentiate, evaluate, evaluate_polar
 
 __all__ = [
     "ClassParams",
@@ -26,6 +26,7 @@ __all__ = [
     "default_truncation_order",
     "dilatation_coeffs",
     "evaluate_dilatation",
+    "dilatation_modulus",
     "co_analytic_from",
     "harmonic_map",
     "jacobian_at",
@@ -188,6 +189,44 @@ def evaluate_dilatation(w: DilatationSpec, z):
     u = np.exp(1j * w.phi) * z
     out = np.exp(1j * w.mu) * (u + w.beta) / (1.0 + w.beta * u)
     return complex(out) if out.ndim == 0 else out
+
+
+def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
+    """|w| on polar rings: ``out[i, k] = |w(radii[i] * exp(2j*pi*k/n_angles))|``,
+    the layout of ``series.evaluate_polar``.
+
+    For the Moebius kind, with t = theta + phi and q = 4 beta r cos^2(t/2),
+
+        |w|^2 = ((r - beta)^2 + q) / ((1 - beta r)^2 + q),
+
+    real arithmetic on one cosine per angle; mu drops out.  Both sums add
+    non-negative terms, so nothing cancels near the zero of w (r = beta,
+    t = pi), where the form r^2 + beta^2 + 2 beta r cos t loses up to half
+    its digits; 1 - beta r is summed as (1 - beta) + beta (1 - r), which
+    does not cancel near the pole either.  Against an exact evaluation at
+    the same (r, theta, phi) it errs by about an ulp, where the complex form
+    ``abs(evaluate_dilatation(w, z))`` errs by up to 1.2e-14 at beta = 0.99.
+    At beta = 0 it returns r exactly.  The custom kind takes the modulus of
+    its series on the rings.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if w.kind == "custom":
+        return np.abs(evaluate_polar(w.series, radii, n_angles))
+    m = int(n_angles)
+    if radii.ndim != 1 or m < 1:
+        raise ValueError("need a 1-d array of radii and n_angles >= 1")
+    beta, r = w.beta, radii[:, None]
+    # t/2 = theta/2 + phi/2 is the rounded sum s plus its exact rounding error
+    # e (Knuth's two-sum), and cos(s + e) = cos(s) - e sin(s) to within e^2:
+    # taking cos(s) alone would move |w| by up to 1e-14 at beta = 0.99
+    a, b = np.pi * np.arange(m) / m, 0.5 * w.phi
+    s = a + b
+    v = s - a
+    e = (a - (s - v)) + (b - v)
+    q = (4.0 * beta) * r * (np.cos(s) - e * np.sin(s)) ** 2
+    out = (r - beta) ** 2 + q
+    out /= ((1.0 - beta) + beta * (1.0 - r)) ** 2 + q
+    return np.sqrt(out, out=out)
 
 
 def co_analytic_from(h: TruncatedSeries, w: DilatationSpec, order: int) -> TruncatedSeries:

@@ -137,10 +137,12 @@ def _adaptive_levels(
     panels.
 
     Each level keeps its estimates and which panels it split; the children of
-    the split panels, in order, form the next level.  Once all panels are
-    accepted, every split panel becomes ``left + right``, from the deepest
-    level up.  A panel that cannot be split ends the refinement to its right:
-    the recursion, depth first and left first, raises for the leftmost one.
+    the split panels, in order, form the next level.  The first level that
+    accepts all its panels is the last one: its estimates are the values,
+    and every split panel above it becomes ``left + right``, from the
+    deepest level up.  A panel that cannot be split ends the refinement to
+    its right: the recursion, depth first and left first, raises for the
+    leftmost one, also when a later level accepts every panel it has left.
     A level of more than ``_LEVEL_PANELS`` panels is finished chunk by chunk,
     left to right, so an integrand that converges nowhere costs about
     ``_DEPTH_LIMIT`` chunks instead of 2**_DEPTH_LIMIT panels.
@@ -149,6 +151,9 @@ def _adaptive_levels(
     while 0 < lo.size <= _LEVEL_PANELS:
         est, err = _gauss_kronrod_level(f, lo, hi)
         split = ~(err <= tol)
+        if not split.any():
+            value = est
+            break
         levels.append((est, split))
         lo, hi, tol, err = lo[split], hi[split], tol[split], err[split]
         mid = 0.5 * (lo + hi)
@@ -160,10 +165,11 @@ def _adaptive_levels(
         lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
         tol = np.repeat(0.5 * tol, 2)
         depth += 1
-    chunks = [slice(i, i + _LEVEL_PANELS) for i in range(0, lo.size, _LEVEL_PANELS)]
-    value = np.concatenate(
-        [np.empty(0), *(_adaptive_levels(f, lo[c], hi[c], tol[c], depth) for c in chunks)]
-    )
+    else:
+        chunks = [slice(i, i + _LEVEL_PANELS) for i in range(0, lo.size, _LEVEL_PANELS)]
+        value = np.concatenate(
+            [np.empty(0), *(_adaptive_levels(f, lo[c], hi[c], tol[c], depth) for c in chunks)]
+        )
     if failure is not None:
         raise failure
     for est, split in reversed(levels):

@@ -31,18 +31,20 @@ that row is rebuilt over the angles to find the witness angle, so the first
 minimum in (radius, side, angle) order wins ties, as one argmin over the full
 (radii, sides, angles) margins would; the witness is formatted at that point
 only.  Margins are judged against the fixed ``DEFAULT_SLACK``.  Grids are
-immutable and built whole (radii, angles and points), and
-``default_polar_grid`` builds one grid per argument tuple per process,
-shared by every table on it.
+immutable and built whole (radii and angles), and ``default_polar_grid``
+builds one grid per argument tuple per process, shared by every table on it.
 
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
 coefficients folded modulo the angle count, Horner in r^M, one FFT per ring.
 The area is an adaptive radial quadrature (``numerics.cumulative_quadrature``)
 of ring means: the rings of one bisection level are one ``evaluate_polar``
-call.  The dilatation w is always evaluated from its closed form, so the
-references the checks compare against stay independent of the series
-machinery.
+call.  The checks read the dilatation only through |w|, which
+``model.dilatation_modulus`` computes on the same rings.  For a Moebius w it
+is a real closed form in the half angle, with no complex division and no
+cancellation near the zero or the pole of w (about an ulp from an exact
+evaluation), so the references the checks compare against stay independent
+of the series machinery.
 
 Two checks deliberately reference the derived companions of the stated
 growth forms (see the bounds module):
@@ -61,19 +63,14 @@ growth forms (see the bounds module):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
 from . import bounds
 from .factory import build_member, certify, sample_certified_h
-from .model import (
-    ClassParams,
-    HarmonicMapSpec,
-    evaluate_dilatation,
-    moebius_dilatation,
-)
+from .model import ClassParams, HarmonicMapSpec, dilatation_modulus, moebius_dilatation
 from .numerics import cumulative_quadrature
 from .series import TruncatedSeries, differentiate, evaluate_polar, lincomb
 
@@ -120,14 +117,13 @@ class PolarGrid:
     ``series.evaluate_polar`` evaluates on.
 
     The grid keeps a read-only float copy of the radii, so it cannot change
-    after validation; its angles and points (radii x angles, complex) are
-    computed with it, also read-only.  Grids compare and hash by identity.
+    after validation; its angles are computed with it, also read-only.  Grids
+    compare and hash by identity.
     """
 
     radii: np.ndarray
     n_angles: int
     angles: np.ndarray = field(init=False, repr=False)
-    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.array(self.radii, dtype=float)
@@ -139,8 +135,7 @@ class PolarGrid:
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError("grid n_angles must be an integer >= 1")
         angles = 2.0 * np.pi * np.arange(m) / m
-        points = r[:, None] * np.exp(1j * angles)[None, :]
-        for name, value in (("radii", r), ("angles", angles), ("points", points)):
+        for name, value in (("radii", r), ("angles", angles)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -179,7 +174,7 @@ def _report(theorem: str, worst: float, witness: str) -> VerificationReport:
 
 
 def report_to_dict(report: VerificationReport, **extra) -> dict:
-    return {**asdict(report), **extra}
+    return {**vars(report), **extra}
 
 
 class _GridSample:
@@ -199,7 +194,7 @@ class _GridSample:
 
     @cached_property
     def w(self) -> np.ndarray:
-        return np.abs(evaluate_dilatation(self.member.w, self.grid.points))
+        return dilatation_modulus(self.member.w, self.grid.radii, self.grid.n_angles)
 
     @cached_property
     def g_values(self) -> np.ndarray:
@@ -341,14 +336,14 @@ def _measure_area(f: HarmonicMapSpec, tol: float) -> float:
     """Area of the image counted with multiplicity: tensor quadrature of the
     Jacobian |h'|^2 (1 - |w|^2) in polar coordinates (adaptive radial x
     trapezoid angular).  The rings of one bisection level are evaluated
-    together: one ``evaluate_polar`` call for h' and one closed-form call for w."""
+    together: one ``evaluate_polar`` call for h' and one ``dilatation_modulus``
+    call for |w|."""
     hprime = differentiate(f.h)
-    angles = np.exp(2j * np.pi * np.arange(_AREA_ANGLES) / _AREA_ANGLES)
 
     def ring_mean(r: np.ndarray) -> np.ndarray:
         hp = evaluate_polar(hprime, r, _AREA_ANGLES)
-        w = evaluate_dilatation(f.w, r[:, None] * angles)
-        return r * np.mean(np.abs(hp) ** 2 * (1.0 - np.abs(w) ** 2), axis=1)
+        m = dilatation_modulus(f.w, r, _AREA_ANGLES)
+        return r * np.mean(np.abs(hp) ** 2 * (1.0 - m**2), axis=1)
 
     return 2.0 * math.pi * cumulative_quadrature(ring_mean, [1.0], tol)[0]
 

@@ -9,6 +9,7 @@ from harmclass.model import (
     custom_dilatation,
     default_truncation_order,
     dilatation_coeffs,
+    dilatation_modulus,
     evaluate_dilatation,
     harmonic_map,
     jacobian_at,
@@ -21,8 +22,10 @@ from harmclass.series import (
     cauchy_product,
     differentiate,
     evaluate,
+    evaluate_polar,
     integrate_coeffs,
 )
+from harmclass.verify import default_polar_grid
 
 H_IDENTITY = TruncatedSeries([0, 1])
 
@@ -141,6 +144,99 @@ def test_moebius_tail_sum_below_target():
         order = default_truncation_order(beta)
         c = dilatation_coeffs(moebius_dilatation(beta), order=order + 200).coeffs
         assert np.sum(np.abs(c[order + 1 :])) < 1e-12
+
+
+# ------------------------------------------------------- dilatation modulus
+
+MODULUS_BETAS = [0.0, 0.3, 0.6, 0.9, 0.99]
+
+
+def _seeded_moebius(beta, count=4):
+    rng = np.random.default_rng(20261018)
+    return [moebius_dilatation(beta, *rng.uniform(0.0, 2.0 * math.pi, 2)) for _ in range(count)]
+
+
+def _ring_points(radii, n_angles):
+    return np.asarray(radii)[:, None] * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+
+
+def _extended_modulus(w, radii, n_angles):
+    """|w| at the same float radii and angles, in real long double arithmetic."""
+    ld = np.longdouble
+    t = (2.0 * np.pi * np.arange(n_angles) / n_angles).astype(ld) + ld(w.phi)
+    r, beta = np.asarray(radii, dtype=ld)[:, None], ld(w.beta)
+    x, y = r * np.cos(t), r * np.sin(t)
+    return np.sqrt(((x + beta) ** 2 + y**2) / ((1 + beta * x) ** 2 + (beta * y) ** 2))
+
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is not wider than double here"
+)
+
+
+@pytest.mark.parametrize("beta", MODULUS_BETAS)
+def test_dilatation_modulus_matches_the_complex_closed_form(beta):
+    grid = default_polar_grid()
+    z = _ring_points(grid.radii, grid.n_angles)
+    # the complex form itself errs by up to 1.2e-14 at beta = 0.99 (see the next test)
+    tol = 2e-14 if beta == 0.99 else 4e-15
+    for w in _seeded_moebius(beta):
+        got = dilatation_modulus(w, grid.radii, grid.n_angles)
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - np.abs(evaluate_dilatation(w, z)))) <= tol
+
+
+@needs_long_double
+@pytest.mark.parametrize("beta", MODULUS_BETAS)
+def test_dilatation_modulus_is_exact_to_an_ulp_or_two(beta):
+    grid = default_polar_grid()
+    for w in _seeded_moebius(beta):
+        got = dilatation_modulus(w, grid.radii, grid.n_angles)
+        exact = _extended_modulus(w, grid.radii, grid.n_angles)
+        assert np.max(np.abs(got - exact)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.3, -2.0, 7.5])
+def test_dilatation_modulus_at_beta_zero_is_the_radius(phi):
+    grid = default_polar_grid()
+    got = dilatation_modulus(moebius_dilatation(0.0, 0.4, phi), grid.radii, grid.n_angles)
+    assert np.array_equal(got, np.broadcast_to(grid.radii[:, None], got.shape))
+
+
+@needs_long_double
+@pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.99])
+def test_dilatation_modulus_has_no_cancellation_at_the_zero_of_w(beta):
+    """On the ring r = beta with phi = pi - theta_k, w vanishes at angle k up
+    to the rounding of phi.  The form r^2 + beta^2 + 2 beta r cos t returns 0
+    there, or the square root of rounding noise (~1e-9) on the nearby rings."""
+    n_angles = 128
+    radii = np.array([beta * (1 - 1e-8), beta, beta * (1 + 1e-8)])
+    for k in range(n_angles):
+        phi = math.pi - 2.0 * math.pi * k / n_angles
+        w = moebius_dilatation(beta, 0.7, phi)
+        with np.errstate(all="raise"):
+            got = dilatation_modulus(w, radii, n_angles)
+        assert not np.isnan(got).any()
+        exact = _extended_modulus(w, radii, n_angles)
+        assert np.max(np.abs(got[:, k] - exact[:, k])) <= 1e-16
+        # the exact modulus at the nearest representable point is not 0: at
+        # beta = 0.99 it reaches 1.7e-14 (pi - (theta + phi) up to 3.4e-16)
+        assert got[1, k] <= 1e-15 if beta <= 0.6 else got[1, k] <= 2e-14
+
+
+def test_dilatation_modulus_of_a_custom_series():
+    series = TruncatedSeries([0.2, 0.5j, -0.1, 0.05])
+    w = custom_dilatation(series, beta=0.2)
+    radii = np.array([0.1, 0.5, 0.9])
+    got = dilatation_modulus(w, radii, 64)
+    assert np.array_equal(got, np.abs(evaluate_polar(series, radii, 64)))
+    assert np.max(np.abs(got - np.abs(evaluate_dilatation(w, _ring_points(radii, 64))))) <= 1e-15
+
+
+@pytest.mark.parametrize("radii,n_angles", [([[0.5]], 8), ([0.5], 0)])
+def test_dilatation_modulus_rejects_bad_rings(radii, n_angles):
+    with pytest.raises(ValueError):
+        dilatation_modulus(moebius_dilatation(0.5), radii, n_angles)
 
 
 # ---------------------------------------------------------- co-analytic part

@@ -227,8 +227,18 @@ _NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
         (_NAN_FROM_1E6, [1e6, 1e6 + 1e-4], "cannot be subdivided"),
         # the right interval gets stuck ~20 levels before the left one hits the limit
         (lambda x: (x >= 1e6 / 3) + _NAN_FROM_1E6(x), [1e6, 1e6 + 1e-4], "40 subdivision levels"),
+        # the right interval gets stuck on level 3; level 5, the last, accepts every
+        # panel of the left one: the error recorded before it must still be raised
+        (
+            lambda x: 1e-9 * np.exp(-(((x - 3e5) / 3e4) ** 2)) + _NAN_FROM_1E6(x),
+            [1e6, 1e6 + 1e-9],
+            "cannot be subdivided",
+        ),
     ],
-    ids=["step", "two-steps", "nan-everywhere", "unsplittable", "stuck-right-of-limit"],
+    ids=[
+        "step", "two-steps", "nan-everywhere", "unsplittable", "stuck-right-of-limit",
+        "stuck-then-converged",
+    ],
 )
 def test_cumulative_quadrature_raises_the_recursions_error(f, points, reason):
     """The error the depth-first recursion meets first, with the same message."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -11,6 +12,7 @@ from harmclass.factory import build_member, extremal_h, sample_certified_h
 from harmclass.model import (
     ClassParams,
     custom_dilatation,
+    dilatation_modulus,
     evaluate_dilatation,
     harmonic_map,
     moebius_dilatation,
@@ -222,6 +224,15 @@ def test_report_serializes_to_json_line():
     assert parsed["slack"] == 1e-9
 
 
+def test_report_dict_is_the_fields_then_extra_and_leaves_the_report_alone():
+    rep = verify_coefficients(extremal_member(), P011, n_max=4)
+    record = report_to_dict(rep, member=3, alpha=0.0)
+    assert list(record.items()) == [*dataclasses.asdict(rep).items(), ("member", 3), ("alpha", 0.0)]
+    record["witness"] = "changed"
+    assert rep.witness != "changed"
+    assert report_to_dict(rep, witness="extra wins")["witness"] == "extra wins"
+
+
 def test_member_suite_is_deterministic():
     a = run_member_suite(P011, members=3, seed=99)
     b = run_member_suite(P011, members=3, seed=99)
@@ -270,9 +281,8 @@ def test_polar_grid_owns_read_only_radii():
     assert grid.radii.tolist() == [0.2, 0.5]
     with pytest.raises(ValueError):
         grid.radii[0] = 0.9
-    for derived in (grid.angles, grid.points):
-        with pytest.raises(ValueError):
-            derived[0] = 0.0
+    with pytest.raises(ValueError):
+        grid.angles[0] = 0.0
 
 
 def test_polar_grid_compares_and_hashes_by_identity():
@@ -295,7 +305,6 @@ def test_default_grid_and_its_points_are_built_once():
     assert default_polar_grid() is grid
     assert default_polar_grid(16, 32) is default_polar_grid(16, 32) is not grid
     assert grid.angles is grid.angles
-    assert grid.points is grid.points
     assert verify._table(P011).grid is grid
 
 
@@ -471,37 +480,47 @@ def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
         sample_certified_h(params, 16, 0.7, 123), moebius_dilatation(0.99, 0.4, 1.1), params
     )
     got = [(r.worst_margin, r.witness) for r in verify_member(member, params, grid=grid)]
-    # Margins re-frozen after the grid moved from Horner to series.evaluate_polar;
-    # the witnesses are unchanged and the Horner-era values lie within 1e-14.
+    # Margins re-frozen after the grid moved from Horner to series.evaluate_polar,
+    # and the Bloch margin again after |w| moved from the complex closed form to
+    # model.dilatation_modulus; the witnesses are unchanged and the earlier
+    # values lie within 1e-14.
     expected = {
         1: (0.16347889581230735, "|h'| lower at r=0.4975, theta=5.39961"),
         2: (0.04505901298512738, "|g| upper at r=0.4975, theta=2.74889"),
         4: (0.009539978662133729, "|f| floor at r=0.4975, theta=1.37445"),
         6: (
-            0.5225574172124512,
+            0.5225574172124516,
             "measured 1.54899102864 at r=0.4975, theta=2.69981 vs bound 2.07154844585",
         ),
     }
-    horner_margins = {
-        1: 0.16347889581230723, 2: 0.04505901298512749, 4: 0.009539978662133783, 6: 0.5225574172124516
+    earlier_margins = {
+        "horner": {
+            1: 0.16347889581230723,
+            2: 0.04505901298512749,
+            4: 0.009539978662133783,
+            6: 0.5225574172124516,
+        },
+        "complex |w|": {6: 0.5225574172124512},
     }
     for index, frozen in expected.items():
         assert got[index] == frozen
-        assert abs(horner_margins[index] - frozen[0]) <= 1e-14
+    for margins in earlier_margins.values():
+        for index, margin in margins.items():
+            assert abs(margin - expected[index][0]) <= 1e-14
 
 
-def _ring_by_ring_area(f, tol):
+def _ring_by_ring_area(f, tol, modulus=None):
     """The former area measurement: ``adaptive_quadrature`` calling the ring
-    mean with one radius at a time."""
+    mean with one radius at a time.  ``modulus(r)`` gives |w| on the ring; by
+    default ``dilatation_modulus``."""
     hprime = differentiate(f.h)
-    angles = np.exp(2j * np.pi * np.arange(128) / 128)
+    modulus = modulus or (lambda r: dilatation_modulus(f.w, [r], 128)[0])
 
     def ring_mean(r):
         if r == 0.0:
             return 0.0
         hp = evaluate_polar(hprime, [r], 128)[0]
-        w = evaluate_dilatation(f.w, r * angles)
-        return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - np.abs(w) ** 2)))
+        return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - modulus(r) ** 2)))
 
     return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
 
@@ -512,8 +531,15 @@ def test_area_equals_ring_by_ring_quadrature(beta):
     members = [member for _, member, _ in run_member_suite(params, members=3, seed=9)]
     if beta == 0.0:
         members.append(extremal_member())
+    angles = np.exp(2j * np.pi * np.arange(128) / 128)
     for member in members:
-        assert verify._measure_area(member, 1e-8) == _ring_by_ring_area(member, 1e-8)
+        area = verify._measure_area(member, 1e-8)
+        assert area == _ring_by_ring_area(member, 1e-8)
+        # the former integrand, |w| from the complex closed form
+        complex_form = _ring_by_ring_area(
+            member, 1e-8, lambda r: np.abs(evaluate_dilatation(member.w, r * angles))
+        )
+        assert abs(area - complex_form) <= 1e-13
 
 
 def _counting(monkeypatch, module, name):
@@ -553,7 +579,7 @@ def test_grid_sample_matches_horner(beta):
     params = ClassParams(0.3, beta, 1)
     member = run_member_suite(params, members=1, seed=11)[0][1]
     grid = default_polar_grid()
-    z = grid.points
+    z = grid.radii[:, None] * np.exp(1j * grid.angles)
     sample = _GridSample(member, grid)
     g = evaluate(member.g, z)
     horner = {
