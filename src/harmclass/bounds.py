@@ -313,9 +313,11 @@ def g_growth_crosscheck(
     The upper sides agree identically; the lower sides separate once
     r > beta, where the signed antiderivative behind F no longer equals the
     integral of |beta - xi|.  Disagreements are reported, not asserted away.
+    Below the beta switch of ``g_growth_bounds`` both sides are the one
+    quadrature.
     """
     closed = g_growth_bounds(params, r, tol)
-    quad = g_growth_quadrature(params, r, tol)
+    quad = closed if params.beta < _G_GROWTH_BETA_SWITCH else g_growth_quadrature(params, r, tol)
     lower_diff = abs(closed.lower - quad.lower)
     upper_diff = abs(closed.upper - quad.upper)
     return GrowthFormCheck(

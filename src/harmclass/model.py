@@ -39,6 +39,9 @@ COEFF_TAIL_TARGET = 1e-12
 #: Largest automatic truncation order (terms per series).
 MAX_TRUNCATION_ORDER = 10**6
 
+#: Bound evaluators need delta below this: 2.0 ** delta overflows from here on.
+MAX_BOUND_DELTA = 1024
+
 #: Tolerance for exact-identity checks (|b1| = beta, normalization, ...).
 IDENT_TOL = 1e-12
 
@@ -48,8 +51,9 @@ class ClassParams:
     """Class triple: order parameter alpha, |g'(0)| = beta, exponent delta.
 
     alpha and beta live in [0, 1).  delta is unrestricted at the data level;
-    every bound evaluator additionally requires delta >= 0 (the hypothesis
-    shared by all the inequalities this package computes).
+    every bound evaluator additionally requires 0 <= delta < ``MAX_BOUND_DELTA``
+    (delta >= 0 is the hypothesis shared by all the inequalities this package
+    computes; from 1024 on, the scale 2^delta of the bounds overflows a float).
     """
 
     alpha: float
@@ -65,9 +69,10 @@ class ClassParams:
             raise ValueError("delta must be finite")
 
     def require_nonnegative_delta(self) -> None:
-        if self.delta < 0:
+        """Raise ValueError unless 0 <= delta < ``MAX_BOUND_DELTA``."""
+        if not 0 <= self.delta < MAX_BOUND_DELTA:
             raise ValueError(
-                f"delta must be >= 0 for bound evaluation, got {self.delta}"
+                f"delta must be in [0, {MAX_BOUND_DELTA}) for bound evaluation, got {self.delta}"
             )
 
 

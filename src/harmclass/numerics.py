@@ -8,7 +8,7 @@ the higher-level bound evaluators treat these as trusted primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -274,67 +274,103 @@ class Polynomial:
     """Real polynomial with ascending coefficients.
 
     Trailing zero coefficients are tolerated on input (degenerate storage);
-    ``degree`` is always recomputed from the last exactly-nonzero entry.
+    ``degree`` is the index of the last exactly-nonzero entry (0 for the zero
+    polynomial).  Both it and the Horner coefficients, highest degree first
+    as Python floats, are fixed at construction.
     """
 
     coeffs: np.ndarray
+    degree: int = field(init=False)
+    _horner: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, coeffs) -> None:
         arr = np.asarray(coeffs, dtype=float).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")
         arr.setflags(write=False)
+        nz = np.nonzero(arr)[0]
+        degree = int(nz[-1]) if nz.size else 0
         object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_horner", tuple(arr[degree::-1].tolist()))
 
     def __call__(self, x: float) -> float:
-        coeffs = self.coeffs.tolist()
-        val = coeffs[-1]
-        for c in coeffs[-2::-1]:
+        """p(x) by Horner's rule in plain floats.  The trailing zeros are left
+        out: at a finite x they would add exact zeros only."""
+        coeffs = iter(self._horner)
+        val = next(coeffs)
+        for c in coeffs:
             val = val * x + c
         return val
 
 
+def _require_finite(values, what: str) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} must be finite, got {list(values)}")
+
+
 def sign_variations(p: Polynomial | Sequence[float]) -> int:
-    """Strict sign changes in the sequence of nonzero coefficients."""
-    coeffs = p.coeffs if isinstance(p, Polynomial) else np.asarray(p, dtype=float)
-    signs = np.sign(coeffs[coeffs != 0.0])
-    if signs.size < 2:
-        return 0
-    return int(np.sum(signs[1:] != signs[:-1]))
+    """Strict sign changes in the sequence of nonzero coefficients, which must
+    all be finite (ValueError otherwise)."""
+    coeffs = p.coeffs.tolist() if isinstance(p, Polynomial) else [float(c) for c in p]
+    _require_finite(coeffs, "coefficients")
+    return _sign_changes(coeffs)
+
+
+def _sign_changes(coeffs: list[float]) -> int:
+    positive = [c > 0.0 for c in coeffs if c != 0.0]
+    return sum(s != t for s, t in zip(positive, positive[1:]))
 
 
 def vincent_variation_count(p: Polynomial, a: float, b: float) -> int:
-    """Sign variations of (1+x)^n * p((a + b x)/(1 + x)).
+    """Sign variations of (1+x)^n * p((a + b x)/(1 + x)), n = ``p.degree``.
 
     The count bounds the number of roots of ``p`` in (a, b) and matches it
-    modulo 2.  Transformed coefficients are built by exact binomial
-    convolution, never by sampling, so the sign pattern is reliable.
+    modulo 2.  The transformed coefficients are the sums over i of
+    c_i (a + b x)^i (1 + x)^(n-i), built by convolution in plain floats,
+    never by sampling.  The binomial rows are exact, but the products and
+    sums round: a transformed coefficient within rounding of zero can take
+    either sign and change the count, so callers that need exactly one root
+    must treat any other count as a failure, not refine through it.  (Built
+    with ``numpy.convolve``, whose dot products may fuse multiply-adds, a
+    coefficient can differ in the last bit.)  The endpoints and the
+    coefficients must be finite, and so must every transformed coefficient
+    (ValueError otherwise).
     """
+    _require_finite((a, b), "interval endpoints")
     if not 0 <= a < b:
         raise ValueError("interval must satisfy 0 <= a < b")
     n = p.degree
-    acc = np.zeros(n + 1)
-    lin = np.array([a, b])  # a + b*x
-    lin_pow = np.array([1.0])  # (a + b x)^i, updated incrementally
-    for i, ci in enumerate(p.coeffs[: n + 1]):
+    coeffs = p.coeffs[: n + 1].tolist()
+    _require_finite(coeffs, "coefficients")
+    acc = [0.0] * (n + 1)
+    lin_pow = [1.0]  # (a + b x)^i, updated incrementally
+    for i, ci in enumerate(coeffs):
         if ci != 0.0:
-            shift_pow = _binomial_row(n - i)  # (1 + x)^(n-i)
-            term = np.convolve(lin_pow, shift_pow)
-            acc[: term.size] += ci * term
+            for k, t in enumerate(_convolve(lin_pow, _binomial_row(n - i))):
+                acc[k] += ci * t
         if i < n:
-            lin_pow = np.convolve(lin_pow, lin)
-    return sign_variations(acc)
+            lin_pow = _convolve(lin_pow, (a, b))
+    if not all(map(math.isfinite, acc)):
+        raise ValueError(f"the transformed coefficients overflow on ({a}, {b}): {acc}")
+    return _sign_changes(acc)
 
 
-def _binomial_row(m: int) -> np.ndarray:
-    row = np.ones(m + 1)
+def _convolve(u: Sequence[float], v: Sequence[float]) -> list[float]:
+    """Coefficients of the product of the polynomials with ascending
+    coefficients ``u`` and ``v``; each sum runs over the index into ``u``."""
+    out = [0.0] * (len(u) + len(v) - 1)
+    for j, x in enumerate(u):
+        for k, y in enumerate(v, j):
+            out[k] += x * y
+    return out
+
+
+def _binomial_row(m: int) -> list[float]:
+    """The coefficients of (1 + x)^m, exact while ``row[-1] * m`` stays below 2**53."""
+    row = [1.0]
     for k in range(1, m + 1):
-        row[k] = row[k - 1] * (m - k + 1) / k
+        row.append(row[-1] * (m - k + 1) / k)
     return row
 
 
@@ -345,15 +381,23 @@ def bisect_bracket(
 
     Returns the final bracket.  Stops early if the midpoint is no longer
     representable strictly between the endpoints, so tol = 0 drives the
-    bracket to floating-point resolution.
+    bracket to floating-point resolution.  A non-finite endpoint, a NaN
+    value at an endpoint or a tol that is not >= 0 raises ValueError: none
+    of them can be narrowed to a finite bracket.
     """
+    _require_finite((a, b), "bracket endpoints")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     fa = p(a)
     fb = p(b)
+    if math.isnan(fa) or math.isnan(fb):
+        raise ValueError(f"p is NaN at an endpoint: p({a}) = {fa}, p({b}) = {fb}")
     if fa == 0.0:
         return (a, a)
     if fb == 0.0:
         return (b, b)
-    if (fa > 0) == (fb > 0):
+    positive_at_a = fa > 0
+    if positive_at_a == (fb > 0):
         raise ValueError(f"endpoints do not bracket a root: p({a}) and p({b}) share a sign")
     while b - a > tol:
         mid = 0.5 * (a + b)
@@ -362,8 +406,8 @@ def bisect_bracket(
         fm = p(mid)
         if fm == 0.0:
             return (mid, mid)
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
+        if (fm > 0) == positive_at_a:
+            a = mid
         else:
             b = mid
     return (a, b)

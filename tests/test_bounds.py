@@ -281,6 +281,36 @@ def test_g_growth_crosscheck_clean_inside_beta():
     assert check.discrepancies() == []
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.0005, 0.5])
+def test_g_growth_crosscheck_integrates_the_envelope_once(monkeypatch, beta):
+    """Below the beta switch the closed side is the quadrature itself: the
+    crosscheck makes the integrand calls of one ``g_growth_quadrature`` and
+    returns its values on both sides, bit for bit."""
+    import harmclass.bounds as bounds_mod
+
+    calls = []
+    for name in ("_gprime_lower_integrand", "_gprime_upper_integrand"):
+        make = getattr(bounds_mod, name)
+
+        def counted(params, make=make):
+            f = make(params)
+            return lambda x: calls.append(x) or f(x)
+
+        monkeypatch.setattr(bounds_mod, name, counted)
+    params = ClassParams(0.3, beta, 1)
+    quad = g_growth_quadrature(params, 0.6)
+    one_quadrature = len(calls)
+    calls.clear()
+    check = g_growth_crosscheck(params, 0.6)
+    assert check.quadrature == quad
+    if beta < 1e-3:
+        assert len(calls) == one_quadrature
+        assert check.closed == quad and check.agrees
+    else:
+        assert len(calls) == one_quadrature  # the closed forms integrate nothing
+        assert check.closed == g_growth_bounds(params, 0.6)
+
+
 # ---------------------------------------------------------------------- area
 
 def test_area_closed_forms():
@@ -478,7 +508,8 @@ def test_bloch_raises_on_unexpected_root_count(monkeypatch):
     # (x^2 - 0.04)(x^2 - 0.64): two roots inside (0, 1)
     fake = np.array([0.0256, 0.0, -0.68, 0.0, 1.0])
     monkeypatch.setattr(bounds_mod, "bloch_H_poly", lambda params: fake)
-    with pytest.raises(RootCountError):
+    monkeypatch.setattr(bounds_mod, "bisect_bracket", lambda *args: pytest.fail("bisected"))
+    with pytest.raises(RootCountError, match="variation count is 2"):
         bounds_mod.bloch_bound(P011)
 
 

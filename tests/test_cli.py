@@ -117,6 +117,18 @@ def test_negative_seed_error_names_the_seed(capsys):
     assert "seed must be >= 0, got -1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["bloch", "table", "bounds", "verify"])
+def test_delta_where_two_to_the_delta_overflows_exits_two(capsys, command):
+    """From delta = 1024 on, 2.0 ** delta overflows: each command rejects the
+    flag with a message instead of an OverflowError traceback (exit 1)."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "--alpha", "0.3", "--beta", "0.5", "--delta", "1100"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "delta must be in [0, 1024) for bound evaluation, got 1100.0" in captured.err
+
+
 def test_area_record(capsys):
     code, out, _ = run_cli(capsys, "area", "--alpha", "0", "--beta", "0", "--delta", "1")
     assert code == 0

@@ -87,3 +87,18 @@ def test_cli_output_is_the_same_when_main_runs_again(capsys):
         assert _mismatches(_records(case["stdout"]), _records(lines), "stdout") == []
     growth = [json.loads(line) for line in rounds[0][default_r][1].splitlines()]
     assert [row["r"] for row in growth] == [0.25, 0.5, 0.75]
+
+
+#: ``hcl table`` over the criterion-7 lattice widened by a beta below the switch of the
+#: g-growth forms (0.0005), beta -> 1 and delta 2; every printed digit pinned.
+TABLE_ARGV = (
+    "table --alpha 0,0.3,0.6 --beta 0,0.0005,0.3,0.6,0.9,0.99,0.999 --delta 0,1,2 --format csv"
+)
+
+
+def test_table_output_is_byte_identical_to_recording(capsys):
+    """The bound commands run in scalar floats at integer delta, so these bytes
+    do not depend on SIMD dispatch: they may change only on purpose."""
+    expected = (Path(__file__).parent / "data" / "table_lattice.csv").read_text()
+    assert cli.main(TABLE_ARGV.split()) == 0
+    assert capsys.readouterr().out == expected

@@ -1,10 +1,14 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from harmclass import numerics
+from harmclass.bounds import bloch_H_poly
 from harmclass.errors import QuadratureError
+from harmclass.model import ClassParams
 from harmclass.numerics import (
     Polynomial,
     adaptive_quadrature,
@@ -110,6 +114,12 @@ def test_sign_variations_ignores_zeros():
     assert sign_variations(Polynomial([1, 0, 0, -1])) == 1
 
 
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [-1, 0, 0, -1], [0, 0]])
+def test_sign_variations_zeros_between_equal_signs_change_nothing(coeffs):
+    assert sign_variations(Polynomial(coeffs)) == 0
+    assert sign_variations(coeffs) == 0
+
+
 def test_polynomial_degree_trims_trailing_zeros():
     assert QUARTIC.degree == 3
     assert Polynomial([0.0]).degree == 0
@@ -132,23 +142,121 @@ def test_vincent_count_rejects_bad_interval():
         vincent_variation_count(QUARTIC, 0.5, 0.5)
 
 
-def test_vincent_count_bounds_root_count_and_parity():
-    """Random products of real linear factors: the variation count never
-    undercounts the roots in (a, b) and matches them mod 2."""
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        degree = int(rng.integers(1, 7))
+def _root_built_cases(seed, cases, max_degree):
+    """Seeded products of real linear factors over random intervals in [0, 2.5):
+    (roots, coefficients, a, b), skipping intervals that are too narrow or
+    have a root within 1e-6 of an endpoint."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        degree = int(rng.integers(1, max_degree + 1))
         roots = rng.uniform(-2.0, 2.5, size=degree)
         coeffs = np.array([1.0])
         for root in roots:
             coeffs = np.convolve(coeffs, np.array([-root, 1.0]))
-        a, b = sorted(rng.uniform(0.0, 2.5, size=2))
+        a, b = (float(x) for x in sorted(rng.uniform(0.0, 2.5, size=2)))
         if b - a < 1e-3 or np.any(np.abs(roots - a) < 1e-6) or np.any(np.abs(roots - b) < 1e-6):
             continue
+        yield roots, coeffs, a, b
+
+
+def test_vincent_count_bounds_root_count_and_parity():
+    """Random products of real linear factors: the variation count never
+    undercounts the roots in (a, b) and matches them mod 2."""
+    for roots, coeffs, a, b in _root_built_cases(42, 200, 6):
         inside = int(np.sum((roots > a) & (roots < b)))
         count = vincent_variation_count(Polynomial(coeffs), a, b)
         assert count >= inside
         assert (count - inside) % 2 == 0
+
+
+def _vincent_count_numpy(p, a, b):
+    """The variation count built with numpy convolutions, kept as an oracle
+    for the plain-float version."""
+    n = p.degree
+    acc = np.zeros(n + 1)
+    lin = np.array([a, b])
+    lin_pow = np.array([1.0])
+    for i, ci in enumerate(p.coeffs[: n + 1]):
+        if ci != 0.0:
+            shift_pow = np.ones(n - i + 1)
+            for k in range(1, n - i + 1):
+                shift_pow[k] = shift_pow[k - 1] * (n - i - k + 1) / k
+            term = np.convolve(lin_pow, shift_pow)
+            acc[: term.size] += ci * term
+        if i < n:
+            lin_pow = np.convolve(lin_pow, lin)
+    signs = np.sign(acc[acc != 0.0])
+    return int(np.sum(signs[1:] != signs[:-1]))
+
+
+def _vincent_count_exact(p, a, b):
+    """The variation count of the exact rational transform of the float
+    coefficients over the float endpoints."""
+    n = p.degree
+    a, b = Fraction(a), Fraction(b)
+    acc = [Fraction(0)] * (n + 1)
+    for i, ci in enumerate(p.coeffs[: n + 1].tolist()):
+        # (a + b x)^i (1 + x)^(n - i), coefficient of x^k
+        for j, k in itertools.product(range(i + 1), range(n - i + 1)):
+            acc[j + k] += Fraction(ci) * math.comb(i, j) * a ** (i - j) * b**j * math.comb(n - i, k)
+    positive = [c > 0 for c in acc if c != 0]
+    return sum(s != t for s, t in zip(positive, positive[1:]))
+
+
+_BLOCH_LATTICE = [
+    ClassParams(alpha, beta, delta)
+    for alpha, beta, delta in itertools.product(
+        (0.0, 0.3, 0.6), (0.0, 0.3, 0.6, 0.9, 0.99, 0.999), (0.0, 1.0, 2.0)
+    )
+]
+
+
+@pytest.mark.parametrize("params", _BLOCH_LATTICE, ids=str)
+def test_vincent_count_agrees_with_oracles_on_bloch_quartics(params):
+    poly = Polynomial(bloch_H_poly(params))
+    count = vincent_variation_count(poly, 0.0, 1.0)
+    assert count == _vincent_count_numpy(poly, 0.0, 1.0) == _vincent_count_exact(poly, 0.0, 1.0)
+    assert count == 1
+
+
+def test_vincent_count_agrees_with_oracles_on_random_polynomials():
+    checked = 0
+    for _, coeffs, a, b in _root_built_cases(7, 400, 8):
+        poly = Polynomial(coeffs)
+        count = vincent_variation_count(poly, a, b)
+        assert count == _vincent_count_numpy(poly, a, b) == _vincent_count_exact(poly, a, b)
+        checked += 1
+    assert checked > 300
+
+
+def test_polynomial_call_is_horner_over_every_stored_coefficient():
+    """Leaving the trailing zeros out of Horner's rule changes no bit at a
+    finite x."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        coeffs = np.concatenate((rng.standard_normal(int(rng.integers(1, 6))), np.zeros(2)))
+        poly = Polynomial(coeffs)
+        for x in rng.uniform(-3.0, 3.0, 5).tolist():
+            val = 0.0
+            for c in coeffs[::-1].tolist():
+                val = val * x + c
+            assert poly(x) == val
+
+
+def test_vincent_count_rejects_infinite_endpoint():
+    with pytest.raises(ValueError, match="finite"):
+        vincent_variation_count(Polynomial([-0.25, 0, 1]), 0.0, math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_vincent_count_rejects_non_finite_coefficient(bad):
+    with pytest.raises(ValueError, match="finite"):
+        vincent_variation_count(Polynomial([-0.25, bad, 1]), 0.0, 1.0)
+
+
+def test_sign_variations_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        sign_variations([1.0, math.nan, 1.0])
 
 
 # ------------------------------------------------------- cumulative quadrature
@@ -297,6 +405,18 @@ def test_isolate_root_quartic_unit():
 def test_isolate_root_rejects_non_bracketing():
     with pytest.raises(ValueError):
         bracket_midpoint(Polynomial([1, 0, 1]), 0.0, 1.0, 1e-10)
+
+
+def test_bisect_rejects_infinite_endpoint():
+    with pytest.raises(ValueError, match="finite"):
+        bisect_bracket(Polynomial([-0.25, 0, 1]), 0.0, math.inf, 1e-12)
+
+
+def test_bisect_rejects_nan_value_and_nan_tol():
+    with pytest.raises(ValueError, match="NaN"):
+        bisect_bracket(lambda x: math.nan, 0.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="tol"):
+        bisect_bracket(Polynomial([-0.25, 0, 1]), 0.0, 1.0, math.nan)
 
 
 def test_isolate_root_residual_scale():
