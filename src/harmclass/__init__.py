@@ -49,8 +49,6 @@ from .model import (
     custom_dilatation,
     dilatation_coeffs,
     harmonic_map,
-    jacobian_at,
-    lambda_at,
     moebius_dilatation,
     rotation_dilatation,
 )

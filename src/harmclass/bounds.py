@@ -191,17 +191,24 @@ def bn_bounds(params: ClassParams, n_top: int) -> np.ndarray:
         (1-alpha)(1-beta^2)/n * sum_{k=1}^{n-1} k^(1-delta)/(k-alpha)
         + (1-alpha) beta / (n^delta (n-alpha)),
 
-    whose partial sums are one running sum.
+    whose partial sums are one running sum.  A non-integral ``n_top`` raises
+    ``ValueError``.
     """
     params.require_nonnegative_delta()
-    if not 2 <= n_top <= MAX_TRUNCATION_ORDER:
-        raise ValueError(f"coefficient index must be in [2, {MAX_TRUNCATION_ORDER}], got {n_top}")
+    if not (2 <= n_top <= MAX_TRUNCATION_ORDER and float(n_top).is_integer()):
+        raise ValueError(
+            f"coefficient index must be an integer in [2, {MAX_TRUNCATION_ORDER}], got {n_top}"
+        )
     alpha, beta, delta = params.alpha, params.beta, params.delta
     k = np.arange(1, n_top, dtype=float)
     partial = np.cumsum(k ** (1.0 - delta) / (k - alpha))[1:]
     n = k[1:] + 1.0
+    # n^delta overflows from delta ~ 646 (n = 3): inf sends the last term to
+    # its limit 0, so the overflow is not worth a warning
+    with np.errstate(over="ignore"):
+        scale = n**delta
     rest = (1.0 - alpha) * (1.0 - beta * beta) / n * partial + (1.0 - alpha) * beta / (
-        n**delta * (n - alpha)
+        scale * (n - alpha)
     )
     return np.concatenate(([_b2_bound(params)], rest))
 

@@ -49,9 +49,11 @@ class MembershipCertificate:
 
 
 def budget_weights(params: ClassParams, n_max: int) -> np.ndarray:
-    """Weights n^delta (n - alpha)/(1 - alpha) for n = 2..n_max."""
+    """Weights n^delta (n - alpha)/(1 - alpha) for n = 2..n_max; a weight
+    beyond the float range is inf."""
     n = np.arange(2, n_max + 1, dtype=float)
-    return n**params.delta * (n - params.alpha) / (1.0 - params.alpha)
+    with np.errstate(over="ignore"):
+        return n**params.delta * (n - params.alpha) / (1.0 - params.alpha)
 
 
 def certify(h: TruncatedSeries, params: ClassParams) -> MembershipCertificate:
@@ -60,7 +62,11 @@ def certify(h: TruncatedSeries, params: ClassParams) -> MembershipCertificate:
         raise ValueError("certify requires a normalized series (a0 = 0, a1 = 1)")
     if h.order < 2:
         return MembershipCertificate(0.0, True, params)
-    budget = float(np.sum(budget_weights(params, h.order) * np.abs(h.coeffs[2:])))
+    weights = budget_weights(params, h.order)
+    mags = np.abs(h.coeffs[2:])
+    # a zero coefficient adds exactly 0, also where its weight is inf
+    weights[mags == 0] = 0.0
+    budget = float(np.sum(weights * mags))
     return MembershipCertificate(budget, budget <= 1.0 + CERT_TOL, params)
 
 
@@ -86,6 +92,9 @@ def sample_certified_h(
     Magnitudes follow the decaying envelope n^(-delta-2) before rescaling, so
     the implied infinite-series tail beyond max_degree is negligible and the
     certificate stays honest under truncation.  Deterministic per seed.
+
+    A delta at which a weight overflows, or the envelope leaves the normal
+    float range, for some n <= max_degree raises ``ValueError``.
     """
     if params.delta < 0:
         raise ValueError("sampler requires delta >= 0")
@@ -93,13 +102,23 @@ def sample_certified_h(
         raise ValueError("max_degree must be >= 2")
     if not 0.0 <= fill <= 1.0:
         raise ValueError("fill must be in [0, 1]")
-    rng = np.random.default_rng(rng_seed)
     n = np.arange(2, max_degree + 1, dtype=float)
-    mags = rng.uniform(0.0, 1.0, size=n.size) * n ** (-params.delta - 2.0)
+    weights = budget_weights(params, max_degree)
+    envelope = n ** (-params.delta - 2.0)
+    if not (np.isfinite(weights[-1]) and envelope[-1] >= np.finfo(float).tiny):
+        bits = math.log2(max_degree)
+        top = math.log2((max_degree - params.alpha) / (1.0 - params.alpha))
+        largest = min((1024.0 - top) / bits, 1022.0 / bits - 2.0)
+        raise ValueError(
+            f"delta = {params.delta} is too large for the sampler: at max_degree "
+            f"{max_degree} it supports delta up to about {largest:.4g}"
+        )
+    rng = np.random.default_rng(rng_seed)
+    mags = rng.uniform(0.0, 1.0, size=n.size) * envelope
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n.size)
     coeffs = np.zeros(max_degree + 1, dtype=complex)
     coeffs[1] = 1.0
-    raw_budget = float(np.sum(budget_weights(params, max_degree) * mags))
+    raw_budget = float(np.sum(weights * mags))
     if fill > 0.0 and raw_budget > 0.0:
         coeffs[2:] = (fill / raw_budget) * mags * np.exp(1j * phases)
     return TruncatedSeries(coeffs)

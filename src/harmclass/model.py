@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import TruncatedSeries, differentiate, evaluate, evaluate_polar
+from .series import TruncatedSeries, differentiate, evaluate_polar
 
 __all__ = [
     "ClassParams",
@@ -25,12 +25,9 @@ __all__ = [
     "custom_dilatation",
     "default_truncation_order",
     "dilatation_coeffs",
-    "evaluate_dilatation",
     "dilatation_modulus",
     "co_analytic_from",
     "harmonic_map",
-    "jacobian_at",
-    "lambda_at",
 ]
 
 #: Tail target for the automatic dilatation truncation order.
@@ -139,16 +136,16 @@ def custom_dilatation(series: TruncatedSeries, beta: float) -> DilatationSpec:
     """Wrap an explicit series, checking |c0| = beta and |w| < 1 on a grid.
 
     The modulus check samples |z| <= 0.999; it is a necessary screen, not a
-    proof of admissibility on the open disk.
+    proof of admissibility on the open disk.  Non-finite coefficients raise.
     """
+    if not np.all(np.isfinite(series.coeffs)):
+        raise ValueError("custom dilatation coefficients must be finite")
     if abs(abs(series.coeffs[0]) - beta) > IDENT_TOL:
         raise ValueError("custom dilatation must have |c0| = beta")
-    radii = np.linspace(0.1, 0.999, 10)
-    angles = np.exp(2j * np.pi * np.arange(64) / 64)
-    z = radii[:, None] * angles[None, :]
-    if np.max(np.abs(evaluate(series, z))) >= 1.0:
+    w = DilatationSpec(kind="custom", beta=beta, series=series)
+    if not dilatation_modulus(w, np.linspace(0.1, 0.999, 10), 64).max() < 1.0:
         raise ValueError("custom dilatation reaches modulus >= 1 inside the disk")
-    return DilatationSpec(kind="custom", beta=beta, series=series)
+    return w
 
 
 def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
@@ -182,20 +179,6 @@ def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def evaluate_dilatation(w: DilatationSpec, z):
-    """Evaluate w(z) from the closed form when one exists.
-
-    Verification code calls this rather than the truncated series so that the
-    reference value is independent of the series machinery being checked.
-    """
-    z = np.asarray(z, dtype=complex)
-    if w.kind == "custom":
-        return evaluate(w.series, z)
-    u = np.exp(1j * w.phi) * z
-    out = np.exp(1j * w.mu) * (u + w.beta) / (1.0 + w.beta * u)
-    return complex(out) if out.ndim == 0 else out
-
-
 def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
     """|w| on polar rings: ``out[i, k] = |w(radii[i] * exp(2j*pi*k/n_angles))|``,
     the layout of ``series.evaluate_polar``.
@@ -210,9 +193,9 @@ def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
     its digits; 1 - beta r is summed as (1 - beta) + beta (1 - r), which
     does not cancel near the pole either.  Against an exact evaluation at
     the same (r, theta, phi) it errs by about an ulp, where the complex form
-    ``abs(evaluate_dilatation(w, z))`` errs by up to 1.2e-14 at beta = 0.99.
-    At beta = 0 it returns r exactly.  The custom kind takes the modulus of
-    its series on the rings.
+    |(u + beta) / (1 + beta u)|, u = e^{i phi} z, errs by up to 1.2e-14 at
+    beta = 0.99.  At beta = 0 it returns r exactly.  The custom kind takes
+    the modulus of its series on the rings.
     """
     radii = np.asarray(radii, dtype=float)
     if w.kind == "custom":
@@ -275,19 +258,3 @@ def harmonic_map(h: TruncatedSeries, w: DilatationSpec, order: int | None = None
     if order is None:
         order = max(h.order + 1, default_truncation_order(w.beta))
     return HarmonicMapSpec(h=h, w=w, g=co_analytic_from(h, w, order))
-
-
-def jacobian_at(f: HarmonicMapSpec, z):
-    """J_f(z) = |h'(z)|^2 (1 - |w(z)|^2); positive iff sense-preserving."""
-    hp = evaluate(differentiate(f.h), z)
-    wv = evaluate_dilatation(f.w, z)
-    out = np.abs(hp) ** 2 * (1.0 - np.abs(wv) ** 2)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def lambda_at(f: HarmonicMapSpec, z):
-    """|h'(z)| + |g'(z)| = |h'(z)| (1 + |w(z)|), the maximal directional stretch."""
-    hp = evaluate(differentiate(f.h), z)
-    wv = evaluate_dilatation(f.w, z)
-    out = np.abs(hp) * (1.0 + np.abs(wv))
-    return float(out) if np.ndim(out) == 0 else out

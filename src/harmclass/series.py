@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "TruncatedSeries",
     "differentiate",
-    "integrate_coeffs",
     "cauchy_product",
     "evaluate",
     "evaluate_polar",
@@ -60,12 +59,6 @@ def differentiate(s: TruncatedSeries) -> TruncatedSeries:
         return TruncatedSeries([0.0])
     n = np.arange(1, s.order + 1)
     return TruncatedSeries(n * s.coeffs[1:])
-
-
-def integrate_coeffs(s: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise antiderivative with zero constant term."""
-    n = np.arange(1, s.order + 2)
-    return TruncatedSeries(np.concatenate(([0.0], s.coeffs / n)))
 
 
 def cauchy_product(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:

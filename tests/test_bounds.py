@@ -80,6 +80,28 @@ def test_bn_bounds_rejections():
         bn_bounds(ClassParams(0, 0, -1), 3)
 
 
+@pytest.mark.parametrize(
+    "call", [lambda p: bn_bound(p, 2.5), lambda p: bn_bounds(p, 3.7)], ids=["bn_bound", "bn_bounds"]
+)
+def test_non_integral_coefficient_index_is_rejected(call):
+    # 2.5 used to return the n = 3 bound, and 3.7 three entries (n = 2..4)
+    with pytest.raises(ValueError, match="integer"):
+        call(ClassParams(0.3, 0.5, 1))
+
+
+def test_integral_float_coefficient_index_is_accepted():
+    params = ClassParams(0.3, 0.5, 1)
+    assert bn_bounds(params, 4.0).tobytes() == bn_bounds(params, 4).tobytes()
+    assert bn_bound(params, 3.0) == bn_bound(params, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bn_bounds_at_large_delta_take_the_limit_without_a_warning():
+    """n^delta overflows from delta ~ 646 at n = 3; the term it divides goes to 0."""
+    got = bn_bounds(ClassParams(0.3, 0.5, 700), 4).tolist()
+    assert got == [0.375, 0.24999999999999994, 0.18749999999999997]
+
+
 # every index up to 64, then a spread of indices up to 3000
 _BN_INDICES = [*range(2, 65), *range(65, 3000, 37), 3000]
 

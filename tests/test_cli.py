@@ -129,6 +129,37 @@ def test_delta_where_two_to_the_delta_overflows_exits_two(capsys, command):
     assert "delta must be in [0, 1024) for bound evaluation, got 1100.0" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
+def test_bounds_at_large_delta_exit_zero_under_warnings_as_errors(capsys):
+    code, out, err = run_cli(
+        capsys, "bounds", "--alpha", "0.3", "--beta", "0.5", "--delta", "700", "--n-max", "4"
+    )
+    assert code == 0 and err == ""
+    values = [json.loads(line)["value"] for line in out.splitlines()]
+    assert values == [0.375, 0.24999999999999994, 0.18749999999999997]
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_beyond_the_sampler_delta_range_exits_two(capsys):
+    """No NaN budget: the sampler names delta and the largest delta it supports."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "300", "--members", "1"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "delta = 300.0 is too large for the sampler" in captured.err
+    assert "up to about 253.5" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_at_delta_250_exits_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "250", "--members", "3"
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 21
+
+
 def test_area_record(capsys):
     code, out, _ = run_cli(capsys, "area", "--alpha", "0", "--beta", "0", "--delta", "1")
     assert code == 0

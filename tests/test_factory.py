@@ -2,14 +2,21 @@ import numpy as np
 import pytest
 
 from harmclass.factory import (
+    budget_weights,
     build_member,
     certify,
     extremal_h,
     member_to_json,
     sample_certified_h,
 )
-from harmclass.model import ClassParams, jacobian_at, moebius_dilatation, rotation_dilatation
-from harmclass.series import TruncatedSeries
+from harmclass.model import (
+    ClassParams,
+    dilatation_modulus,
+    moebius_dilatation,
+    rotation_dilatation,
+)
+from harmclass.series import TruncatedSeries, differentiate, evaluate_polar
+from harmclass.verify import default_polar_grid
 
 P011 = ClassParams(0, 0, 1)
 
@@ -51,6 +58,31 @@ def test_certify_budget_overrun():
     assert not cert.ok
 
 
+@pytest.mark.filterwarnings("error")
+def test_certify_zero_coefficients_add_nothing_where_weights_overflow():
+    """h = z padded with zeros to order 300 is in the class at any delta: at
+    delta = 200 the weights n^200 overflow from n = 11 on, and inf * 0 must
+    not turn the budget into NaN."""
+    coeffs = np.zeros(301)
+    coeffs[1] = 1.0
+    cert = certify(TruncatedSeries(coeffs), ClassParams(0.3, 0.5, 200))
+    assert cert.budget_sum == 0.0 and cert.ok
+    coeffs[5] = 1e-300
+    assert certify(TruncatedSeries(coeffs), ClassParams(0.3, 0.5, 200)).budget_sum > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 991])
+def test_certify_budget_is_the_plain_weighted_sum(seed):
+    """Masking the zero coefficients keeps every finite budget bit for bit."""
+    params = ClassParams(0.3, 0.5, 1.5)
+    h = sample_certified_h(params, 12, 0.8, seed)
+    coeffs = h.coeffs.copy()
+    coeffs[3:7] = 0.0
+    for series in (h, TruncatedSeries(coeffs)):
+        plain = float(np.sum(budget_weights(params, 12) * np.abs(series.coeffs[2:])))
+        assert certify(series, params).budget_sum == plain
+
+
 def test_certify_rejects_unnormalized():
     with pytest.raises(ValueError):
         certify(TruncatedSeries([0.5, 1]), P011)
@@ -88,6 +120,23 @@ def test_sampler_preconditions():
         sample_certified_h(P011, 8, 1.5, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [254.0, 300.0])
+def test_sampler_rejects_delta_beyond_the_float_range(delta):
+    """At max_degree 16 the envelope 16^(-delta-2) is subnormal from delta >
+    253.5, and the weight 16^delta overflows from delta ~ 255: both raise
+    instead of a NaN budget."""
+    with pytest.raises(ValueError, match=rf"delta = {delta} .* up to about 253\.5"):
+        sample_certified_h(ClassParams(0.3, 0.5, delta), 16, 0.5, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampler_accepts_delta_up_to_the_float_range():
+    params = ClassParams(0.3, 0.5, 253.5)
+    h = sample_certified_h(params, 16, 0.5, 1)
+    assert certify(h, params).budget_sum == pytest.approx(0.5, abs=1e-12)
+
+
 def test_build_member_rotation_gives_half_square():
     member = build_member(TruncatedSeries([0, 1]), rotation_dilatation(), P011)
     assert member.g.coeffs[2] == pytest.approx(0.5)
@@ -120,16 +169,17 @@ def test_convex_combination_of_disjoint_extremals():
 
 
 def test_sampled_members_are_sense_preserving():
-    """Certified h + admissible dilatation keeps the Jacobian positive."""
+    """Certified h + admissible dilatation keeps the Jacobian |h'|^2 (1 - |w|^2)
+    positive: |w| < 1 and |h'| > 0 on the default grid."""
     rng = np.random.default_rng(5)
-    r = np.linspace(0.015, 0.99, 64)
-    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    z = r[:, None] * np.exp(1j * theta)[None, :]
+    grid = default_polar_grid()
     for params in (P011, ClassParams(0.3, 0.5, 0)):
         for _ in range(5):
             h = sample_certified_h(params, 12, float(rng.uniform()), int(rng.integers(1 << 30)))
             member = build_member(h, moebius_dilatation(params.beta, 0.4, 1.0), params)
-            assert np.min(jacobian_at(member, z)) > 0.0
+            assert np.max(dilatation_modulus(member.w, grid.radii, grid.n_angles)) < 1.0
+            hp = evaluate_polar(differentiate(member.h), grid.radii, grid.n_angles)
+            assert np.min(np.abs(hp)) > 0.0
 
 
 def test_member_json_header():

@@ -10,10 +10,7 @@ from harmclass.model import (
     default_truncation_order,
     dilatation_coeffs,
     dilatation_modulus,
-    evaluate_dilatation,
     harmonic_map,
-    jacobian_at,
-    lambda_at,
     moebius_dilatation,
     rotation_dilatation,
 )
@@ -23,11 +20,16 @@ from harmclass.series import (
     differentiate,
     evaluate,
     evaluate_polar,
-    integrate_coeffs,
 )
 from harmclass.verify import default_polar_grid
 
 H_IDENTITY = TruncatedSeries([0, 1])
+
+
+def moebius_value(w, z):
+    """The complex closed form e^{i mu} (u + beta) / (1 + beta u), u = e^{i phi} z."""
+    u = np.exp(1j * w.phi) * np.asarray(z, dtype=complex)
+    return np.exp(1j * w.mu) * (u + w.beta) / (1.0 + w.beta * u)
 
 
 # ------------------------------------------------------------------- params
@@ -75,7 +77,7 @@ def test_moebius_coeffs_hand_expansion():
 def test_moebius_series_matches_closed_form(z):
     w = moebius_dilatation(0.5)
     series = dilatation_coeffs(w, order=default_truncation_order(0.5))
-    assert evaluate(series, z) == pytest.approx(evaluate_dilatation(w, z), abs=1e-13)
+    assert evaluate(series, z) == pytest.approx(moebius_value(w, z), abs=1e-13)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.4, 0.7, 0.9])
@@ -107,7 +109,7 @@ def test_rotation_coeffs():
 def test_rotation_is_moebius_at_beta_zero(z):
     w = rotation_dilatation(mu=0.4, phi=0.3)
     assert w.kind == "moebius" and w.beta == 0.0
-    assert evaluate_dilatation(w, z) == pytest.approx(np.exp(0.7j) * z, abs=1e-15)
+    assert evaluate(dilatation_coeffs(w, 3), z) == pytest.approx(np.exp(0.7j) * z, abs=1e-15)
 
 
 def test_custom_coeffs_truncated_copy():
@@ -127,9 +129,23 @@ def test_custom_dilatation_validates_center_modulus():
         custom_dilatation(TruncatedSeries([0.2, 0.1]), beta=0.0)
 
 
-def test_custom_dilatation_rejects_modulus_reaching_one():
-    with pytest.raises(ValueError):
-        custom_dilatation(TruncatedSeries([0.0, 1.2]), beta=0.0)
+# |w(0.999)| = 0.999 + 0.0011 * 0.999^2 > 1: the screen reaches the ring r = 0.999
+@pytest.mark.parametrize("coeffs", [[0.0, 1.2], [0.0, 1.0, 0.0011]])
+def test_custom_dilatation_rejects_modulus_reaching_one(coeffs):
+    with pytest.raises(ValueError, match="modulus"):
+        custom_dilatation(TruncatedSeries(coeffs), beta=0.0)
+
+
+def test_custom_dilatation_rejects_a_nan_coefficient():
+    # NaN >= 1.0 is False: a ring screen written as "max >= 1" let this through
+    with pytest.raises(ValueError, match="finite"):
+        custom_dilatation(TruncatedSeries([0.0, math.nan]), beta=0.0)
+
+
+def test_custom_dilatation_rejects_a_nan_center():
+    # |NaN - beta| > tol is False: the |c0| = beta check alone let this through
+    with pytest.raises(ValueError, match="finite"):
+        custom_dilatation(TruncatedSeries([math.nan, 0.1]), beta=0.0)
 
 
 def test_rotation_requires_beta_zero():
@@ -183,7 +199,7 @@ def test_dilatation_modulus_matches_the_complex_closed_form(beta):
     for w in _seeded_moebius(beta):
         got = dilatation_modulus(w, grid.radii, grid.n_angles)
         assert got.shape == z.shape
-        assert np.max(np.abs(got - np.abs(evaluate_dilatation(w, z)))) <= tol
+        assert np.max(np.abs(got - np.abs(moebius_value(w, z)))) <= tol
 
 
 @needs_long_double
@@ -230,7 +246,7 @@ def test_dilatation_modulus_of_a_custom_series():
     radii = np.array([0.1, 0.5, 0.9])
     got = dilatation_modulus(w, radii, 64)
     assert np.array_equal(got, np.abs(evaluate_polar(series, radii, 64)))
-    assert np.max(np.abs(got - np.abs(evaluate_dilatation(w, _ring_points(radii, 64))))) <= 1e-15
+    assert np.max(np.abs(got - np.abs(evaluate(series, _ring_points(radii, 64))))) <= 1e-15
 
 
 @pytest.mark.parametrize("radii,n_angles", [([[0.5]], 8), ([0.5], 0)])
@@ -273,7 +289,8 @@ def test_co_analytic_rejects_zero_order():
 @pytest.mark.parametrize("beta", [0.0, 0.35, 0.8])
 def test_convolution_route_consistency(order, beta):
     """Independent route: Cauchy-multiply the dilatation series with h', then
-    integrate coefficient-wise; must match the direct construction to 1e-14."""
+    integrate coefficient-wise (b_n = c_{n-1}/n); must match the direct
+    construction to 1e-14."""
     rng = np.random.default_rng(order * 100 + int(beta * 10))
     coeffs = np.zeros(9, dtype=complex)
     coeffs[1] = 1.0
@@ -283,63 +300,26 @@ def test_convolution_route_consistency(order, beta):
 
     direct = co_analytic_from(h, w, order)
     gp = cauchy_product(dilatation_coeffs(w, order - 1), differentiate(h), order - 1)
-    oracle = integrate_coeffs(gp)
-    assert np.max(np.abs(direct.coeffs - oracle.coeffs)) < 1e-14
+    oracle = np.concatenate(([0.0], gp.coeffs / np.arange(1, order + 1)))
+    assert np.max(np.abs(direct.coeffs - oracle)) < 1e-14
 
 
-# --------------------------------------------------------- pointwise queries
+# ------------------------------------------------------------ ring queries
 
-def zero_dilatation():
-    return custom_dilatation(TruncatedSeries([0.0, 0.0]), beta=0.0)
-
-
-def test_jacobian_of_identity_map():
-    f = harmonic_map(H_IDENTITY, zero_dilatation())
-    for z in (0.0, 0.3 + 0.2j, -0.9):
-        assert jacobian_at(f, z) == pytest.approx(1.0)
-
-
-def test_jacobian_identity_with_rotation():
-    f = harmonic_map(H_IDENTITY, rotation_dilatation())
-    assert jacobian_at(f, 0.5) == pytest.approx(0.75)
-
-
-def test_jacobian_positive_on_disk_grid():
-    rng = np.random.default_rng(11)
-    coeffs = np.zeros(6, dtype=complex)
-    coeffs[1] = 1.0
-    coeffs[2:] = 0.04 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    f = harmonic_map(TruncatedSeries(coeffs), moebius_dilatation(0.4, mu=0.2, phi=0.9))
-    r = np.linspace(0.01, 0.999, 40)
-    theta = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-    z = r[:, None] * np.exp(1j * theta)[None, :]
-    assert np.min(jacobian_at(f, z)) > 0.0
-
-
-def test_lambda_identity_at_origin():
-    f = harmonic_map(H_IDENTITY, zero_dilatation())
-    assert lambda_at(f, 0.0) == pytest.approx(1.0)
-
-
-def test_lambda_identity_with_rotation():
-    f = harmonic_map(H_IDENTITY, rotation_dilatation())
-    assert lambda_at(f, 0.5j) == pytest.approx(1.5)
-
-
-def test_lambda_sum_and_product_forms_agree():
-    """|h'| + |g'| from the truncated g against |h'| (1 + |w|) closed form."""
+def test_truncated_g_agrees_with_the_closed_form_dilatation_on_rings():
+    """|g'| from the truncated g against |w| |h'| from the closed form, so
+    |h'| + |g'| = |h'| (1 + |w|) on the grid."""
     rng = np.random.default_rng(3)
     coeffs = np.zeros(7, dtype=complex)
     coeffs[1] = 1.0
     coeffs[2:] = 0.03 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
     h = TruncatedSeries(coeffs)
     f = harmonic_map(h, moebius_dilatation(0.5, mu=1.0, phi=0.2))
-    r = np.linspace(0.05, 0.9, 25)
-    theta = np.linspace(0, 2 * math.pi, 40, endpoint=False)
-    z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    sum_form = np.abs(evaluate(differentiate(h), z)) + np.abs(evaluate(differentiate(f.g), z))
-    product_form = lambda_at(f, z)
-    assert np.max(np.abs(sum_form - product_form)) < 1e-12
+    grid = default_polar_grid()
+    hp = np.abs(evaluate_polar(differentiate(h), grid.radii, grid.n_angles))
+    gp = np.abs(evaluate_polar(differentiate(f.g), grid.radii, grid.n_angles))
+    w = dilatation_modulus(f.w, grid.radii, grid.n_angles)
+    assert np.max(np.abs(gp - w * hp)) < 1e-12
 
 
 def test_harmonic_map_records_first_coefficient():

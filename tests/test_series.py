@@ -7,7 +7,6 @@ from harmclass.series import (
     differentiate,
     evaluate,
     evaluate_polar,
-    integrate_coeffs,
     lincomb,
     series_from_json,
     series_to_json,
@@ -34,12 +33,6 @@ def test_differentiate_monomial():
 def test_differentiate_constant_floors_at_order_zero():
     out = differentiate(TruncatedSeries([5.0]))
     assert coeffs(out) == [0]
-
-
-def test_integrate_inverts_differentiate():
-    s = TruncatedSeries([0, 1, 0.5 - 0.25j, 0.1])
-    back = integrate_coeffs(differentiate(s))
-    assert np.allclose(back.coeffs, s.coeffs)
 
 
 def test_evaluate_identity():

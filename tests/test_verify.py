@@ -13,7 +13,6 @@ from harmclass.model import (
     ClassParams,
     custom_dilatation,
     dilatation_modulus,
-    evaluate_dilatation,
     harmonic_map,
     moebius_dilatation,
     rotation_dilatation,
@@ -536,9 +535,13 @@ def test_area_equals_ring_by_ring_quadrature(beta):
         area = verify._measure_area(member, 1e-8)
         assert area == _ring_by_ring_area(member, 1e-8)
         # the former integrand, |w| from the complex closed form
-        complex_form = _ring_by_ring_area(
-            member, 1e-8, lambda r: np.abs(evaluate_dilatation(member.w, r * angles))
-        )
+        w = member.w
+
+        def complex_modulus(r):
+            u = np.exp(1j * w.phi) * r * angles
+            return np.abs(np.exp(1j * w.mu) * (u + w.beta) / (1.0 + w.beta * u))
+
+        complex_form = _ring_by_ring_area(member, 1e-8, complex_modulus)
         assert abs(area - complex_form) <= 1e-13
 
 
