@@ -6,8 +6,8 @@ The package is organized as:
   * ``series``   - truncated complex power-series arithmetic
   * ``model``    - class parameters, dilatations, the harmonic-map data model
   * ``factory``  - certified member construction and random sampling
-  * ``numerics`` - quadrature, digamma, polynomial root machinery
-  * ``bounds``   - every closed-form bound (coefficients through Bloch)
+  * ``numerics`` - the area measurement's quadrature, digamma, root machinery
+  * ``bounds``   - every bound in closed form (coefficients through Bloch)
   * ``verify``   - independent numerical verification against concrete members
   * ``cli``      - the ``hcl`` command-line front end
 """

@@ -1,14 +1,18 @@
 """Closed-form bounds for the class: coefficients, distortion and growth
 envelopes, area, normality constant, covering radius and the Bloch bound.
 
+The radial integrals behind the growth, normality, covering and area bounds
+have rational integrands, so each is evaluated exactly (``_kernel_integral``).
+
 Two growth quantities carry a stated/derived split.  The closed lower form
 for |g| (via the expression F below) and the lower growth integrand for |f|
 are evaluated exactly as stated, but each has a companion used for member
 verification:
 
-  * ``g_growth_quadrature`` integrates the |g'| envelope directly, with the
-    kink at xi = beta honored; it disagrees with |F| once r > beta, and the
-    quadrature value is the one trusted when checking concrete maps.
+  * ``g_growth_quadrature`` is the exact integral of the |g'| envelope, with
+    the kink at xi = beta honored (the name is that of the quadrature it
+    replaced); it disagrees with |F| once r > beta, and it is the one trusted
+    when checking concrete maps.
   * ``f_growth_floor`` replaces the h'-upper factor of the stated lower
     integrand by the h'-lower factor.  The stated form is not attainable
     (the degree-2 extremal map crosses below it), while the floor is matched
@@ -29,7 +33,6 @@ from .errors import RootCountError
 from .model import MAX_TRUNCATION_ORDER, ClassParams
 from .numerics import (
     Polynomial,
-    adaptive_quadrature,
     bisect_bracket,
     digamma,
     vincent_variation_count,
@@ -61,17 +64,21 @@ __all__ = [
     "distortion_slope",
 ]
 
+#: Default of the ``tol`` that some bounds still take and ignore (they are exact).
 DEFAULT_QUAD_TOL = 1e-10
 
 #: Width to which bisection narrows the bracket of the Bloch critical radius.
 _BLOCH_BRACKET_WIDTH = 1e-14
 
 #: beta below which the closed g-growth forms (which divide by beta^3) are
-#: abandoned for direct quadrature of the envelope.
+#: abandoned for the exact integrals of the envelope.
 _G_GROWTH_BETA_SWITCH = 1e-3
 
 #: agreement threshold for stated-vs-derived growth forms.
 _CROSSCHECK_TOL = 1e-8
+
+#: 1/(k + 1), k = 0..255: the moments at t = 0 and the terms of their recurrences.
+_RECIPROCALS = tuple(1.0 / (k + 1) for k in range(256))
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ class BlochResult:
 
 @dataclass(frozen=True)
 class GrowthFormCheck:
-    """Stated-vs-quadrature comparison of the |g| growth envelope at one point."""
+    """Stated-vs-exact comparison of the |g| growth envelope at one point."""
 
     alpha: float
     beta: float
@@ -155,11 +162,69 @@ def _gprime_lower_integrand(params: ClassParams):
     return lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
 
 
-def _f_lower_integrand(params: ClassParams, sign: float):
-    """(1 + sign c x)(1 - beta)(1 - x)/(1 + beta x): stated (+1) or floor (-1) |f| lower."""
-    beta = params.beta
-    c = distortion_slope(params)
-    return lambda x: (1.0 + sign * c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x)
+def _kernel_integral(factors, t: float, squared: bool = False) -> float:
+    """int_0^1 prod(a + b y) / (1 + t y)^m dy over the pairs (a, b) in
+    ``factors``, m = 2 if ``squared`` else 1, for -1 < t < 1, in plain floats.
+
+    The moments phi_k, psi_k of 1/(1 + t y) and 1/(1 + t y)^2 satisfy
+    phi_k = 1/(k+1) - t phi_{k+1} and psi_k = phi_k - t psi_{k+1}.  For
+    -1/2 <= t <= 1/2 they run down from their t = 0 values at an index where
+    that start's error, damped by |t| per step, is below 2**-60.  Otherwise
+    the integral is taken in u = 1 - y, 1 + t y = (1 + t)(1 + t' u): t' lies
+    in (-1/2, -1/3) for t > 1/2, and above 1 for t < -1/2, where the moments
+    run up from phi_0 = log1p(t')/t' and psi_0 = 1/(1 + t'), which divides
+    their errors by t' per step.  Each factor (a, b) acts on the moments as
+    m_k <- a m_k + b m_{k+1}.  The area's degree-5 combination of psi_k loses
+    digits in u until t' > 4, so with ``squared`` the series runs down to -4/5.
+    """
+    n, scale = len(factors) + 1, 1.0
+    if not (-0.8 if squared else -0.5) <= t <= 0.5:
+        factors = [(a + b, -b) for a, b in factors]
+        scale = 1.0 + t
+        t = -t / scale
+        scale = scale * scale if squared else scale
+    if t <= 0.5:
+        top = n - 1 + (0 if t == 0.0 else math.ceil(60.0 / -math.log2(abs(t))))
+        phi = psi = _RECIPROCALS[top]
+        moments = [psi if squared else phi]
+        for q in reversed(_RECIPROCALS[:top]):
+            phi = q - t * phi
+            psi = phi - t * psi
+            moments.append(psi if squared else phi)
+        moments = moments[: -n - 1 : -1]
+    else:
+        phi, psi, moments = math.log1p(t) / t, 1.0 / (1.0 + t), []
+        for q in _RECIPROCALS[:n]:
+            moments.append(psi if squared else phi)
+            phi, psi = (q - phi) / t, (phi - psi) / t
+    for a, b in factors:
+        moments = [a * x + b * y for x, y in zip(moments, moments[1:])]
+    return moments[0] / scale
+
+
+def _gprime_upper_integral(params: ClassParams, r: float) -> float:
+    """int_0^r of the |g'| upper envelope (beta + x)(1 + c x)/(1 + beta x)."""
+    beta, c = params.beta, distortion_slope(params)
+    return r * _kernel_integral(((beta, r), (1.0, c * r)), beta * r)
+
+
+def _gprime_lower_integral(params: ClassParams, r: float) -> float:
+    """int_0^r of the |g'| lower envelope |beta - x|(1 - c x)/(1 - beta x): with
+    A the integral of the signed integrand, A(r) up to the kink at beta and
+    2 A(beta) - A(r) past it."""
+    beta, c = params.beta, distortion_slope(params)
+
+    def signed(x: float) -> float:
+        return x * _kernel_integral(((beta, -x), (1.0, -c * x)), -beta * x)
+
+    return signed(r) if r <= beta else 2.0 * signed(beta) - signed(r)
+
+
+def _f_lower_integral(params: ClassParams, r: float, sign: float) -> float:
+    """int_0^r (1 + sign c x)(1 - beta)(1 - x)/(1 + beta x) dx: the stated (+1)
+    or floor (-1) |f| lower bound."""
+    beta, c = params.beta, distortion_slope(params)
+    return (1.0 - beta) * r * _kernel_integral(((1.0, sign * c * r), (1.0, -r)), beta * r)
 
 
 def _check_radius(r: float) -> None:
@@ -277,54 +342,45 @@ def _g_growth_closed(params: ClassParams, r: float) -> tuple[float, float]:
     return abs(f_val) / scale, e_val / scale
 
 
-def g_growth_bounds(
-    params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
-) -> BoundEnvelope:
+def g_growth_bounds(params: ClassParams, r: float) -> BoundEnvelope:
     """Growth envelope for |g(z)| at |z| = r.
 
     For beta >= 1e-3 the stated closed forms are evaluated; both scale like
     beta^3, so below that threshold the division is ill-conditioned and the
-    envelope is integrated directly instead (the beta -> 0 limit of the
-    closed forms).
+    exact integrals of the envelope (``g_growth_quadrature``, the beta -> 0
+    limit of the closed forms) are returned instead.
     """
     if params.beta < _G_GROWTH_BETA_SWITCH:
-        return g_growth_quadrature(params, r, tol)
+        return g_growth_quadrature(params, r)
     params.require_nonnegative_delta()
     _check_radius(r)
-    if r == 0.0:
-        return BoundEnvelope(0.0, 0.0, at=0.0)
     lo, up = _g_growth_closed(params, r)
     return BoundEnvelope(lower=lo, upper=up, at=r)
 
 
-def g_growth_quadrature(
-    params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
-) -> BoundEnvelope:
-    """Quadrature form of the |g| growth envelope; authoritative for member
-    verification wherever it disagrees with the closed forms: the radial
-    integrals of the |g'| envelope, split at the xi = beta kink."""
+def g_growth_quadrature(params: ClassParams, r: float) -> BoundEnvelope:
+    """Exact radial integrals of the |g'| envelope, split at the xi = beta
+    kink; authoritative for member verification wherever they disagree with
+    the closed forms.  The name is that of the quadrature they replaced."""
     params.require_nonnegative_delta()
     _check_radius(r)
-    if r == 0.0:
-        return BoundEnvelope(0.0, 0.0, at=0.0)
-    lo = adaptive_quadrature(_gprime_lower_integrand(params), 0.0, r, tol, (params.beta,))
-    up = adaptive_quadrature(_gprime_upper_integrand(params), 0.0, r, tol)
-    return BoundEnvelope(lower=lo, upper=up, at=r)
+    lower, upper = _gprime_lower_integral(params, r), _gprime_upper_integral(params, r)
+    return BoundEnvelope(lower=lower, upper=upper, at=r)
 
 
 def g_growth_crosscheck(
     params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
 ) -> GrowthFormCheck:
-    """Compare the stated closed g-growth forms against the quadrature oracle.
+    """Compare the stated closed g-growth forms against the exact integrals.
 
     The upper sides agree identically; the lower sides separate once
     r > beta, where the signed antiderivative behind F no longer equals the
     integral of |beta - xi|.  Disagreements are reported, not asserted away.
     Below the beta switch of ``g_growth_bounds`` both sides are the one
-    quadrature.
+    exact integral.  ``tol`` is ignored: the values are exact.
     """
-    closed = g_growth_bounds(params, r, tol)
-    quad = closed if params.beta < _G_GROWTH_BETA_SWITCH else g_growth_quadrature(params, r, tol)
+    closed = g_growth_bounds(params, r)
+    quad = closed if params.beta < _G_GROWTH_BETA_SWITCH else g_growth_quadrature(params, r)
     lower_diff = abs(closed.lower - quad.lower)
     upper_diff = abs(closed.upper - quad.upper)
     return GrowthFormCheck(
@@ -348,25 +404,20 @@ def area_envelope(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> BoundEn
         2 pi int_0^1 r (1 -+ c r)^2 (1 - ((beta +- r)/(1 +- beta r))^2) dr,
 
     which are the self-consistent versions; the displayed statement omits a
-    square on a denominator and is not used.
+    square on a denominator and is not used.  They are integrated exactly as
+    2 pi (1 - beta^2) int_0^1 r (1 -+ c r)^2 (1 - r^2)/(1 +- beta r)^2 dr.
+    ``tol`` is ignored: the values are exact.
     """
     params.require_nonnegative_delta()
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    beta = params.beta
-    c = distortion_slope(params)
+    beta, c = params.beta, distortion_slope(params)
+    # (1 - beta)(1 + beta), not 1 - beta^2: beta^2 would round away digits near beta = 1
+    scale = 2.0 * math.pi * (1.0 - beta) * (1.0 + beta)
 
-    def lower_integrand(r: float) -> float:
-        ratio = (beta + r) / (1.0 + beta * r)
-        return r * (1.0 - c * r) ** 2 * (1.0 - ratio * ratio)
+    def integral(sign: float) -> float:
+        factors = ((0.0, 1.0), (1.0, sign * c), (1.0, sign * c), (1.0, -1.0), (1.0, 1.0))
+        return scale * _kernel_integral(factors, -sign * beta, squared=True)
 
-    def upper_integrand(r: float) -> float:
-        ratio = (beta - r) / (1.0 - beta * r)
-        return r * (1.0 + c * r) ** 2 * (1.0 - ratio * ratio)
-
-    lo = 2.0 * math.pi * adaptive_quadrature(lower_integrand, 0.0, 1.0, tol)
-    up = 2.0 * math.pi * adaptive_quadrature(upper_integrand, 0.0, 1.0, tol)
-    return BoundEnvelope(lower=lo, upper=up, at=1.0)
+    return BoundEnvelope(lower=integral(-1.0), upper=integral(1.0), at=1.0)
 
 
 def f_growth(
@@ -378,16 +429,12 @@ def f_growth(
     upper: r + c r^2 / 2 + int_0^r ((beta + xi)/(1 + beta xi)) (1 + c xi) d xi
 
     The lower side is the stated form; see ``f_growth_floor`` for the
-    attainable companion used when checking concrete members.
+    attainable companion used when checking concrete members.  ``tol`` is ignored.
     """
     params.require_nonnegative_delta()
     _check_radius(r)
-    if r == 0.0:
-        return BoundEnvelope(0.0, 0.0, at=0.0)
-    c = distortion_slope(params)
-    lo = adaptive_quadrature(_f_lower_integrand(params, +1.0), 0.0, r, tol)
-    up = r + 0.5 * c * r * r + adaptive_quadrature(_gprime_upper_integrand(params), 0.0, r, tol)
-    return BoundEnvelope(lower=lo, upper=up, at=r)
+    upper = r + 0.5 * distortion_slope(params) * r * r + _gprime_upper_integral(params, r)
+    return BoundEnvelope(lower=_f_lower_integral(params, r, 1.0), upper=upper, at=r)
 
 
 def f_growth_floor(
@@ -401,32 +448,33 @@ def f_growth_floor(
     factor instead of h'-upper).  The degree-2 extremal member with w(z) = z
     meets this floor with equality at every radius, and crosses strictly
     below the stated form, so this is the reference for member verification.
+    ``tol`` is ignored: the value is exact.
     """
     params.require_nonnegative_delta()
     _check_radius(r)
-    if r == 0.0:
-        return 0.0
-    return adaptive_quadrature(_f_lower_integrand(params, -1.0), 0.0, r, tol)
+    return _f_lower_integral(params, r, -1.0)
 
 
 def normality_constant(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Uniform modulus bound M = 1 + (1-alpha)/(2^delta (2-alpha)) + int_0^1 ...;
-    the r -> 1 limit of the upper growth envelope."""
+    the r -> 1 limit of the upper growth envelope.  ``tol`` is ignored: the
+    value is exact."""
     params.require_nonnegative_delta()
-    c = distortion_slope(params)
-    return 1.0 + 0.5 * c + adaptive_quadrature(_gprime_upper_integrand(params), 0.0, 1.0, tol)
+    return 1.0 + 0.5 * distortion_slope(params) + _gprime_upper_integral(params, 1.0)
 
 
 def covering_radius(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Stated covering radius: the r -> 1 limit of the stated lower growth bound."""
+    """Stated covering radius: the r -> 1 limit of the stated lower growth
+    bound.  ``tol`` is ignored: the value is exact."""
     params.require_nonnegative_delta()
-    return adaptive_quadrature(_f_lower_integrand(params, +1.0), 0.0, 1.0, tol)
+    return _f_lower_integral(params, 1.0, 1.0)
 
 
 def covering_radius_floor(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> float:
-    """r -> 1 limit of the attainable growth floor (see ``f_growth_floor``)."""
+    """r -> 1 limit of the attainable growth floor (see ``f_growth_floor``).
+    ``tol`` is ignored: the value is exact."""
     params.require_nonnegative_delta()
-    return adaptive_quadrature(_f_lower_integrand(params, -1.0), 0.0, 1.0, tol)
+    return _f_lower_integral(params, 1.0, -1.0)
 
 
 def bloch_H_poly(params: ClassParams) -> np.ndarray:

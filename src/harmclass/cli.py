@@ -28,7 +28,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import sys
 
 from . import bounds, verify
@@ -40,16 +39,6 @@ __all__ = ["main", "build_parser"]
 
 def _fmt(value: float) -> str:
     return f"{value:.15g}"
-
-
-def _positive_tol(text: str) -> float:
-    try:
-        tol = float(text)
-        if 0.0 < tol < math.inf:
-            return tol
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a positive finite float: {text!r}")
 
 
 def _float_list(text: str) -> list[float]:
@@ -102,14 +91,14 @@ def _cmd_table(args) -> list[dict]:
     for alpha, beta, delta in itertools.product(args.alpha, args.beta, args.delta):
         params = ClassParams(alpha=alpha, beta=beta, delta=delta)
         bl = bounds.bloch_bound(params)
-        area = bounds.area_envelope(params, args.tol)
+        area = bounds.area_envelope(params)
         rows.append(_row(
             "summary", params,
             b2_bound=bounds.bn_bound(params, 2),
             b3_bound=bounds.bn_bound(params, 3),
-            normality=bounds.normality_constant(params, args.tol),
-            covering=bounds.covering_radius(params, args.tol),
-            covering_floor=bounds.covering_radius_floor(params, args.tol),
+            normality=bounds.normality_constant(params),
+            covering=bounds.covering_radius(params),
+            covering_floor=bounds.covering_radius_floor(params),
             area_lower=area.lower,
             area_upper=area.upper,
             bloch_r0=bl.r0,
@@ -139,28 +128,27 @@ def _cmd_bloch(args) -> list[dict]:
 
 def _cmd_area(args) -> list[dict]:
     params = _params(args)
-    env = bounds.area_envelope(params, args.tol)
-    return [_row("area", params, lower=env.lower, upper=env.upper, tol=args.tol)]
+    env = bounds.area_envelope(params)
+    return [_row("area", params, lower=env.lower, upper=env.upper)]
 
 
 def _cmd_cover(args) -> list[dict]:
     params = _params(args)
     return [_row("covering", params,
-                 value=bounds.covering_radius(params, args.tol),
-                 floor=bounds.covering_radius_floor(params, args.tol),
-                 tol=args.tol)]
+                 value=bounds.covering_radius(params),
+                 floor=bounds.covering_radius_floor(params))]
 
 
 def _cmd_growth(args) -> list[dict]:
     params = _params(args)
     rows = []
     for r in args.r:
-        fg = bounds.f_growth(params, r, args.tol)
-        check = bounds.g_growth_crosscheck(params, r, args.tol)
+        fg = bounds.f_growth(params, r)
+        check = bounds.g_growth_crosscheck(params, r)
         rows.append(_row(
             "growth", params, r=r,
             f_lower=fg.lower,
-            f_floor=bounds.f_growth_floor(params, r, args.tol),
+            f_floor=bounds.f_growth_floor(params, r),
             f_upper=fg.upper,
             g_lower=check.closed.lower,
             g_upper=check.closed.upper,
@@ -198,12 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs["verify"].add_argument("--seed", type=int, default=0)
     subs["verify"].add_argument("--n-max", type=int, default=12)
     subs["growth"].add_argument("--r", type=_float_list, default=[0.25, 0.5, 0.75])
-    for name, sub in subs.items():
+    for sub in subs.values():
         sub.add_argument("--format", choices=("json", "csv"), default="json")
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
-        if name in ("table", "area", "cover", "growth"):
-            sub.add_argument("--tol", type=_positive_tol, default=bounds.DEFAULT_QUAD_TOL,
-                             help=f"quadrature tolerance (default: {bounds.DEFAULT_QUAD_TOL:g})")
     return parser
 
 

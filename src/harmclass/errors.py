@@ -2,7 +2,7 @@
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The area measurement's adaptive quadrature missed its tolerance."""
 
 
 class RootCountError(RuntimeError):

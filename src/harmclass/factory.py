@@ -66,7 +66,14 @@ def certify(h: TruncatedSeries, params: ClassParams) -> MembershipCertificate:
     mags = np.abs(h.coeffs[2:])
     # a zero coefficient adds exactly 0, also where its weight is inf
     weights[mags == 0] = 0.0
-    budget = float(np.sum(weights * mags))
+    terms = weights * mags
+    big = np.isinf(weights)
+    if big.any():  # a weight past the float range can still give a small term
+        n = np.flatnonzero(big) + 2.0
+        log_weights = params.delta * np.log(n) + np.log((n - params.alpha) / (1.0 - params.alpha))
+        with np.errstate(over="ignore"):
+            terms[big] = np.exp(log_weights + np.log(mags[big]))
+    budget = float(np.sum(terms))
     return MembershipCertificate(budget, budget <= 1.0 + CERT_TOL, params)
 
 

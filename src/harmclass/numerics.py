@@ -1,4 +1,4 @@
-"""Numerical kernels: adaptive and cumulative quadrature, digamma, real
+"""Numerical kernels: adaptive quadrature of array integrands, digamma, real
 polynomials, Descartes sign variation, interval variation counts and bisection.
 
 Everything here is deliberately dependency-free and testable in isolation;
@@ -18,7 +18,6 @@ from .errors import QuadratureError
 __all__ = [
     "Polynomial",
     "adaptive_quadrature",
-    "cumulative_quadrature",
     "digamma",
     "sign_variations",
     "vincent_variation_count",
@@ -80,23 +79,10 @@ def _kronrod_weights(center, pairs, half) -> tuple:
     return kronrod, abs(kronrod - gauss)
 
 
-def _gauss_kronrod_15(f: Callable, a: float, b: float) -> tuple:
-    """One 15-point Kronrod panel on [a, b] with scalar calls of ``f``;
-    returns (estimate, error_estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    center = f(mid)
-    pairs = []
-    for x in _XGK[:7]:
-        dx = half * x
-        pairs.append(f(mid - dx) + f(mid + dx))
-    return _kronrod_weights(center, pairs, half)
-
-
 def _gauss_kronrod_level(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """``_gauss_kronrod_15`` on every panel [lo[k], hi[k]] with one call of
-    ``f`` on all their nodes.  ``mid + half * -x`` is bitwise ``mid - half * x``,
-    so each node, value and estimate equals the scalar panel's."""
+    """(estimates, error_estimates) of one 15-point Kronrod panel on every
+    [lo[k], hi[k]], with one call of ``f`` on all their nodes.  A node
+    ``mid + half * -x`` is bitwise ``mid - half * x``."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     nodes = mid[:, None] + half[:, None] * _NODES
@@ -116,25 +102,16 @@ def _failure(a, b, err, tol, depth) -> QuadratureError:
     return QuadratureError(f"quadrature interval [{a:.17g}, {b:.17g}] cannot be subdivided further")
 
 
-def _adaptive_panel(f, a, b, tol, depth) -> float:
-    est, err = _gauss_kronrod_15(f, a, b)
-    if err <= tol:
-        return est
-    mid = 0.5 * (a + b)
-    if depth >= _DEPTH_LIMIT or mid <= a or mid >= b:
-        raise _failure(a, b, err, tol, depth)
-    half_tol = 0.5 * tol
-    return _adaptive_panel(f, a, mid, half_tol, depth + 1) + _adaptive_panel(
-        f, mid, b, half_tol, depth + 1
-    )
-
-
 def _adaptive_levels(
     f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray, depth: int = 0
 ) -> np.ndarray:
-    """``_adaptive_panel(f, lo[k], hi[k], tol[k], depth)`` for every k, bit for
-    bit, with one call of ``f`` per bisection level on the nodes of all its
-    panels.
+    """The integral of ``f`` over every panel [lo[k], hi[k]] to absolute
+    tolerance ``tol[k]``: a panel whose Kronrod error estimate exceeds its
+    tolerance is bisected, each half with half the tolerance, and its value is
+    the sum of its halves'.  ``f`` is called once per bisection level, on the
+    nodes of all its panels.  The values equal, bit for bit, those of the
+    depth-first recursion that refines one panel at a time (kept in the tests
+    as the reference).
 
     Each level keeps its estimates and which panels it split; the children of
     the split panels, in order, form the next level.  The first level that
@@ -178,61 +155,19 @@ def _adaptive_levels(
     return value
 
 
-def adaptive_quadrature(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
-
-    The interval is split at the supplied interior breakpoints first (known
-    kinks), then each panel is refined adaptively with the 15-point Kronrod
-    rule, calling ``f`` with one float at a time.  Failure to converge within
-    ``_DEPTH_LIMIT`` bisection levels raises QuadratureError rather than
-    returning a silently degraded estimate.
+def adaptive_quadrature(f: Callable, a: float, b: float, tol: float) -> float:
+    """Integrate ``f`` over [a, b] to absolute tolerance ``tol`` (see
+    ``_adaptive_levels``).  ``f`` maps a 1-d float array to one of the same
+    shape.  Failure to converge within ``_DEPTH_LIMIT`` bisection levels
+    raises QuadratureError rather than returning a silently degraded estimate.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
         return 0.0
-    cuts = sorted({float(x) for x in breakpoints if a < x < b})
-    edges = [a, *cuts, b]
-    total = b - a
-    result = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        result += _adaptive_panel(f, lo, hi, tol * (hi - lo) / total, 0)
-    return result
-
-
-def cumulative_quadrature(
-    f: Callable, points, tol: float, breakpoints: Sequence[float] = ()
-) -> np.ndarray:
-    """Integrals of ``f`` from 0 to each of the strictly increasing ``points``,
-    bit for bit the running sum of ``adaptive_quadrature(f, lo, hi, tol,
-    breakpoints)`` over [0, points[0]], [points[0], points[1]], ...
-
-    ``f`` takes a 1-d float array and returns an array of the same shape.  It
-    is called once per bisection level, on the nodes of every panel of that
-    level, whichever interval the panel belongs to (at most ``_LEVEL_PANELS``
-    panels per call)."""
-    points = np.asarray(points, dtype=float)
-    if tol <= 0 or points.ndim != 1 or points.size == 0:
-        raise ValueError("need tol > 0 and a non-empty 1-d sequence of points")
-    starts = np.concatenate(([0.0], points[:-1]))
-    if not np.all(points > starts):
-        raise ValueError("points must increase strictly from 0")
-    cuts = {float(x) for x in breakpoints if 0.0 < x < points[-1]} - set(points.tolist())
-    edges = np.sort(np.concatenate(([0.0], points, sorted(cuts))))
-    lo, hi = edges[:-1], edges[1:]
-    owner = np.searchsorted(points, hi)
-    share = tol * (hi - lo) / (points[owner] - starts[owner])
-    per_interval = np.zeros(points.size)
-    np.add.at(per_interval, owner, _adaptive_levels(f, lo, hi, share))
-    return np.cumsum(per_interval)
+    return float(_adaptive_levels(f, np.array([a]), np.array([b]), np.array([tol]))[0])
 
 
 # B_{2k}/(2k) for the asymptotic tail psi(x) = log x - 1/(2x) - sum B_{2k}/(2k x^{2k}).

@@ -11,8 +11,9 @@ in ``_CHECKS``, and every entry point runs it through that path.  The sample
 is one member: |h'|, |w|, |g| and |f| on the grid, each evaluated once.  The
 envelope table, built once per (params, grid, n_max), is the only place the
 member-independent references are computed: the |h'| and |g'| envelopes over
-the radii; the cumulative radial integrals of the |g'| upper envelope (shared
-by g- and f-growth), the |g'| lower envelope (kink at beta) and the f floor;
+the radii; the radial integrals of the |g'| upper envelope (shared by g- and
+f-growth), the |g'| lower envelope (kink at beta) and the f floor, from 0 to
+each radius, each the exact closed form of ``bounds`` at that radius;
 the coefficient bounds for n = 2..n_max (one ``bounds.bn_bounds`` call);
 the area envelope, the covering floor and the Bloch bound.  Every entry
 point (``run_member_suite``, ``verify_member`` and each standalone
@@ -37,14 +38,14 @@ builds one grid per argument tuple per process, shared by every table on it.
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
 coefficients folded modulo the angle count, Horner in r^M, one FFT per ring.
-The area is an adaptive radial quadrature (``numerics.cumulative_quadrature``)
-of ring means: the rings of one bisection level are one ``evaluate_polar``
-call.  The checks read the dilatation only through |w|, which
-``model.dilatation_modulus`` computes on the same rings.  For a Moebius w it
-is a real closed form in the half angle, with no complex division and no
-cancellation near the zero or the pole of w (about an ulp from an exact
-evaluation), so the references the checks compare against stay independent
-of the series machinery.
+The area is an adaptive radial quadrature (``numerics.adaptive_quadrature``,
+the package's one quadrature) of ring means: the rings of one bisection
+level are one ``evaluate_polar`` call.  The checks read the dilatation only
+through |w|, which ``model.dilatation_modulus`` computes on the same rings.
+For a Moebius w it is a real closed form in the half angle, with no complex
+division and no cancellation near the zero or the pole of w (about an ulp
+from an exact evaluation), so the references the checks compare against
+stay independent of the series machinery.
 
 Two checks deliberately reference the derived companions of the stated
 growth forms (see the bounds module):
@@ -71,7 +72,7 @@ import numpy as np
 from . import bounds
 from .factory import build_member, certify, sample_certified_h
 from .model import ClassParams, HarmonicMapSpec, dilatation_modulus, moebius_dilatation
-from .numerics import cumulative_quadrature
+from .numerics import adaptive_quadrature
 from .series import TruncatedSeries, differentiate, evaluate_polar, lincomb
 
 __all__ = [
@@ -100,9 +101,6 @@ MEMBER_THEOREMS = ("coeff", "distortion", "g_growth", "area", "f_growth", "cover
 #: Circle on which the covering proxy samples |f|: its radius and point count.
 _COVERING_RADIUS = 0.999
 _COVERING_SAMPLES = 256
-
-#: Tolerance of the table's cumulative radial integrals.
-_TABLE_TOL = 1e-9
 
 #: Angles per ring of the area measurement's trapezoid rule, and the
 #: tolerance of its radial quadrature.
@@ -211,7 +209,7 @@ class _GridSample:
 
 class _EnvelopeTable:
     """Member-independent references for one (params, grid, n_max), built
-    whole here: the envelopes and cumulative integrals as read-only column
+    whole here: the envelopes and their radial integrals as read-only column
     arrays over the radii, the coefficient bounds ``bn`` for n = 2..n_max
     (at index n - 2), then the area envelope, the covering floor and the
     Bloch bound.  A table is complete before ``_table`` shares it.
@@ -227,21 +225,18 @@ class _EnvelopeTable:
         self.grid = grid
         self.bn = bounds.bn_bounds(params, n_max)
         beta, c = params.beta, bounds.distortion_slope(params)
-        radii, r = grid.radii, grid.radii[:, None]
-        upper = bounds._gprime_upper_integrand(params)
-        lower = bounds._gprime_lower_integrand(params)
+        radii, r = grid.radii.tolist(), grid.radii[:, None]
         # c <= 1 for delta >= 0 and r < 1, so the |h'| lower side stays positive.
         self.hprime_lower = 1.0 - c * r
         self.hprime_upper = 1.0 + c * r
-        self.gprime_lower = lower(r)
-        self.gprime_upper = upper(r)
+        self.gprime_lower = bounds._gprime_lower_integrand(params)(r)
+        self.gprime_upper = bounds._gprime_upper_integrand(params)(r)
         self.bloch_weight = 1.0 - r**2
-        self.g_upper = cumulative_quadrature(upper, radii, _TABLE_TOL)[:, None]
-        self.g_lower = cumulative_quadrature(lower, radii, _TABLE_TOL, (beta,))[:, None]
+        self.g_upper = np.array([[bounds._gprime_upper_integral(params, x)] for x in radii])
+        self.g_lower = np.array([[bounds._gprime_lower_integral(params, x)] for x in radii])
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
         self.g_lower_scored = np.where((r <= beta) | (beta == 0.0), self.g_lower, -np.inf)
-        floor = bounds._f_lower_integrand(params, -1.0)
-        self.f_floor = cumulative_quadrature(floor, radii, _TABLE_TOL)[:, None]
+        self.f_floor = np.array([[bounds._f_lower_integral(params, x, -1.0)] for x in radii])
         self.f_upper = r + 0.5 * c * r**2 + self.g_upper
         self.area_envelope = bounds.area_envelope(params)
         self.covering_floor = bounds.f_growth_floor(params, _COVERING_RADIUS)
@@ -345,7 +340,7 @@ def _measure_area(f: HarmonicMapSpec, tol: float) -> float:
         m = dilatation_modulus(f.w, r, _AREA_ANGLES)
         return r * np.mean(np.abs(hp) ** 2 * (1.0 - m**2), axis=1)
 
-    return 2.0 * math.pi * cumulative_quadrature(ring_mean, [1.0], tol)[0]
+    return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
 
 
 def _area(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
@@ -421,7 +416,7 @@ def verify_distortion(
 def verify_g_growth(
     f: HarmonicMapSpec, params: ClassParams, grid: PolarGrid | None = None
 ) -> VerificationReport:
-    """Check |g| against the growth envelope, quadrature form authoritative.
+    """Check |g| against the growth envelope, exact integral form authoritative.
 
     Upper margins are scored at all radii; lower margins only on the sound
     regime (all radii for beta = 0, radii <= beta otherwise).

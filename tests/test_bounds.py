@@ -29,7 +29,8 @@ from harmclass.bounds import (
 from harmclass.bounds import _BLOCH_BRACKET_WIDTH, _bloch_profile
 from harmclass.errors import RootCountError
 from harmclass.model import MAX_TRUNCATION_ORDER, ClassParams
-from harmclass.numerics import bisect_bracket
+from harmclass.numerics import adaptive_quadrature, bisect_bracket
+from harmclass.verify import _EnvelopeTable, default_polar_grid
 
 P011 = ClassParams(0, 0, 1)
 
@@ -305,18 +306,18 @@ def test_g_growth_crosscheck_clean_inside_beta():
 
 @pytest.mark.parametrize("beta", [0.0, 0.0005, 0.5])
 def test_g_growth_crosscheck_integrates_the_envelope_once(monkeypatch, beta):
-    """Below the beta switch the closed side is the quadrature itself: the
-    crosscheck makes the integrand calls of one ``g_growth_quadrature`` and
+    """Below the beta switch the closed side is the exact integral itself:
+    the crosscheck evaluates the integrals of one ``g_growth_quadrature`` and
     returns its values on both sides, bit for bit."""
     import harmclass.bounds as bounds_mod
 
     calls = []
-    for name in ("_gprime_lower_integrand", "_gprime_upper_integrand"):
-        make = getattr(bounds_mod, name)
+    for name in ("_gprime_lower_integral", "_gprime_upper_integral"):
+        integral = getattr(bounds_mod, name)
 
-        def counted(params, make=make):
-            f = make(params)
-            return lambda x: calls.append(x) or f(x)
+        def counted(params, r, integral=integral):
+            calls.append(r)
+            return integral(params, r)
 
         monkeypatch.setattr(bounds_mod, name, counted)
     params = ClassParams(0.3, beta, 1)
@@ -360,11 +361,6 @@ def test_area_vanishes_as_beta_to_one():
     assert uppers[0] > uppers[1] > uppers[2]
     assert uppers[2] < 0.04
     assert area_envelope(ClassParams(0, 0.9999, 1), 1e-10).lower < 1e-3
-
-
-def test_area_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        area_envelope(P011, 0.0)
 
 
 # -------------------------------------------------------------------- growth
@@ -424,6 +420,82 @@ def test_covering_radius_vanishes_as_beta_to_one():
 
 def test_covering_radius_alpha_limit():
     assert covering_radius(ClassParams(1 - 1e-12, 0, 1)) == pytest.approx(0.5, abs=1e-9)
+
+
+# ------------------------------------------------ closed forms against quadrature
+
+_ORACLE_LATTICE = [
+    ClassParams(alpha, beta, delta)
+    for alpha in (0.0, 0.3, 0.6, 0.9)
+    for beta in (0.0, 1e-4, 0.3, 0.6, 0.9, 0.99, 0.999)
+    for delta in (0.0, 1.0, 2.0)
+]
+
+
+def _oracle(f, r, beta):
+    """``adaptive_quadrature`` of ``f`` over [0, r] at tol 1e-13, split at beta."""
+    cuts = [0.0, *([beta] if 0.0 < beta < r else []), r]
+    return sum(adaptive_quadrature(f, a, b, 1e-13) for a, b in zip(cuts, cuts[1:]))
+
+
+def _assert_close(got, oracle, what):
+    assert abs(got - oracle) <= 1e-14 * max(1.0, abs(oracle)), (what, got, oracle)
+
+
+@pytest.mark.parametrize("params", _ORACLE_LATTICE, ids=str)
+def test_closed_forms_match_quadrature_oracle(params):
+    """Every exact radial integral is within 1e-14 * max(1, |value|) of the
+    quadrature of its integrand."""
+    beta, c = params.beta, distortion_slope(params)
+    g_upper = lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
+    g_lower = lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
+
+    def f_lower(sign):
+        return lambda x: (1.0 + sign * c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x)
+
+    def area(sign):
+        def integrand(r):
+            ratio = (beta - sign * r) / (1.0 - sign * beta * r)
+            return r * (1.0 + sign * c * r) ** 2 * (1.0 - ratio * ratio)
+
+        return 2.0 * math.pi * _oracle(integrand, 1.0, 0.0)
+
+    env = area_envelope(params)
+    _assert_close(env.lower, area(-1.0), "area lower")
+    _assert_close(env.upper, area(1.0), "area upper")
+    _assert_close(normality_constant(params), 1.0 + 0.5 * c + _oracle(g_upper, 1.0, beta), "M")
+    _assert_close(covering_radius(params), _oracle(f_lower(1.0), 1.0, beta), "covering")
+    _assert_close(covering_radius_floor(params), _oracle(f_lower(-1.0), 1.0, beta), "floor")
+    for r in (0.05, 0.25, 0.5, 0.75, 0.995, beta):
+        upper = _oracle(g_upper, r, beta)
+        fg = f_growth(params, r)
+        _assert_close(fg.lower, _oracle(f_lower(1.0), r, beta), ("f lower", r))
+        _assert_close(fg.upper, r + 0.5 * c * r * r + upper, ("f upper", r))
+        _assert_close(f_growth_floor(params, r), _oracle(f_lower(-1.0), r, beta), ("f floor", r))
+        exact = g_growth_quadrature(params, r)
+        _assert_close(exact.lower, _oracle(g_lower, r, beta), ("g lower", r))
+        _assert_close(exact.upper, upper, ("g upper", r))
+        if beta < 1e-3:
+            assert g_growth_bounds(params, r) == exact
+
+
+@pytest.mark.parametrize("params", _ORACLE_LATTICE, ids=str)
+def test_envelope_table_columns_match_quadrature_oracle(params):
+    """Every radial integral of the table is within 1e-14 * max(1, |value|)
+    of the quadrature of its integrand, on every radius of the default grid."""
+    table = _EnvelopeTable(params, default_polar_grid())
+    beta, c = params.beta, distortion_slope(params)
+    integrands = {
+        "g_upper": lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x),
+        "g_lower": lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x),
+        "f_floor": lambda x: (1.0 - c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x),
+    }
+    for i, r in enumerate(table.grid.radii.tolist()):
+        oracle = {name: _oracle(f, r, beta) for name, f in integrands.items()}
+        oracle["f_upper"] = r + 0.5 * c * r * r + oracle["g_upper"]
+        for name, value in oracle.items():
+            got = getattr(table, name)[i, 0]
+            assert abs(got - value) <= 1e-14 * max(1.0, abs(value)), (name, r)
 
 
 # --------------------------------------------------------------------- bloch

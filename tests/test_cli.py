@@ -210,47 +210,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("theorem,")
 
 
-@pytest.mark.parametrize("value", ["1e-6", "abc"])
-def test_hcl_tol_does_not_change_stdout(capsys, monkeypatch, value):
-    argv = ("area", "--alpha", "0", "--beta", "0", "--delta", "1")
-    _, expected, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("HCL_TOL", value)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert out == expected
-    assert json.loads(out)["tol"] == 1e-10
-
-
-def test_invalid_env_tol_exits_two(monkeypatch, capsys):
-    # An invalid tolerance exits 2 through --tol; HCL_TOL neither adds nor removes that.
-    monkeypatch.setenv("HCL_TOL", "abc")
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["area", "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", "-1"])
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-def test_env_tol_invalid_rejected(monkeypatch, capsys):
-    # A valid HCL_TOL does not stand in for an invalid --tol.
-    monkeypatch.setenv("HCL_TOL", "1e-6")
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["area", "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", "banana"])
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-def test_invalid_tol_flag_exits_two(capsys, tol):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["area", "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", tol])
-    assert excinfo.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["bounds", "bloch", "verify"])
-def test_commands_without_quadrature_reject_tol(capsys, command):
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_no_command_takes_tol(capsys, command):
+    """The bounds are exact, so no command takes a quadrature tolerance."""
     with pytest.raises(SystemExit) as excinfo:
         cli.main([command, "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", "1e-8"])
     assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_csv_uses_period_decimal_and_15_digits(capsys):

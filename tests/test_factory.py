@@ -71,6 +71,24 @@ def test_certify_zero_coefficients_add_nothing_where_weights_overflow():
     assert certify(TruncatedSeries(coeffs), ClassParams(0.3, 0.5, 200)).budget_sum > 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_certify_takes_a_term_whose_weight_overflows_in_log_space():
+    """h = z + 1e-320 z^300 at delta = 125: the weight 300^125 (...) overflows,
+    but the term is 300^125 (299.7/0.7) 1e-320 ~ 1.87e-8, so h is certified."""
+    coeffs = np.zeros(301)
+    coeffs[1], coeffs[300] = 1.0, 1e-320
+    params = ClassParams(0.3, 0.5, 125)
+    assert np.isinf(budget_weights(params, 300)[-1])
+    cert = certify(TruncatedSeries(coeffs), params)
+    # 1.8695655978488...e-8: the exact term of the stored coefficient, from mpmath
+    assert cert.budget_sum == pytest.approx(1.8695655978488e-8, rel=1e-12)
+    assert cert.ok
+    # a term past the float range is inf, and refused
+    coeffs[300] = 1e-3
+    cert = certify(TruncatedSeries(coeffs), params)
+    assert cert.budget_sum == np.inf and not cert.ok
+
+
 @pytest.mark.parametrize("seed", [0, 7, 991])
 def test_certify_budget_is_the_plain_weighted_sum(seed):
     """Masking the zero coefficients keeps every finite budget bit for bit."""

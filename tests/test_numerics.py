@@ -13,7 +13,6 @@ from harmclass.numerics import (
     Polynomial,
     adaptive_quadrature,
     bisect_bracket,
-    cumulative_quadrature,
     digamma,
     sign_variations,
     vincent_variation_count,
@@ -28,7 +27,7 @@ QUARTIC = Polynomial([3, -2, -9, -4, 0])
 # ---------------------------------------------------------------- quadrature
 
 def test_quadrature_constant_is_exact():
-    assert adaptive_quadrature(lambda x: 1.0, 0.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-15)
+    assert adaptive_quadrature(np.ones_like, 0.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_quadrature_covering_integrand():
@@ -36,34 +35,191 @@ def test_quadrature_covering_integrand():
     assert value == pytest.approx(7 / 12, abs=1e-12)
 
 
-def test_quadrature_kink_with_breakpoint():
-    value = adaptive_quadrature(lambda x: abs(0.5 - x), 0.0, 1.0, 1e-12, breakpoints=(0.5,))
+def test_quadrature_kink_split_by_the_caller():
+    kink = lambda x: abs(0.5 - x)
+    value = adaptive_quadrature(kink, 0.0, 0.5, 1e-12) + adaptive_quadrature(kink, 0.5, 1.0, 1e-12)
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
-def test_quadrature_kink_without_breakpoint_still_converges():
+def test_quadrature_kink_without_split_still_converges():
     value = adaptive_quadrature(lambda x: abs(0.5 - x), 0.0, 1.0, 1e-9)
     assert value == pytest.approx(0.25, abs=1e-9)
 
 
+def test_quadrature_polynomial_value():
+    assert adaptive_quadrature(lambda x: 3.0 * x * x, 0.0, 2.0, 1e-12) == pytest.approx(8.0, abs=1e-14)
+
+
 def test_quadrature_empty_interval():
-    assert adaptive_quadrature(lambda x: 1.0, 0.3, 0.3, 1e-10) == 0.0
+    assert adaptive_quadrature(np.ones_like, 0.3, 0.3, 1e-10) == 0.0
 
 
 def test_quadrature_rejects_reversed_interval():
     with pytest.raises(ValueError):
-        adaptive_quadrature(lambda x: 1.0, 1.0, 0.0, 1e-10)
+        adaptive_quadrature(np.ones_like, 1.0, 0.0, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_quadrature_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        adaptive_quadrature(np.ones_like, 0.0, 1.0, tol)
 
 
 def test_quadrature_nonconvergence_is_an_error():
-    step = lambda x: 0.0 if x < 1 / 3 else 1.0
+    step = lambda x: np.where(x < 1 / 3, 0.0, 1.0)
     with pytest.raises(QuadratureError):
         adaptive_quadrature(step, 0.0, 1.0, 1e-13)
 
 
 def test_quadrature_oscillatory():
-    value = adaptive_quadrature(lambda x: math.sin(40 * x), 0.0, 1.0, 1e-12)
+    value = adaptive_quadrature(lambda x: np.sin(40 * x), 0.0, 1.0, 1e-12)
     assert value == pytest.approx((1 - math.cos(40)) / 40, abs=1e-12)
+
+
+# ------------------------------------- the level loop against the scalar recursion
+
+def _gauss_kronrod_15(f, a, b):
+    """One 15-point Kronrod panel on [a, b] with scalar calls of ``f``;
+    returns (estimate, error_estimate)."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    center = f(mid)
+    pairs = []
+    for x in numerics._XGK[:7]:
+        dx = half * x
+        pairs.append(f(mid - dx) + f(mid + dx))
+    return numerics._kronrod_weights(center, pairs, half)
+
+
+def _adaptive_panel(f, a, b, tol, depth=0):
+    """The depth-first recursion, one panel at a time, whose values and first
+    error ``numerics._adaptive_levels`` reproduces level by level."""
+    est, err = _gauss_kronrod_15(f, a, b)
+    if err <= tol:
+        return est
+    mid = 0.5 * (a + b)
+    if depth >= numerics._DEPTH_LIMIT or mid <= a or mid >= b:
+        raise numerics._failure(a, b, err, tol, depth)
+    half_tol = 0.5 * tol
+    return _adaptive_panel(f, a, mid, half_tol, depth + 1) + _adaptive_panel(
+        f, mid, b, half_tol, depth + 1
+    )
+
+
+def _recursion(f, edges, tol):
+    """The recursion on each interval between consecutive ``edges``, in order."""
+    return [_adaptive_panel(f, lo, hi, tol) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _levels(f, edges, tol):
+    """``_adaptive_levels`` on the intervals between consecutive ``edges``."""
+    edges = np.asarray(edges, dtype=float)
+    return numerics._adaptive_levels(
+        f, edges[:-1], edges[1:], np.full(edges.size - 1, tol)
+    ).tolist()
+
+
+@pytest.mark.parametrize("kink", [0.45, 0.5])  # inside an interval, on an edge
+def test_levels_match_the_recursion_exactly(kink):
+    f = lambda x: abs(kink - x) / (1.0 - kink * x) * (1.0 - 0.7 * x)
+    edges = [0.0, 0.05, 0.2, 0.44, 0.5, 0.9, 0.999]
+    assert _levels(f, edges, 1e-9) == _recursion(f, edges, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: (2 + x) * (1 - x) / 2, 0.0, 1.0),
+        (lambda x: abs(0.5 - x), 0.0, 1.0),
+        (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0),
+        (lambda x: abs(0.99 - x) / (1.0 - 0.99 * x), 0.3, 0.995),
+    ],
+    ids=["polynomial", "kink", "runge", "near-pole"],
+)
+def test_adaptive_quadrature_matches_the_recursion_exactly(f, a, b):
+    assert adaptive_quadrature(f, a, b, 1e-10) == _adaptive_panel(f, a, b, 1e-10)
+
+
+def test_levels_subdivided_panel_matches_exactly():
+    # the steep panel next to x = 0.99 fails level 0 and is subdivided
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return abs(0.99 - x) / (1.0 - 0.99 * x)
+
+    edges = [0.0, 0.4975, 0.99, 0.995]
+    got = _levels(f, edges, 1e-9)
+    assert len(sizes) > 1
+    assert got == _recursion(f, edges, 1e-9)
+
+
+def test_levels_hold_several_panels():
+    # one kink per interval: each level rejects the two panels holding a kink
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return abs(x - 0.3) + abs(x - 0.7)
+
+    edges = [0.0, 0.5, 1.0]
+    got = _levels(f, edges, 1e-9)
+    rejected = [size // 30 for size in sizes[1:]]  # two children of 15 nodes each
+    assert any(a >= 2 and b >= 2 for a, b in zip(rejected, rejected[1:]))
+    assert got == _recursion(f, edges, 1e-9)
+
+
+def test_wide_levels_match_exactly():
+    # 601 panels at level 0: more than one integrand call may take
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return abs(x - 0.3) / (1.0 + x)
+
+    edges = np.concatenate(([0.0], np.linspace(0.001, 0.999, 601)))
+    got = _levels(f, edges, 1e-9)
+    assert max(sizes) <= 15 * numerics._LEVEL_PANELS < 15 * (edges.size - 1)
+    assert got == _recursion(f, edges.tolist(), 1e-9)
+
+
+# NaN from 1e6 on: every panel there is split until it is one float wide
+_NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "f, edges, reason",
+    [
+        (lambda x: (x >= 1 / 3) * 1.0, [0.0, 1.0], "40 subdivision levels"),
+        (lambda x: (x >= 1 / 3) + (x >= 2 / 3) * 1.0, [0.0, 0.5, 1.0], "40 subdivision levels"),
+        (lambda x: x * math.nan, [0.0, 1.0], "40 subdivision levels"),
+        (_NAN_FROM_1E6, [0.0, 1e6, 1e6 + 1e-4], "cannot be subdivided"),
+        # the right interval gets stuck ~20 levels before the left one hits the limit
+        (
+            lambda x: (x >= 1e6 / 3) + _NAN_FROM_1E6(x),
+            [0.0, 1e6, 1e6 + 1e-4],
+            "40 subdivision levels",
+        ),
+        # the right interval gets stuck on level 3; level 5, the last, accepts every
+        # panel of the left one: the error recorded before it must still be raised
+        (
+            lambda x: 1e-9 * np.exp(-(((x - 3e5) / 3e4) ** 2)) + _NAN_FROM_1E6(x),
+            [0.0, 1e6, 1e6 + 1e-9],
+            "cannot be subdivided",
+        ),
+    ],
+    ids=[
+        "step", "two-steps", "nan-everywhere", "unsplittable", "stuck-right-of-limit",
+        "stuck-then-converged",
+    ],
+)
+def test_levels_raise_the_recursions_error(f, edges, reason):
+    """The error the depth-first recursion meets first, with the same message."""
+    with pytest.raises(QuadratureError, match=reason) as scalar:
+        _recursion(f, edges, 1e-13)
+    with pytest.raises(QuadratureError) as levels:
+        _levels(f, edges, 1e-13)
+    assert str(levels.value) == str(scalar.value)
 
 
 # ------------------------------------------------------------------- digamma
@@ -257,121 +413,6 @@ def test_vincent_count_rejects_non_finite_coefficient(bad):
 def test_sign_variations_rejects_nan():
     with pytest.raises(ValueError, match="finite"):
         sign_variations([1.0, math.nan, 1.0])
-
-
-# ------------------------------------------------------- cumulative quadrature
-
-def _running_adaptive(f, points, tol, breakpoints=()):
-    """Running sum of adaptive_quadrature over consecutive intervals from 0."""
-    out, acc, prev = [], 0.0, 0.0
-    for p in points:
-        acc += adaptive_quadrature(f, prev, p, tol, breakpoints=breakpoints)
-        out.append(acc)
-        prev = p
-    return out
-
-
-@pytest.mark.parametrize("kink", [0.45, 0.5])  # inside an interval, on a point
-def test_cumulative_quadrature_matches_running_adaptive_sums_exactly(kink):
-    f = lambda x: abs(kink - x) / (1.0 - kink * x) * (1.0 - 0.7 * x)
-    points = np.array([0.05, 0.2, 0.44, 0.5, 0.9, 0.999])
-    got = cumulative_quadrature(f, points, 1e-9, breakpoints=(kink, 1.5))
-    assert got.tolist() == _running_adaptive(f, points, 1e-9, breakpoints=(kink, 1.5))
-
-
-def test_cumulative_quadrature_subdivided_panel_matches_exactly():
-    # the steep panel next to x = 0.99 fails level 0 and is subdivided
-    sizes = []
-
-    def f(x):
-        sizes.append(np.size(x))
-        return abs(0.99 - x) / (1.0 - 0.99 * x)
-
-    points = [0.4975, 0.995]
-    got = cumulative_quadrature(f, points, 1e-9, breakpoints=(0.99,))
-    assert len(sizes) > 1
-    assert got.tolist() == _running_adaptive(f, points, 1e-9, breakpoints=(0.99,))
-
-
-def test_cumulative_quadrature_levels_hold_several_panels():
-    # one kink per interval: each level rejects the two panels holding a kink
-    sizes = []
-
-    def f(x):
-        sizes.append(np.size(x))
-        return abs(x - 0.3) + abs(x - 0.7)
-
-    points = [0.5, 1.0]
-    got = cumulative_quadrature(f, points, 1e-9)
-    rejected = [size // 30 for size in sizes[1:]]  # two children of 15 nodes each
-    assert any(a >= 2 and b >= 2 for a, b in zip(rejected, rejected[1:]))
-    assert got.tolist() == _running_adaptive(f, points, 1e-9)
-
-
-def test_cumulative_quadrature_wide_levels_match_exactly():
-    # 601 panels at level 0: more than one integrand call may take
-    sizes = []
-
-    def f(x):
-        sizes.append(np.size(x))
-        return abs(x - 0.3) / (1.0 + x)
-
-    points = np.linspace(0.001, 0.999, 601)
-    got = cumulative_quadrature(f, points, 1e-9)
-    assert max(sizes) <= 15 * numerics._LEVEL_PANELS < 15 * points.size
-    assert got.tolist() == _running_adaptive(f, points, 1e-9)
-
-
-# NaN from 1e6 on: every panel there is split until it is one float wide
-_NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
-
-
-@pytest.mark.parametrize(
-    "f, points, reason",
-    [
-        (lambda x: (x >= 1 / 3) * 1.0, [1.0], "40 subdivision levels"),
-        (lambda x: (x >= 1 / 3) + (x >= 2 / 3) * 1.0, [0.5, 1.0], "40 subdivision levels"),
-        (lambda x: x * math.nan, [1.0], "40 subdivision levels"),
-        (_NAN_FROM_1E6, [1e6, 1e6 + 1e-4], "cannot be subdivided"),
-        # the right interval gets stuck ~20 levels before the left one hits the limit
-        (lambda x: (x >= 1e6 / 3) + _NAN_FROM_1E6(x), [1e6, 1e6 + 1e-4], "40 subdivision levels"),
-        # the right interval gets stuck on level 3; level 5, the last, accepts every
-        # panel of the left one: the error recorded before it must still be raised
-        (
-            lambda x: 1e-9 * np.exp(-(((x - 3e5) / 3e4) ** 2)) + _NAN_FROM_1E6(x),
-            [1e6, 1e6 + 1e-9],
-            "cannot be subdivided",
-        ),
-    ],
-    ids=[
-        "step", "two-steps", "nan-everywhere", "unsplittable", "stuck-right-of-limit",
-        "stuck-then-converged",
-    ],
-)
-def test_cumulative_quadrature_raises_the_recursions_error(f, points, reason):
-    """The error the depth-first recursion meets first, with the same message."""
-    with pytest.raises(QuadratureError, match=reason) as scalar:
-        _running_adaptive(f, points, 1e-13)
-    with pytest.raises(QuadratureError) as levels:
-        cumulative_quadrature(f, points, 1e-13)
-    assert str(levels.value) == str(scalar.value)
-
-
-def test_cumulative_quadrature_polynomial_values():
-    got = cumulative_quadrature(lambda x: 3.0 * x * x, [0.5, 1.0, 2.0], 1e-12)
-    assert got == pytest.approx([0.125, 1.0, 8.0], abs=1e-14)
-
-
-def test_cumulative_quadrature_nonconvergence_is_an_error():
-    step = lambda x: np.where(x < 1 / 3, 0.0, 1.0)
-    with pytest.raises(QuadratureError):
-        cumulative_quadrature(step, [0.5, 1.0], 1e-13)
-
-
-@pytest.mark.parametrize("points", [[], [0.5, 0.5], [0.6, 0.2], [0.0, 0.5], [[0.1, 0.2]]])
-def test_cumulative_quadrature_rejects_bad_points(points):
-    with pytest.raises(ValueError):
-        cumulative_quadrature(lambda x: x, points, 1e-10)
 
 
 # ----------------------------------------------------------------- bisection

@@ -369,47 +369,16 @@ def test_grid_report_equals_stacked_argmin(seed):
         assert np.float64(got.worst_margin).tobytes() == np.float64(expected[0]).tobytes()
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.3, 0.99])
-def test_envelope_table_integrals_match_quadrature_oracle(beta):
-    params = ClassParams(0.3, beta, 1.0)
-    grid = default_polar_grid()
-    table = _EnvelopeTable(params, grid)
-    c = distortion_slope(params)
-    upper = lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
-    lower = lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
-    floor = lambda x: (1.0 - c * x) * (1.0 - beta) * (1.0 - x) / (1.0 + beta * x)
-    if beta > 0.0:
-        # the radius interval holding the kink is covered below
-        assert np.any((grid.radii[:-1] < beta) & (beta < grid.radii[1:]))
-    for i, r in enumerate(grid.radii):
-        oracle = lambda f: adaptive_quadrature(f, 0.0, r, 1e-13, breakpoints=(beta,))
-        assert table.g_upper[i, 0] == pytest.approx(oracle(upper), abs=1e-12)
-        assert table.g_lower[i, 0] == pytest.approx(oracle(lower), abs=1e-12)
-        assert table.f_floor[i, 0] == pytest.approx(oracle(floor), abs=1e-12)
-        assert table.f_upper[i, 0] == pytest.approx(r + 0.5 * c * r * r + oracle(upper), abs=1e-12)
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.3, 0.99])
-def test_envelope_table_reproduces_per_interval_quadrature(beta):
-    """Bit for bit the former references: adaptive_quadrature between
-    consecutive radii (split at the kink), summed in order."""
-    params = ClassParams(0.3, beta, 1.0)
-    radii = default_polar_grid().radii
-    table = _EnvelopeTable(params, default_polar_grid())
-    c = distortion_slope(params)
-    lower = lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
-    running, prev = 0.0, 0.0
-    for i, r in enumerate(radii):
-        running += adaptive_quadrature(lower, prev, r, 1e-9, breakpoints=(beta,))
-        prev = r
-        assert table.g_lower[i, 0] == running
-
-
 def test_extremal_member_touches_g_growth_lower_envelope():
     # for beta = 0 the lower side is scored at every radius, and w = z attains it
-    rep = verify_g_growth(extremal_member(), P011)
+    # (the upper side too, so which side reports the least margin is rounding)
+    member = extremal_member()
+    assert verify_g_growth(member, P011).passed
+    table = verify._table(P011)
+    sample = _GridSample(member, table.grid)
+    lower = (("|g| lower", sample.g, table.g_lower_scored, False),)
+    rep = verify._grid_report("g_growth", lower, table.grid)
     assert rep.passed
-    assert rep.witness.startswith("|g| lower")
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -457,36 +426,29 @@ def test_member_suite_shares_one_table_with_verify_member():
         assert verify_member(member, params) == reports
 
 
-def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
-    """At beta = 0.99 on two radii, the |g'| lower panel [0.4975, 0.99] fails
-    its level-0 error test and is subdivided (165 integrand evaluations over
-    3 panels in the former per-radius quadrature).  Values frozen from that
-    implementation."""
+def test_kink_radius_keeps_previous_numbers():
+    """At beta = 0.99 on two radii the |g'| lower integral crosses the kink,
+    where the former quadrature subdivided its panel.  Values frozen from the
+    closed forms; the quadrature's lie within 1e-14 of them."""
     params = ClassParams(0.3, 0.99, 1.0)
     grid = default_polar_grid(n_radii=2)
-    sizes = []
-    integrand = bounds._gprime_lower_integrand
-
-    def spy(params):
-        f = integrand(params)
-        return lambda x: sizes.append(np.size(x)) or f(x)
-
-    monkeypatch.setattr(bounds, "_gprime_lower_integrand", spy)
     g_lower = _EnvelopeTable(params, grid).g_lower.ravel().tolist()
-    assert len(sizes) > 1
-    assert g_lower == [0.43884989302329186, 0.7418941549142266]
+    assert g_lower == [0.43884989302329186, 0.7418941549142267]
+    quadrature = [0.43884989302329186, 0.7418941549142266]
+    assert max(abs(a - b) for a, b in zip(g_lower, quadrature)) <= 1e-14
     member = build_member(
         sample_certified_h(params, 16, 0.7, 123), moebius_dilatation(0.99, 0.4, 1.1), params
     )
     got = [(r.worst_margin, r.witness) for r in verify_member(member, params, grid=grid)]
     # Margins re-frozen after the grid moved from Horner to series.evaluate_polar,
-    # and the Bloch margin again after |w| moved from the complex closed form to
-    # model.dilatation_modulus; the witnesses are unchanged and the earlier
-    # values lie within 1e-14.
+    # the Bloch margin again after |w| moved from the complex closed form to
+    # model.dilatation_modulus, and the f-growth margin after the table's
+    # integrals moved from quadrature to closed forms; the witnesses are
+    # unchanged and the earlier values lie within 1e-14.
     expected = {
         1: (0.16347889581230735, "|h'| lower at r=0.4975, theta=5.39961"),
         2: (0.04505901298512738, "|g| upper at r=0.4975, theta=2.74889"),
-        4: (0.009539978662133729, "|f| floor at r=0.4975, theta=1.37445"),
+        4: (0.00953997866213373, "|f| floor at r=0.4975, theta=1.37445"),
         6: (
             0.5225574172124516,
             "measured 1.54899102864 at r=0.4975, theta=2.69981 vs bound 2.07154844585",
@@ -500,6 +462,7 @@ def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
             6: 0.5225574172124516,
         },
         "complex |w|": {6: 0.5225574172124512},
+        "quadrature": {4: 0.009539978662133729},
     }
     for index, frozen in expected.items():
         assert got[index] == frozen
@@ -509,9 +472,9 @@ def test_subdivided_kink_panel_keeps_previous_numbers(monkeypatch):
 
 
 def _ring_by_ring_area(f, tol, modulus=None):
-    """The former area measurement: ``adaptive_quadrature`` calling the ring
-    mean with one radius at a time.  ``modulus(r)`` gives |w| on the ring; by
-    default ``dilatation_modulus``."""
+    """The former area measurement: the ring means evaluated one radius at a
+    time.  ``modulus(r)`` gives |w| on the ring; by default
+    ``dilatation_modulus``."""
     hprime = differentiate(f.h)
     modulus = modulus or (lambda r: dilatation_modulus(f.w, [r], 128)[0])
 
@@ -521,7 +484,8 @@ def _ring_by_ring_area(f, tol, modulus=None):
         hp = evaluate_polar(hprime, [r], 128)[0]
         return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - modulus(r) ** 2)))
 
-    return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
+    rings = lambda radii: np.array([ring_mean(r) for r in radii.tolist()])
+    return 2.0 * math.pi * adaptive_quadrature(rings, 0.0, 1.0, tol)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.6, 0.9, 0.97, 0.99])
@@ -649,11 +613,11 @@ def test_second_call_reuses_the_shared_table(monkeypatch, call):
             "bloch_bound", "area_envelope", "f_growth_floor", "bn_bounds", "distortion_slope"
         )
     }
-    quadratures = _counting(monkeypatch, verify, "cumulative_quadrature")
+    quadratures = _counting(monkeypatch, verify, "adaptive_quadrature")
     assert call(member) == first
     assert counted == {name: [] for name in counted}
-    # only the area measurement over [0, 1] is left: no table integral over the radii
-    assert all(len(radii) == 1 for _, radii, *_ in quadratures)
+    # the area measurement over [0, 1] is the only quadrature
+    assert all((a, b) == (0.0, 1.0) for _, a, b, _ in quadratures)
 
 
 _LATTICE = [
