@@ -3,6 +3,10 @@ envelopes, area, normality constant, covering radius and the Bloch bound.
 
 The radial integrals behind the growth, normality, covering and area bounds
 have rational integrands, so each is evaluated exactly (``_kernel_integral``).
+Their moment sequences are kept in one bounded process-wide cache
+(``_moments``: the 256 most recently used), so calls that share a kernel
+argument, such as ``f_growth`` and ``g_growth_crosscheck`` at one radius,
+compute its moments once; the cache never changes a value.
 
 Two growth quantities carry a stated/derived split.  The closed lower form
 for |g| (via the expression F below) and the lower growth integrand for |f|
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,43 +167,78 @@ def _gprime_lower_integrand(params: ClassParams):
     return lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
 
 
+@lru_cache(maxsize=256)
+def _moments(t: float, n: int, squared: bool) -> tuple:
+    """The moments int_0^1 y^k / (1 + t y)^m dy, k = 0..n-1, m = 2 if
+    ``squared`` else 1, for -4/5 <= t <= 1/2 (unsquared: -1/2 <= t <= 1/2)
+    and for t > 1, in plain floats.
+
+    The moments phi_k, psi_k of 1/(1 + t y) and 1/(1 + t y)^2 satisfy
+    phi_k = 1/(k+1) - t phi_{k+1} and psi_k = phi_k - t psi_{k+1}.  For
+    t <= 1/2 they run down from their t = 0 values at an index where that
+    start's error, damped by |t| per step, is below 2**-60; only the squared
+    kernel needs psi.  For t > 1 they run up from phi_0 = log1p(t)/t and
+    psi_0 = 1/(1 + t), which divides their errors by t per step.
+
+    Process-wide and bounded: the 256 most recently used sequences are kept,
+    enough for the 132 keys of one envelope table.  Callers pass a Python
+    float, so a cached sequence never holds numpy scalars (``-0.0`` and
+    ``0.0`` share an entry; their moments are identical).
+    """
+    if t > 0.5:
+        phi, psi, moments = math.log1p(t) / t, 1.0 / (1.0 + t), []
+        for q in _RECIPROCALS[:n]:
+            moments.append(psi if squared else phi)
+            phi, psi = (q - phi) / t, (phi - psi) / t
+        return tuple(moments)
+    top = n - 1 + (0 if t == 0.0 else math.ceil(60.0 / -math.log2(abs(t))))
+    phi = psi = _RECIPROCALS[top]
+    if squared:
+        for q in reversed(_RECIPROCALS[n - 1 : top]):
+            phi = q - t * phi
+            psi = phi - t * psi
+        moments = [psi]
+        for q in reversed(_RECIPROCALS[: n - 1]):
+            phi = q - t * phi
+            psi = phi - t * psi
+            moments.append(psi)
+    else:
+        for q in reversed(_RECIPROCALS[n - 1 : top]):
+            phi = q - t * phi
+        moments = [phi]
+        for q in reversed(_RECIPROCALS[: n - 1]):
+            phi = q - t * phi
+            moments.append(phi)
+    return tuple(reversed(moments))
+
+
 def _kernel_integral(factors, t: float, squared: bool = False) -> float:
     """int_0^1 prod(a + b y) / (1 + t y)^m dy over the pairs (a, b) in
     ``factors``, m = 2 if ``squared`` else 1, for -1 < t < 1, in plain floats.
 
-    The moments phi_k, psi_k of 1/(1 + t y) and 1/(1 + t y)^2 satisfy
-    phi_k = 1/(k+1) - t phi_{k+1} and psi_k = phi_k - t psi_{k+1}.  For
-    -1/2 <= t <= 1/2 they run down from their t = 0 values at an index where
-    that start's error, damped by |t| per step, is below 2**-60.  Otherwise
-    the integral is taken in u = 1 - y, 1 + t y = (1 + t)(1 + t' u): t' lies
-    in (-1/2, -1/3) for t > 1/2, and above 1 for t < -1/2, where the moments
-    run up from phi_0 = log1p(t')/t' and psi_0 = 1/(1 + t'), which divides
-    their errors by t' per step.  Each factor (a, b) acts on the moments as
-    m_k <- a m_k + b m_{k+1}.  The area's degree-5 combination of psi_k loses
-    digits in u until t' > 4, so with ``squared`` the series runs down to -4/5.
+    Outside the range of the series in ``_moments`` (t > 1/2, or t below
+    -1/2, -4/5 with ``squared``) the integral is taken in u = 1 - y,
+    1 + t y = (1 + t)(1 + t' u): t' lies in (-1/2, -1/3) for t > 1/2, and
+    above 1 for t < -1/2.  The area's degree-5 combination of psi_k loses
+    digits in u until t' > 4, hence its wider series range.  Each factor
+    (a, b) acts on the moments as m_k <- a m_k + b m_{k+1}, so no product is
+    expanded.
     """
-    n, scale = len(factors) + 1, 1.0
+    scale = 1.0
     if not (-0.8 if squared else -0.5) <= t <= 0.5:
         factors = [(a + b, -b) for a, b in factors]
         scale = 1.0 + t
         t = -t / scale
         scale = scale * scale if squared else scale
-    if t <= 0.5:
-        top = n - 1 + (0 if t == 0.0 else math.ceil(60.0 / -math.log2(abs(t))))
-        phi = psi = _RECIPROCALS[top]
-        moments = [psi if squared else phi]
-        for q in reversed(_RECIPROCALS[:top]):
-            phi = q - t * phi
-            psi = phi - t * psi
-            moments.append(psi if squared else phi)
-        moments = moments[: -n - 1 : -1]
-    else:
-        phi, psi, moments = math.log1p(t) / t, 1.0 / (1.0 + t), []
-        for q in _RECIPROCALS[:n]:
-            moments.append(psi if squared else phi)
-            phi, psi = (q - phi) / t, (phi - psi) / t
+    moments = _moments(float(t), len(factors) + 1, squared)
     for a, b in factors:
-        moments = [a * x + b * y for x, y in zip(moments, moments[1:])]
+        # an explicit loop: a list comprehension over zip costs twice as much here
+        rest, applied = iter(moments), []
+        x = next(rest)
+        for y in rest:
+            applied.append(a * x + b * y)
+            x = y
+        moments = applied
     return moments[0] / scale
 
 

@@ -215,7 +215,12 @@ class _EnvelopeTable:
     Bloch bound.  A table is complete before ``_table`` shares it.
     ``g_lower_scored`` is ``g_lower`` where it is scored and -inf elsewhere.
     ``n_max`` below 2 raises ``ValueError``: the coefficient check would
-    check nothing; so does ``n_max`` above ``model.MAX_TRUNCATION_ORDER``."""
+    check nothing; so does ``n_max`` above ``model.MAX_TRUNCATION_ORDER``.
+    The radial columns are scalar ``bounds`` closed forms per radius; they
+    read the moment sequences from the bounded process-wide cache of
+    ``bounds._moments``, so ``f_floor`` reuses those of ``g_upper``, and
+    the A(beta) that ``g_lower`` reads past the kink computes its moments
+    once."""
 
     def __init__(self, params: ClassParams, grid: PolarGrid, n_max: int = 12) -> None:
         params.require_nonnegative_delta()

@@ -26,6 +26,8 @@ from harmclass.bounds import (
     hprime_envelope,
     normality_constant,
 )
+import harmclass.bounds as bounds_mod
+from harmclass import cli
 from harmclass.bounds import _BLOCH_BRACKET_WIDTH, _bloch_profile
 from harmclass.errors import RootCountError
 from harmclass.model import MAX_TRUNCATION_ORDER, ClassParams
@@ -309,7 +311,6 @@ def test_g_growth_crosscheck_integrates_the_envelope_once(monkeypatch, beta):
     """Below the beta switch the closed side is the exact integral itself:
     the crosscheck evaluates the integrals of one ``g_growth_quadrature`` and
     returns its values on both sides, bit for bit."""
-    import harmclass.bounds as bounds_mod
 
     calls = []
     for name in ("_gprime_lower_integral", "_gprime_upper_integral"):
@@ -498,6 +499,109 @@ def test_envelope_table_columns_match_quadrature_oracle(params):
             assert abs(got - value) <= 1e-14 * max(1.0, abs(value)), (name, r)
 
 
+# ------------------------------------------------------------ moment cache
+
+_REFERENCE_RECIPROCALS = tuple(1.0 / (k + 1) for k in range(256))
+
+
+def _reference_kernel_integral(factors, t, squared=False):
+    """The kernel as one uncached loop, the form it had before its moments
+    were memoised: the bit-for-bit reference of ``_kernel_integral``."""
+    _RECIPROCALS = _REFERENCE_RECIPROCALS
+    n, scale = len(factors) + 1, 1.0
+    if not (-0.8 if squared else -0.5) <= t <= 0.5:
+        factors = [(a + b, -b) for a, b in factors]
+        scale = 1.0 + t
+        t = -t / scale
+        scale = scale * scale if squared else scale
+    if t <= 0.5:
+        top = n - 1 + (0 if t == 0.0 else math.ceil(60.0 / -math.log2(abs(t))))
+        phi = psi = _RECIPROCALS[top]
+        moments = [psi if squared else phi]
+        for q in reversed(_RECIPROCALS[:top]):
+            phi = q - t * phi
+            psi = phi - t * psi
+            moments.append(psi if squared else phi)
+        moments = moments[: -n - 1 : -1]
+    else:
+        phi, psi, moments = math.log1p(t) / t, 1.0 / (1.0 + t), []
+        for q in _RECIPROCALS[:n]:
+            moments.append(psi if squared else phi)
+            phi, psi = (q - phi) / t, (phi - psi) / t
+    for a, b in factors:
+        moments = [a * x + b * y for x, y in zip(moments, moments[1:])]
+    return moments[0] / scale
+
+
+def _with_neighbours(t):
+    return [math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]
+
+
+_KERNEL_ARGUMENTS = [
+    0.0, -0.0, 5e-324, 1e-9, -1e-9, 0.3, -0.3, 0.99, -0.99, 0.999, -0.999,
+    *_with_neighbours(0.5), *_with_neighbours(-0.5), *_with_neighbours(-0.8),
+]
+
+
+def test_kernel_integral_matches_the_uncached_loop_bit_for_bit():
+    """Every kernel argument (the series bounds 1/2, -1/2 and -4/5 with
+    their float neighbours among them), 1 to 5 factors, squared or not, two
+    factor sets per key, in either call order from an empty cache."""
+    rng = np.random.default_rng(20260808)
+    cases = [
+        (tuple(map(tuple, rng.uniform(-2.0, 2.0, (k, 2)).tolist())), t, squared)
+        for t in _KERNEL_ARGUMENTS
+        for k in range(1, 6)
+        for squared in (False, True)
+        for _ in range(2)
+    ]
+    expected = [_reference_kernel_integral(*case) for case in cases]
+    for order in (1, -1):
+        bounds_mod._moments.cache_clear()
+        got = [bounds_mod._kernel_integral(*case) for case in cases[::order]]
+        assert got == expected[::order]
+        assert all(type(v) is float for v in got)
+    assert bounds_mod._moments.cache_info().hits > 0
+
+
+def test_moment_cache_keeps_no_numpy_scalars():
+    """A numpy radius fills the cache with the same moments as a float one:
+    the float call that follows returns Python floats, bit for bit."""
+    params = ClassParams(0.3, 0.6, 1)
+    bounds_mod._moments.cache_clear()
+    for r in (0.25, 0.9):  # 0.6 * 0.9 lies past the series range
+        first = f_growth(params, np.float64(r))
+        env = f_growth(params, r)
+        assert type(env.lower) is float and type(env.upper) is float
+        assert (env.lower, env.upper) == (first.lower, first.upper)
+    assert bounds_mod._moments.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("beta, sequences", [(0.0, 2), (0.3, 132), (0.6, 132), (0.9, 132)])
+def test_cold_envelope_table_computes_each_moment_sequence_once(beta, sequences):
+    """t = beta x and -beta x at the 64 radii, A(beta) at -beta^2, the
+    covering floor and the two area kernels: 132 sequences, however often
+    g_lower reads A(beta) and f_floor the moments of g_upper.  At beta = 0
+    every argument is 0, one sequence per kernel length."""
+    bounds_mod._moments.cache_clear()
+    _EnvelopeTable(ClassParams(0.3, beta, 1), default_polar_grid())
+    assert bounds_mod._moments.cache_info().misses == sequences
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, delta", [(0.3, 0.6, 1), (0, 0, 1), (0.9, 0.99, 2), (0.3, 0.0005, 1), (0.6, 0.2, 0)]
+)
+def test_table_row_and_growth_rows_compute_at_most_ten_sequences(capsys, alpha, beta, delta):
+    """Area (2), normality and both covering forms (1), and per growth radius
+    t = beta r and -beta r (2 x 3), plus A(beta) once some radius passes beta."""
+    point = ["--alpha", str(alpha), "--beta", str(beta), "--delta", str(delta)]
+    bounds_mod._moments.cache_clear()
+    assert cli.main(["table", *point]) == 0
+    assert cli.main(["growth", *point]) == 0
+    capsys.readouterr()
+    assert bounds_mod._moments.cache_info().misses <= 10
+
+
 # --------------------------------------------------------------------- bloch
 
 def test_bloch_quartic_reference_coefficients():
@@ -597,8 +701,6 @@ def test_bloch_L_coefficients_negative():
 
 
 def test_bloch_raises_on_unexpected_root_count(monkeypatch):
-    import harmclass.bounds as bounds_mod
-
     # (x^2 - 0.04)(x^2 - 0.64): two roots inside (0, 1)
     fake = np.array([0.0256, 0.0, -0.68, 0.0, 1.0])
     monkeypatch.setattr(bounds_mod, "bloch_H_poly", lambda params: fake)
