@@ -92,7 +92,6 @@ class BoundEnvelope:
 
     lower: float
     upper: float
-    at: float
 
     def __post_init__(self) -> None:
         if self.lower > self.upper + 1e-15:
@@ -149,22 +148,29 @@ def distortion_slope(params: ClassParams) -> float:
     return (1.0 - params.alpha) / ((2.0 - params.alpha) * 2.0 ** (params.delta - 1.0))
 
 
-# Growth integrands, written once with arithmetic and builtin abs only, so one
-# closure takes the floats below and the verify module's radius arrays.
+# Envelope sides, written once with arithmetic and builtin abs only, so they
+# take a float radius or the verify module's radius column.
 
 
-def _gprime_upper_integrand(params: ClassParams):
-    """(beta + x)/(1 + beta x) (1 + c x), the |g'| upper envelope."""
-    beta = params.beta
+def _dilatation_sides(beta: float, r):
+    """|beta - r|/(1 - beta r) and (beta + r)/(1 + beta r), the |w| sides."""
+    return abs(beta - r) / (1.0 - beta * r), (beta + r) / (1.0 + beta * r)
+
+
+def _distortion_sides(params: ClassParams, r) -> tuple:
+    """The |h'| sides 1 -+ c r and the |g'| sides, each |w| side times the
+    matching |h'| side: (h' lower, h' upper, g' lower, g' upper)."""
     c = distortion_slope(params)
-    return lambda x: (beta + x) / (1.0 + beta * x) * (1.0 + c * x)
+    # c <= 1 for alpha in [0, 1) and delta >= 0, and r < 1, so the |h'| lower
+    # side stays positive and the |g'| lower side nonnegative.
+    h_lower, h_upper = 1.0 - c * r, 1.0 + c * r
+    w_lower, w_upper = _dilatation_sides(params.beta, r)
+    return h_lower, h_upper, w_lower * h_lower, w_upper * h_upper
 
 
-def _gprime_lower_integrand(params: ClassParams):
-    """|beta - x|/(1 - beta x) (1 - c x), the |g'| lower envelope (kink at beta)."""
-    beta = params.beta
-    c = distortion_slope(params)
-    return lambda x: abs(beta - x) / (1.0 - beta * x) * (1.0 - c * x)
+def _f_upper(params: ClassParams, r, g_upper):
+    """The |f| upper side r + c r^2/2 + g_upper, g_upper the |g| upper side at r."""
+    return r + 0.5 * distortion_slope(params) * r * r + g_upper
 
 
 @lru_cache(maxsize=256)
@@ -329,15 +335,12 @@ def bn_bound_digamma(alpha: float, n: int) -> float:
 
 
 def hprime_envelope(params: ClassParams, r: float) -> BoundEnvelope:
-    """Distortion envelope 1 - c r <= |h'| <= 1 + c r.
-
-    The lower side is positive: c <= 1 for alpha in [0, 1) and delta >= 0,
-    and r < 1.
-    """
+    """Distortion envelope 1 - c r <= |h'| <= 1 + c r; the lower side is
+    positive (see ``_distortion_sides``)."""
     params.require_nonnegative_delta()
     _check_radius(r)
-    c = distortion_slope(params)
-    return BoundEnvelope(lower=1.0 - c * r, upper=1.0 + c * r, at=r)
+    lower, upper, _, _ = _distortion_sides(params, r)
+    return BoundEnvelope(lower=lower, upper=upper)
 
 
 def dilatation_envelope(beta: float, r: float) -> BoundEnvelope:
@@ -347,23 +350,19 @@ def dilatation_envelope(beta: float, r: float) -> BoundEnvelope:
     dilatations need only satisfy the upper side once r exceeds beta.
     """
     _check_radius(r)
-    return BoundEnvelope(
-        lower=abs(beta - r) / (1.0 - beta * r),
-        upper=(beta + r) / (1.0 + beta * r),
-        at=r,
-    )
+    lower, upper = _dilatation_sides(beta, r)
+    return BoundEnvelope(lower=lower, upper=upper)
 
 
 def gprime_envelope(params: ClassParams, r: float) -> BoundEnvelope:
     """Sides-matched product of the dilatation and |h'| envelopes.
 
-    The lower side is >= 0: both of its factors are (see ``hprime_envelope``).
+    The lower side is >= 0: both of its factors are (see ``_distortion_sides``).
     """
     params.require_nonnegative_delta()
     _check_radius(r)
-    return BoundEnvelope(
-        lower=_gprime_lower_integrand(params)(r), upper=_gprime_upper_integrand(params)(r), at=r
-    )
+    _, _, lower, upper = _distortion_sides(params, r)
+    return BoundEnvelope(lower=lower, upper=upper)
 
 
 def _g_growth_closed(params: ClassParams, r: float) -> tuple[float, float]:
@@ -395,7 +394,7 @@ def g_growth_bounds(params: ClassParams, r: float) -> BoundEnvelope:
     params.require_nonnegative_delta()
     _check_radius(r)
     lo, up = _g_growth_closed(params, r)
-    return BoundEnvelope(lower=lo, upper=up, at=r)
+    return BoundEnvelope(lower=lo, upper=up)
 
 
 def g_growth_quadrature(params: ClassParams, r: float) -> BoundEnvelope:
@@ -405,7 +404,7 @@ def g_growth_quadrature(params: ClassParams, r: float) -> BoundEnvelope:
     params.require_nonnegative_delta()
     _check_radius(r)
     lower, upper = _gprime_lower_integral(params, r), _gprime_upper_integral(params, r)
-    return BoundEnvelope(lower=lower, upper=upper, at=r)
+    return BoundEnvelope(lower=lower, upper=upper)
 
 
 def g_growth_crosscheck(
@@ -457,7 +456,7 @@ def area_envelope(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> BoundEn
         factors = ((0.0, 1.0), (1.0, sign * c), (1.0, sign * c), (1.0, -1.0), (1.0, 1.0))
         return scale * _kernel_integral(factors, -sign * beta, squared=True)
 
-    return BoundEnvelope(lower=integral(-1.0), upper=integral(1.0), at=1.0)
+    return BoundEnvelope(lower=integral(-1.0), upper=integral(1.0))
 
 
 def f_growth(
@@ -473,8 +472,8 @@ def f_growth(
     """
     params.require_nonnegative_delta()
     _check_radius(r)
-    upper = r + 0.5 * distortion_slope(params) * r * r + _gprime_upper_integral(params, r)
-    return BoundEnvelope(lower=_f_lower_integral(params, r, 1.0), upper=upper, at=r)
+    upper = _f_upper(params, r, _gprime_upper_integral(params, r))
+    return BoundEnvelope(lower=_f_lower_integral(params, r, 1.0), upper=upper)
 
 
 def f_growth_floor(
@@ -500,7 +499,7 @@ def normality_constant(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> fl
     the r -> 1 limit of the upper growth envelope.  ``tol`` is ignored: the
     value is exact."""
     params.require_nonnegative_delta()
-    return 1.0 + 0.5 * distortion_slope(params) + _gprime_upper_integral(params, 1.0)
+    return _f_upper(params, 1.0, _gprime_upper_integral(params, 1.0))
 
 
 def covering_radius(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> float:

@@ -79,8 +79,6 @@ def _rows_to_lines(rows: list[dict], fmt: str) -> list[str]:
 
 
 def _cmd_bounds(args) -> list[dict]:
-    if args.n_max < 2:
-        raise ValueError("--n-max must be >= 2")
     params = _params(args)
     values = bounds.bn_bounds(params, args.n_max).tolist()
     return [_row("coeff_bound", params, n=n, value=value) for n, value in enumerate(values, 2)]

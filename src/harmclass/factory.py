@@ -45,7 +45,6 @@ CERT_TOL = 1e-12
 class MembershipCertificate:
     budget_sum: float
     ok: bool
-    params: ClassParams
 
 
 def budget_weights(params: ClassParams, n_max: int) -> np.ndarray:
@@ -61,7 +60,7 @@ def certify(h: TruncatedSeries, params: ClassParams) -> MembershipCertificate:
     if not h.is_normalized():
         raise ValueError("certify requires a normalized series (a0 = 0, a1 = 1)")
     if h.order < 2:
-        return MembershipCertificate(0.0, True, params)
+        return MembershipCertificate(0.0, True)
     weights = budget_weights(params, h.order)
     mags = np.abs(h.coeffs[2:])
     # a zero coefficient adds exactly 0, also where its weight is inf
@@ -74,7 +73,7 @@ def certify(h: TruncatedSeries, params: ClassParams) -> MembershipCertificate:
         with np.errstate(over="ignore"):
             terms[big] = np.exp(log_weights + np.log(mags[big]))
     budget = float(np.sum(terms))
-    return MembershipCertificate(budget, budget <= 1.0 + CERT_TOL, params)
+    return MembershipCertificate(budget, budget <= 1.0 + CERT_TOL)
 
 
 def extremal_h(n: int, theta: float, params: ClassParams) -> TruncatedSeries:
@@ -131,12 +130,7 @@ def sample_certified_h(
     return TruncatedSeries(coeffs)
 
 
-def build_member(
-    h: TruncatedSeries,
-    w: DilatationSpec,
-    params: ClassParams,
-    order: int | None = None,
-) -> HarmonicMapSpec:
+def build_member(h: TruncatedSeries, w: DilatationSpec, params: ClassParams) -> HarmonicMapSpec:
     """Assemble a certified member with g derived from the dilatation."""
     cert = certify(h, params)
     if not cert.ok:
@@ -147,7 +141,7 @@ def build_member(
         raise ValueError(
             f"dilatation beta {w.beta} does not match class beta {params.beta}"
         )
-    return harmonic_map(h, w, order)
+    return harmonic_map(h, w)
 
 
 def member_to_json(

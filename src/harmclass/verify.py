@@ -9,9 +9,11 @@ margin is data about the bound, not an exception in the code.
 Each of the seven per-member checks is one function ``check(sample, table)``
 in ``_CHECKS``, and every entry point runs it through that path.  The sample
 is one member: |h'|, |w|, |g| and |f| on the grid, each evaluated once.  The
-envelope table, built once per (params, grid, n_max), is the only place the
-member-independent references are computed: the |h'| and |g'| envelopes over
-the radii; the radial integrals of the |g'| upper envelope (shared by g- and
+envelope table, built once per (params, grid, n_max), holds every
+member-independent reference, each a ``bounds`` definition over the radii,
+equal bit for bit to the point function: the |h'| and |g'| envelope sides
+and the |f| upper side (the ``bounds`` envelope helpers on the radius
+column); the radial integrals of the |g'| upper envelope (shared by g- and
 f-growth), the |g'| lower envelope (kink at beta) and the f floor, from 0 to
 each radius, each the exact closed form of ``bounds`` at that radius;
 the coefficient bounds for n = 2..n_max (one ``bounds.bn_bounds`` call);
@@ -216,8 +218,11 @@ class _EnvelopeTable:
     ``g_lower_scored`` is ``g_lower`` where it is scored and -inf elsewhere.
     ``n_max`` below 2 raises ``ValueError``: the coefficient check would
     check nothing; so does ``n_max`` above ``model.MAX_TRUNCATION_ORDER``.
-    The radial columns are scalar ``bounds`` closed forms per radius; they
-    read the moment sequences from the bounded process-wide cache of
+    Every column is a ``bounds`` definition over the radii, equal bit for
+    bit to the point function at each radius: the |h'| and |g'| sides and
+    the |f| upper side are the ``bounds`` envelope helpers on the radius
+    column, and the radial integrals are its scalar closed forms per radius.
+    These read the moment sequences from the bounded process-wide cache of
     ``bounds._moments``, so ``f_floor`` reuses those of ``g_upper``, and
     the A(beta) that ``g_lower`` reads past the kink computes its moments
     once."""
@@ -226,23 +231,19 @@ class _EnvelopeTable:
         params.require_nonnegative_delta()
         if n_max < 2:
             raise ValueError("n_max must be >= 2: no coefficient index would be checked")
-        self.params = params
         self.grid = grid
         self.bn = bounds.bn_bounds(params, n_max)
-        beta, c = params.beta, bounds.distortion_slope(params)
         radii, r = grid.radii.tolist(), grid.radii[:, None]
-        # c <= 1 for delta >= 0 and r < 1, so the |h'| lower side stays positive.
-        self.hprime_lower = 1.0 - c * r
-        self.hprime_upper = 1.0 + c * r
-        self.gprime_lower = bounds._gprime_lower_integrand(params)(r)
-        self.gprime_upper = bounds._gprime_upper_integrand(params)(r)
+        sides = bounds._distortion_sides(params, r)
+        self.hprime_lower, self.hprime_upper, self.gprime_lower, self.gprime_upper = sides
         self.bloch_weight = 1.0 - r**2
         self.g_upper = np.array([[bounds._gprime_upper_integral(params, x)] for x in radii])
         self.g_lower = np.array([[bounds._gprime_lower_integral(params, x)] for x in radii])
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.
+        beta = params.beta
         self.g_lower_scored = np.where((r <= beta) | (beta == 0.0), self.g_lower, -np.inf)
         self.f_floor = np.array([[bounds._f_lower_integral(params, x, -1.0)] for x in radii])
-        self.f_upper = r + 0.5 * c * r**2 + self.g_upper
+        self.f_upper = bounds._f_upper(params, r, self.g_upper)
         self.area_envelope = bounds.area_envelope(params)
         self.covering_floor = bounds.f_growth_floor(params, _COVERING_RADIUS)
         self.bloch_bound = bounds.bloch_bound(params).bound

@@ -244,7 +244,7 @@ def test_envelopes_keep_lower_below_upper(params):
 
 def test_bound_envelope_rejects_inversion():
     with pytest.raises(ValueError):
-        BoundEnvelope(lower=1.0, upper=0.5, at=0.1)
+        BoundEnvelope(lower=1.0, upper=0.5)
 
 
 # ------------------------------------------------------------------ g-growth
@@ -497,6 +497,28 @@ def test_envelope_table_columns_match_quadrature_oracle(params):
         for name, value in oracle.items():
             got = getattr(table, name)[i, 0]
             assert abs(got - value) <= 1e-14 * max(1.0, abs(value)), (name, r)
+
+
+def test_envelope_table_columns_equal_the_point_bounds():
+    """Each table column is the point bound at its radius, bit for bit, on the
+    whole lattice, and so are the table's area, covering and Bloch bounds."""
+    grid = default_polar_grid()
+    for params in _ORACLE_LATTICE:
+        table = _EnvelopeTable(params, grid)
+        for i, r in enumerate(grid.radii.tolist()):
+            hp, gp = hprime_envelope(params, r), gprime_envelope(params, r)
+            g = g_growth_quadrature(params, r)
+            point = {
+                "hprime_lower": hp.lower, "hprime_upper": hp.upper,
+                "gprime_lower": gp.lower, "gprime_upper": gp.upper,
+                "g_lower": g.lower, "g_upper": g.upper,
+                "f_upper": f_growth(params, r).upper, "f_floor": f_growth_floor(params, r),
+            }
+            for name, value in point.items():
+                assert getattr(table, name)[i, 0] == value, (params, name, r)
+        assert table.covering_floor == f_growth_floor(params, 0.999)
+        assert table.area_envelope == area_envelope(params)
+        assert table.bloch_bound == bloch_bound(params).bound
 
 
 # ------------------------------------------------------------ moment cache
