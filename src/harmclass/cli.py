@@ -4,7 +4,9 @@ Emits bound tables and verification reports as JSON lines or CSV.  Each
 command only builds its rows and the library checks the flag values; ``main``
 alone renders the rows (CSV leaves out list-valued fields), writes them to
 stdout or ``--out`` and picks the exit code.  Output is deterministic:
-identical flags (including the seed) give byte-identical bytes.
+identical flags (including the seed) give byte-identical bytes.  Only
+``bounds`` takes ``--n-max``; ``verify`` checks the coefficient bounds for
+n = 2..12.
 
 Exit codes: 0 success (all verifications passed), 1 at least one
 verification failed, 2 invalid flags (a flag value the library rejects with
@@ -107,9 +109,7 @@ def _cmd_table(args) -> list[dict]:
 
 def _cmd_verify(args) -> list[dict]:
     params = _params(args)
-    results = verify.run_member_suite(
-        params, members=args.members, seed=args.seed, n_max=args.n_max
-    )
+    results = verify.run_member_suite(params, members=args.members, seed=args.seed)
     return [
         verify.report_to_dict(report, member=index, seed=args.seed, **_param_dict(params))
         for index, _member, reports in results
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     subs["bounds"].add_argument("--n-max", type=int, default=8)
     subs["verify"].add_argument("--members", type=int, default=100)
     subs["verify"].add_argument("--seed", type=int, default=0)
-    subs["verify"].add_argument("--n-max", type=int, default=12)
     subs["growth"].add_argument("--r", type=_float_list, default=[0.25, 0.5, 0.75])
     for sub in subs.values():
         sub.add_argument("--format", choices=("json", "csv"), default="json")

@@ -245,16 +245,15 @@ class HarmonicMapSpec:
     def __post_init__(self) -> None:
         if self.g.order < 1:
             raise ValueError("co-analytic part must carry at least b1")
-        if abs(abs(self.g.coeffs[1]) - self.w.beta) > IDENT_TOL:
+        if not abs(abs(self.g.coeffs[1]) - self.w.beta) <= IDENT_TOL:
             raise ValueError("|b1| must equal the dilatation beta")
 
 
-def harmonic_map(h: TruncatedSeries, w: DilatationSpec, order: int | None = None) -> HarmonicMapSpec:
+def harmonic_map(h: TruncatedSeries, w: DilatationSpec) -> HarmonicMapSpec:
     """Assemble a HarmonicMapSpec, deriving g at a tail-controlled order.
 
     No membership certificate is checked here; see the factory module for the
     certified constructor.
     """
-    if order is None:
-        order = max(h.order + 1, default_truncation_order(w.beta))
+    order = max(h.order + 1, default_truncation_order(w.beta))
     return HarmonicMapSpec(h=h, w=w, g=co_analytic_from(h, w, order))

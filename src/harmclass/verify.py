@@ -7,21 +7,22 @@ corresponding bound.  Violations are reported, never raised: a negative
 margin is data about the bound, not an exception in the code.
 
 Each of the seven per-member checks is one function ``check(sample, table)``
-in ``_CHECKS``, and every entry point runs it through that path.  The sample
-is one member: |h'|, |w|, |g| and |f| on the grid, each evaluated once.  The
-envelope table, built once per (params, grid, n_max), holds every
+in ``_CHECKS``, and every entry point but one runs it through that path.
+The sample is one member: |h'|, |w|, |g| and |f| on the grid, each evaluated
+once.  The envelope table, built once per (params, grid), holds every
 member-independent reference, each a ``bounds`` definition over the radii,
 equal bit for bit to the point function: the |h'| and |g'| envelope sides
 and the |f| upper side (the ``bounds`` envelope helpers on the radius
 column); the radial integrals of the |g'| upper envelope (shared by g- and
 f-growth), the |g'| lower envelope (kink at beta) and the f floor, from 0 to
 each radius, each the exact closed form of ``bounds`` at that radius;
-the coefficient bounds for n = 2..n_max (one ``bounds.bn_bounds`` call);
+the coefficient bounds for n = 2..12 (one ``bounds.bn_bounds`` call);
 the area envelope, the covering floor and the Bloch bound.  Every entry
 point (``run_member_suite``, ``verify_member`` and each standalone
-``verify_*``) takes its table from ``_table``, which looks it up in one
-process-wide LRU cache of 32 tables (``_tables``) keyed by (params, grid,
-n_max), so repeated calls at the same params share one table.  A table is
+``verify_*`` but one) takes its table from ``_table``, which looks it up
+in one process-wide LRU cache of 32 tables (``_tables``) keyed by (params,
+grid), so repeated calls at the same params share one table.  The one,
+``verify_coefficients``, reads ``bounds.bn_bounds`` and no table.  A table is
 built whole, with read-only arrays, before it is shared, and nothing fills
 it later.  Table values are deterministic, so a cached table gives the
 same reports as a fresh one.  Sample fields are computed when a check first
@@ -108,6 +109,9 @@ _COVERING_SAMPLES = 256
 #: tolerance of its radial quadrature.
 _AREA_ANGLES = 128
 _AREA_TOL = 1e-8
+
+#: The member suite checks the coefficient bounds for n = 2.._SUITE_N_MAX.
+_SUITE_N_MAX = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,14 +214,12 @@ class _GridSample:
 
 
 class _EnvelopeTable:
-    """Member-independent references for one (params, grid, n_max), built
-    whole here: the envelopes and their radial integrals as read-only column
-    arrays over the radii, the coefficient bounds ``bn`` for n = 2..n_max
+    """Member-independent references for one (params, grid), built whole
+    here: the envelopes and their radial integrals as read-only column
+    arrays over the radii, the coefficient bounds ``bn`` for n = 2..12
     (at index n - 2), then the area envelope, the covering floor and the
     Bloch bound.  A table is complete before ``_table`` shares it.
     ``g_lower_scored`` is ``g_lower`` where it is scored and -inf elsewhere.
-    ``n_max`` below 2 raises ``ValueError``: the coefficient check would
-    check nothing; so does ``n_max`` above ``model.MAX_TRUNCATION_ORDER``.
     Every column is a ``bounds`` definition over the radii, equal bit for
     bit to the point function at each radius: the |h'| and |g'| sides and
     the |f| upper side are the ``bounds`` envelope helpers on the radius
@@ -227,12 +229,10 @@ class _EnvelopeTable:
     the A(beta) that ``g_lower`` reads past the kink computes its moments
     once."""
 
-    def __init__(self, params: ClassParams, grid: PolarGrid, n_max: int = 12) -> None:
+    def __init__(self, params: ClassParams, grid: PolarGrid) -> None:
         params.require_nonnegative_delta()
-        if n_max < 2:
-            raise ValueError("n_max must be >= 2: no coefficient index would be checked")
         self.grid = grid
-        self.bn = bounds.bn_bounds(params, n_max)
+        self.bn = bounds.bn_bounds(params, _SUITE_N_MAX)
         radii, r = grid.radii.tolist(), grid.radii[:, None]
         sides = bounds._distortion_sides(params, r)
         self.hprime_lower, self.hprime_upper, self.gprime_lower, self.gprime_upper = sides
@@ -252,21 +252,19 @@ class _EnvelopeTable:
                 value.setflags(write=False)
 
 
-#: The shared tables, keyed by (params, grid, n_max): the 32 most recently
-#: used, enough for the 18-point criterion-7 lattice.
+#: The shared tables, keyed by (params, grid): the 32 most recently used,
+#: enough for the 18-point criterion-7 lattice.
 _tables = lru_cache(maxsize=32)(_EnvelopeTable)
 
 
-def _table(
-    params: ClassParams, grid: PolarGrid | None = None, n_max: int = 12
-) -> _EnvelopeTable:
-    """The shared table for (params, grid, n_max) from ``_tables``.
+def _table(params: ClassParams, grid: PolarGrid | None = None) -> _EnvelopeTable:
+    """The shared table for (params, grid) from ``_tables``.
 
     ``grid=None`` is resolved to the default grid before the lookup, so both
     spellings share one entry.  Grids are keyed by identity, and each entry
     keeps its grid alive.
     """
-    return _tables(params, grid or default_polar_grid(), n_max)
+    return _tables(params, grid or default_polar_grid())
 
 
 def _side_margins(values, envelope, upper: bool) -> np.ndarray:
@@ -302,16 +300,20 @@ def _grid_report(theorem: str, sides: tuple, grid: PolarGrid) -> VerificationRep
     return _report(theorem, row[t_idx], witness)
 
 
-def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    g = sample.member.g
+def _coefficient_report(g: TruncatedSeries, bn: np.ndarray) -> VerificationReport:
+    """|b_n| of ``g`` against ``bn`` (n = 2.., at index n - 2), up to the order of ``g``."""
     if g.order < 2:
         raise ValueError("g has order < 2: no coefficient index would be checked")
-    bn = table.bn[: g.order - 1]
+    bn = bn[: g.order - 1]
     # builtin abs per coefficient: np.abs on the array can differ in the last bit
     moduli = np.array([abs(b) for b in g.coeffs[2 : bn.size + 2]])
     margins = bn - moduli
     i = int(np.argmin(margins))
     return _report("coeff", margins[i], f"n={i + 2}")
+
+
+def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
+    return _coefficient_report(sample.member.g, table.bn)
 
 
 def _distortion(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
@@ -408,8 +410,8 @@ def _run(check, f: HarmonicMapSpec, table: _EnvelopeTable) -> VerificationReport
 
 
 def verify_coefficients(f: HarmonicMapSpec, params: ClassParams, n_max: int) -> VerificationReport:
-    """Check |b_n| <= coefficient bound for 2 <= n <= n_max (at least 2)."""
-    return _run(_coefficients, f, _table(params, n_max=n_max))
+    """Check |b_n| <= ``bounds.bn_bounds`` for 2 <= n <= n_max (at least 2); builds no table."""
+    return _coefficient_report(f.g, bounds.bn_bounds(params, n_max))
 
 
 def verify_distortion(
@@ -465,6 +467,8 @@ def verify_convexity(
     """Convex combinations of certified analytic parts stay certified (beta = 0)."""
     if params.beta != 0.0:
         raise ValueError("convexity statement requires beta = 0")
+    if len(lambdas) == 0:
+        raise ValueError("no lambda given: no combination would be checked")
     params.require_nonnegative_delta()
     for h in (h1, h2):
         if not certify(h, params).ok:
@@ -483,17 +487,14 @@ def verify_convexity(
 
 
 def verify_member(
-    f: HarmonicMapSpec,
-    params: ClassParams,
-    n_max: int = 12,
-    grid: PolarGrid | None = None,
+    f: HarmonicMapSpec, params: ClassParams, grid: PolarGrid | None = None
 ) -> list[VerificationReport]:
-    """All seven per-member checks, in the order of ``MEMBER_THEOREMS``."""
-    return _verify_member(f, _table(params, grid, n_max))
+    """All seven per-member checks, in the order of ``MEMBER_THEOREMS``; coeff at n = 2..12."""
+    return _verify_member(f, _table(params, grid))
 
 
 def run_member_suite(
-    params: ClassParams, members: int, seed: int, n_max: int = 12
+    params: ClassParams, members: int, seed: int
 ) -> list[tuple[int, HarmonicMapSpec, list[VerificationReport]]]:
     """Sample ``members`` seeded random members and verify each one on the
     default grid.
@@ -507,7 +508,7 @@ def run_member_suite(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    table = _table(params, n_max=n_max)
+    table = _table(params)
     out = []
     for index in range(members):
         fill = float(rng.uniform())

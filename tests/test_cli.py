@@ -59,7 +59,7 @@ def test_verify_output_is_byte_identical(capsys):
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
     from harmclass.verify import VerificationReport
 
-    def fake_suite(params, members, seed, n_max=12):
+    def fake_suite(params, members, seed):
         rep = VerificationReport(
             theorem="area", passed=False, worst_margin=-0.5, witness="forced", slack=1e-9
         )
@@ -99,6 +99,8 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
          "--out", "/nonexistent/dir/x.json"),
         ("growth", "--alpha", "0", "--beta", "0", "--delta", "1", "--r", ","),
         ("table", "--alpha", ",", "--beta", "0", "--delta", "1"),
+        # only bounds takes --n-max: verify checks n = 2..12
+        ("verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--n-max", "12"),
     ],
 )
 def test_invalid_flags_exit_two(capsys, argv):

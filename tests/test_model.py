@@ -333,3 +333,7 @@ def test_harmonic_map_spec_rejects_mismatched_b1():
     bad_g = TruncatedSeries([0, 0.2, 0])
     with pytest.raises(ValueError):
         HarmonicMapSpec(h=H_IDENTITY, w=moebius_dilatation(0.3), g=bad_g)
+    # a NaN b1 compares false with everything: it must not pass as |b1| = beta
+    nan_g = TruncatedSeries([0, float("nan"), 0.1])
+    with pytest.raises(ValueError, match="b1"):
+        HarmonicMapSpec(h=H_IDENTITY, w=moebius_dilatation(0.3), g=nan_g)

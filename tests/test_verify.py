@@ -11,6 +11,8 @@ from harmclass.bounds import bloch_bound, bn_bound, distortion_slope
 from harmclass.factory import build_member, extremal_h, sample_certified_h
 from harmclass.model import (
     ClassParams,
+    HarmonicMapSpec,
+    co_analytic_from,
     custom_dilatation,
     dilatation_modulus,
     harmonic_map,
@@ -55,7 +57,7 @@ def half_square_member():
 
 
 def test_extremal_member_passes_all_seven():
-    reports = verify_member(extremal_member(), P011, n_max=8)
+    reports = verify_member(extremal_member(), P011)
     assert [r.theorem for r in reports] == [
         "coeff",
         "distortion",
@@ -186,15 +188,16 @@ def test_convexity_rejects_uncertified_input():
 
 def test_coefficient_check_stops_at_the_g_order():
     h = extremal_h(3, 0.5, P011)
-    member = harmonic_map(h, moebius_dilatation(0.0, 0.2, 0.7), order=4)
+    w = moebius_dilatation(0.0, 0.2, 0.7)
+    member = HarmonicMapSpec(h, w, co_analytic_from(h, w, 4))
     rep = verify_coefficients(member, P011, n_max=12)
     margins = [bn_bound(P011, n) - abs(member.g.coeffs[n]) for n in range(2, 5)]
     assert rep.worst_margin == min(margins)
     assert rep.witness == f"n={2 + margins.index(min(margins))}"
-    with pytest.raises(ValueError, match="n_max"):
+    with pytest.raises(ValueError, match="coefficient index"):
         verify_coefficients(member, P011, n_max=1)
     # a g of order 1 has no index n >= 2 to check
-    linear = harmonic_map(h, moebius_dilatation(0.0, 0.2, 0.7), order=1)
+    linear = HarmonicMapSpec(h, w, co_analytic_from(h, w, 1))
     with pytest.raises(ValueError, match="order"):
         verify_coefficients(linear, P011, n_max=12)
 
@@ -202,10 +205,10 @@ def test_coefficient_check_stops_at_the_g_order():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: verify_member(extremal_member(), P011, n_max=1),
         lambda: run_member_suite(P011, members=0, seed=1),
+        lambda: verify_convexity(extremal_h(2, 0.0, P011), extremal_h(2, 0.0, P011), [], P011),
     ],
-    ids=["verify_member_n_max_1", "run_member_suite_no_members"],
+    ids=["run_member_suite_no_members", "verify_convexity_no_lambdas"],
 )
 def test_checks_that_check_nothing_are_rejected(call):
     with pytest.raises(ValueError):
@@ -522,7 +525,7 @@ def test_member_suite_computes_member_independent_bounds_once(monkeypatch):
         name: _counting(monkeypatch, bounds, name)
         for name in ("bloch_bound", "area_envelope", "f_growth_floor", "bn_bounds", "bn_bound")
     }
-    run_member_suite(ClassParams(0.3, 0.5, 1), members=3, seed=3, n_max=12)
+    run_member_suite(ClassParams(0.3, 0.5, 1), members=3, seed=3)
     assert len(counted["bloch_bound"]) == 1
     assert len(counted["area_envelope"]) == 1
     assert len(counted["f_growth_floor"]) == 1
@@ -591,7 +594,6 @@ _P = ClassParams(0.3, 0.6, 1)
 _SECOND_CALLS = {
     "run_member_suite": lambda f: run_member_suite(_P, members=2, seed=3),
     "verify_member": lambda f: verify_member(f, _P),
-    "verify_coefficients": lambda f: verify_coefficients(f, _P, 12),
     "verify_distortion": lambda f: verify_distortion(f, _P),
     "verify_g_growth": lambda f: verify_g_growth(f, _P),
     "verify_area": lambda f: verify_area(f, _P),
@@ -636,21 +638,29 @@ def test_cached_table_reports_equal_fresh_table_reports(params):
         assert verify_member(member, params) == fresh
 
 
+def test_coefficient_check_builds_no_envelope_table():
+    params = ClassParams(0.3, 0.6, 1)
+    member = run_member_suite(params, members=1, seed=4)[0][1]
+    assert verify_coefficients(member, params, 12) == verify_member(member, params)[0]
+    verify._tables.cache_clear()
+    verify_coefficients(member, params, 20)
+    assert verify._tables.cache_info().currsize == 0
+
+
 def test_shared_table_keys():
     verify._tables.cache_clear()
     params, grid = ClassParams(0.3, 0.6, 1), default_polar_grid(16, 32)
     table = verify._table(params)
     assert verify._table(params, default_polar_grid()) is table
-    assert verify._table(ClassParams(0.3, 0.6, 1.0), None, 12) is table
+    assert verify._table(ClassParams(0.3, 0.6, 1.0), None) is table
     assert verify._tables.cache_info().currsize == 1
     others = [
         verify._table(params, grid),
         verify._table(params, PolarGrid(radii=grid.radii, n_angles=grid.n_angles)),
-        verify._table(params, n_max=13),
         verify._table(ClassParams(0.3, 0.6, 2)),
     ]
-    assert len({id(t) for t in [table, *others]}) == 5
-    assert verify._tables.cache_info().currsize == 5
+    assert len({id(t) for t in [table, *others]}) == 4
+    assert verify._tables.cache_info().currsize == 4
 
 
 def test_negative_zero_params_share_the_zero_entry():
