@@ -8,6 +8,10 @@ Their moment sequences are kept in one bounded process-wide cache
 argument, such as ``f_growth`` and ``g_growth_crosscheck`` at one radius,
 compute its moments once; the cache never changes a value.
 
+The Bloch critical radius is the unique root in (0, 1) of a quartic whose
+own coefficient signs and endpoint values certify that root (Descartes'
+rule of signs, see ``bloch_bound``); bisection then narrows it.
+
 Two growth quantities carry a stated/derived split.  The closed lower form
 for |g| (via the expression F below) and the lower growth integrand for |f|
 are evaluated exactly as stated, but each has a companion used for member
@@ -36,12 +40,7 @@ import numpy as np
 
 from .errors import RootCountError
 from .model import MAX_TRUNCATION_ORDER, ClassParams
-from .numerics import (
-    Polynomial,
-    bisect_bracket,
-    digamma,
-    vincent_variation_count,
-)
+from .numerics import Polynomial, bisect_bracket, digamma, sign_variations
 
 __all__ = [
     "BoundEnvelope",
@@ -561,19 +560,34 @@ def bloch_bound(params: ClassParams) -> BlochResult:
     """Bloch-constant bound: isolate the unique critical radius r0 in (0, 1),
     then evaluate ((1+beta)/((2-alpha) 2^(delta-1))) G(r0).
 
-    Uniqueness is cross-checked by the interval variation count before any
-    root refinement; a count other than one raises RootCountError, because it
-    would contradict the monotonicity argument and must not be masked.
+    The quartic H (``bloch_H_poly``) certifies its own root before any
+    refinement.  With d2 = 2^(delta-1) (2-alpha) > 0 and 1 - alpha > 0, its
+    coefficients satisfy c0 > 0, c2 < 0, c3 < 0 and c4 <= 0 whatever the sign
+    of c1, so Descartes' rule of signs gives exactly one positive root, and
+    H(1) = -4 (1+beta)(d2 + 1 - alpha) < 0 < H(0) = c0 puts it in (0, 1).
+    The count is read off the coefficients themselves, so no rounding can
+    change it.  A variation count other than one, H(0) <= 0 or H(1) >= 0
+    contradicts that argument and raises RootCountError rather than being
+    masked.  Near delta = 1022 Horner's rule can overflow to -inf where H is
+    positive and steer the bisection off the root; a bracket at which H does
+    not evaluate finite raises ValueError.
     """
     params.require_nonnegative_delta()
     h_coeffs = bloch_H_poly(params)
     H = Polynomial(h_coeffs)
-    count = vincent_variation_count(H, 0.0, 1.0)
-    if count != 1:
+    count = sign_variations(H)
+    h_at_zero, h_at_one = H(0.0), H(1.0)
+    if not (count == 1 and h_at_one < 0.0 < h_at_zero):
         raise RootCountError(
-            f"expected exactly one critical radius in (0, 1), variation count is {count}"
+            "expected exactly one critical radius in (0, 1), variation count is "
+            f"{count}, H(0) = {h_at_zero!r}, H(1) = {h_at_one!r}"
         )
     bracket = bisect_bracket(H, 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
+    if not all(math.isfinite(H(x)) for x in bracket):
+        raise ValueError(
+            f"delta = {params.delta} is too large: evaluating H overflows at the bracket "
+            f"{list(bracket)} of its root"
+        )
     r0 = 0.5 * (bracket[0] + bracket[1])
     prefactor = (1.0 + params.beta) / ((2.0 - params.alpha) * 2.0 ** (params.delta - 1.0))
     bound = prefactor * _bloch_profile(params, r0)

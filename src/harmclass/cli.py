@@ -186,6 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     for sub in subs.values():
         sub.add_argument("--format", choices=("json", "csv"), default="json")
         sub.add_argument("--out", default=None, help="output path (default: stdout)")
+        sub.set_defaults(subparser=sub)
     return parser
 
 
@@ -197,7 +198,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # named by the subcommand that rejects them, with its usage line
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         rows = _COMMANDS[args.command][0](args)
     except ValueError as exc:

@@ -1,5 +1,5 @@
 """Numerical kernels: adaptive quadrature of array integrands, digamma, real
-polynomials, Descartes sign variation, interval variation counts and bisection.
+polynomials, Descartes sign variation and bisection.
 
 Everything here is deliberately dependency-free and testable in isolation;
 the higher-level bound evaluators treat these as trusted primitives.
@@ -20,7 +20,6 @@ __all__ = [
     "adaptive_quadrature",
     "digamma",
     "sign_variations",
-    "vincent_variation_count",
     "bisect_bracket",
 ]
 
@@ -246,67 +245,12 @@ def _require_finite(values, what: str) -> None:
 
 def sign_variations(p: Polynomial | Sequence[float]) -> int:
     """Strict sign changes in the sequence of nonzero coefficients, which must
-    all be finite (ValueError otherwise)."""
+    all be finite (ValueError otherwise).  By Descartes' rule of signs the
+    count bounds the number of positive roots and matches it modulo 2."""
     coeffs = p.coeffs.tolist() if isinstance(p, Polynomial) else [float(c) for c in p]
     _require_finite(coeffs, "coefficients")
-    return _sign_changes(coeffs)
-
-
-def _sign_changes(coeffs: list[float]) -> int:
     positive = [c > 0.0 for c in coeffs if c != 0.0]
     return sum(s != t for s, t in zip(positive, positive[1:]))
-
-
-def vincent_variation_count(p: Polynomial, a: float, b: float) -> int:
-    """Sign variations of (1+x)^n * p((a + b x)/(1 + x)), n = ``p.degree``.
-
-    The count bounds the number of roots of ``p`` in (a, b) and matches it
-    modulo 2.  The transformed coefficients are the sums over i of
-    c_i (a + b x)^i (1 + x)^(n-i), built by convolution in plain floats,
-    never by sampling.  The binomial rows are exact, but the products and
-    sums round: a transformed coefficient within rounding of zero can take
-    either sign and change the count, so callers that need exactly one root
-    must treat any other count as a failure, not refine through it.  (Built
-    with ``numpy.convolve``, whose dot products may fuse multiply-adds, a
-    coefficient can differ in the last bit.)  The endpoints and the
-    coefficients must be finite, and so must every transformed coefficient
-    (ValueError otherwise).
-    """
-    _require_finite((a, b), "interval endpoints")
-    if not 0 <= a < b:
-        raise ValueError("interval must satisfy 0 <= a < b")
-    n = p.degree
-    coeffs = p.coeffs[: n + 1].tolist()
-    _require_finite(coeffs, "coefficients")
-    acc = [0.0] * (n + 1)
-    lin_pow = [1.0]  # (a + b x)^i, updated incrementally
-    for i, ci in enumerate(coeffs):
-        if ci != 0.0:
-            for k, t in enumerate(_convolve(lin_pow, _binomial_row(n - i))):
-                acc[k] += ci * t
-        if i < n:
-            lin_pow = _convolve(lin_pow, (a, b))
-    if not all(map(math.isfinite, acc)):
-        raise ValueError(f"the transformed coefficients overflow on ({a}, {b}): {acc}")
-    return _sign_changes(acc)
-
-
-def _convolve(u: Sequence[float], v: Sequence[float]) -> list[float]:
-    """Coefficients of the product of the polynomials with ascending
-    coefficients ``u`` and ``v``; each sum runs over the index into ``u``."""
-    out = [0.0] * (len(u) + len(v) - 1)
-    for j, x in enumerate(u):
-        for k, y in enumerate(v, j):
-            out[k] += x * y
-    return out
-
-
-def _binomial_row(m: int) -> list[float]:
-    """The coefficients of (1 + x)^m, exact while ``row[-1] * m`` stays below 2**53."""
-    row = [1.0]
-    for k in range(1, m + 1):
-        row.append(row[-1] * (m - k + 1) / k)
-    return row
 
 
 def bisect_bracket(

@@ -13,7 +13,7 @@ import numpy as np
 
 import harmclass as hc
 from harmclass.bounds import bloch_L_coeffs, g_growth_crosscheck
-from harmclass.numerics import Polynomial, vincent_variation_count
+from harmclass.numerics import Polynomial, sign_variations
 
 
 @contextmanager
@@ -73,14 +73,16 @@ def test_criterion_4_bloch_computation():
         result = hc.bloch_bound(params)
         assert abs(result.r0 - 0.44300) < 1e-4
         assert abs(result.bound - 1.4167) < 1e-3
-        assert vincent_variation_count(poly, 0.0, 1.0) == 1
+        # one positive root (Descartes); the endpoint signs above put it in (0, 1)
+        assert sign_variations(poly) == 1
 
         for alpha in np.linspace(0.0, 0.9, 5):
             for beta in np.linspace(0.0, 0.9, 5):
                 for delta in (0.0, 1.0, 2.0):
                     p = hc.ClassParams(alpha, beta, delta)
                     grid_poly = Polynomial(hc.bloch_H_poly(p))
-                    assert vincent_variation_count(grid_poly, 0.0, 1.0) == 1
+                    assert sign_variations(grid_poly) == 1
+                    assert grid_poly(1.0) < 0 < grid_poly(0.0)
                     res = hc.bloch_bound(p)  # raises unless exactly one root isolated
                     assert 0.0 < res.r0 < 1.0
                     for r in (0.1, 0.5, 0.9, res.r0):

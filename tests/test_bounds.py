@@ -731,6 +731,52 @@ def test_bloch_raises_on_unexpected_root_count(monkeypatch):
         bounds_mod.bloch_bound(P011)
 
 
+@pytest.mark.parametrize(
+    "fake, values",
+    [([1.0, -0.5], r"H\(0\) = 1.0, H\(1\) = 0.5"), ([-1.0, 0.5], r"H\(0\) = -1.0, H\(1\) = -0.5")],
+    ids=["H(1) > 0", "H(0) < 0"],
+)
+def test_bloch_raises_on_one_root_outside_the_unit_interval(monkeypatch, capsys, fake, values):
+    """One sign variation, but the root is at 2: the endpoint signs reject it
+    before bisection, and ``hcl bloch`` exits 3."""
+    monkeypatch.setattr(bounds_mod, "bloch_H_poly", lambda params: np.array(fake))
+    monkeypatch.setattr(bounds_mod, "bisect_bracket", lambda *args: pytest.fail("bisected"))
+    with pytest.raises(RootCountError, match="variation count is 1, " + values):
+        bounds_mod.bloch_bound(P011)
+    assert cli.main(["bloch", "--alpha", "0", "--beta", "0", "--delta", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("root isolation failed: expected exactly one critical radius")
+
+
+@pytest.mark.parametrize("alpha, beta", itertools.product((0.0, 0.3, 0.9), (0.0, 0.5, 0.99)))
+def test_bloch_at_delta_1021_and_1022_matches_delta_1000(alpha, beta):
+    """H is finite up to about delta = 1022: the 1 - alpha terms fall below the
+    last bit of the 2^delta terms, so r0 and the bound are those of delta = 1000."""
+    reference = bloch_bound(ClassParams(alpha, beta, 1000.0))
+    for delta in (1021.0, 1022.0):
+        result = bloch_bound(ClassParams(alpha, beta, delta))
+        assert result.r0 == pytest.approx(reference.r0, abs=1e-12)
+        assert result.bound == pytest.approx(reference.bound, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bloch_rejects_a_bracket_where_the_quartic_overflows(capsys):
+    """At delta = 1022.4 the coefficients are finite, but Horner's rule
+    overflows to -inf where H > 0, and bisection stops near 0.066 instead of
+    at the root near 0.186: ValueError, and exit 2 with a message."""
+    params = ClassParams(0.3, 0.5, 1022.4)
+    assert all(map(math.isfinite, bloch_H_poly(params)))
+    with pytest.raises(ValueError, match="overflows at the bracket"):
+        bloch_bound(params)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["bloch", "--alpha", "0.3", "--beta", "0.5", "--delta", "1022.4"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "delta = 1022.4 is too large: evaluating H overflows" in captured.err
+
+
 def test_bloch_rejects_negative_delta():
     with pytest.raises(ValueError):
         bloch_bound(ClassParams(0, 0, -0.1))

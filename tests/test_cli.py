@@ -77,30 +77,62 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("bounds", "--alpha", "1.0", "--beta", "0", "--delta", "1"),
-        ("bounds", "--alpha", "0", "--beta", "0", "--delta", "-1"),
-        ("bounds", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1"),
-        ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--members", "0"),
-        ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1"),
+        pytest.param(("bounds", "--alpha", "1.0", "--beta", "0", "--delta", "1"), id="alpha-1"),
+        pytest.param(
+            ("bounds", "--alpha", "0", "--beta", "0", "--delta", "-1"), id="delta-negative"
+        ),
+        pytest.param(
+            ("bounds", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1"),
+            id="bounds-n-max-1",
+        ),
+        pytest.param(
+            ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--members", "0"),
+            id="verify-members-0",
+        ),
         # --n-max above the series order cap of 10**6
-        ("bounds", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1000001"),
-        ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1000001"),
-        ("table", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "9"),
+        pytest.param(
+            ("bounds", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1000001"),
+            id="bounds-n-max-over-cap",
+        ),
+        pytest.param(
+            ("table", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "9"),
+            id="table-n-max",
+        ),
         # the truncation order (~2.8e13 terms) is over the cap: rejected before sampling
-        ("verify", "--alpha", "0", "--beta", "0.999999999999", "--delta", "1"),
-        ("growth", "--alpha", "0", "--beta", "0", "--delta", "1", "--r", "1.5"),
-        ("nonsense",),
+        pytest.param(
+            ("verify", "--alpha", "0", "--beta", "0.999999999999", "--delta", "1"),
+            id="verify-order-over-cap",
+        ),
+        pytest.param(
+            ("growth", "--alpha", "0", "--beta", "0", "--delta", "1", "--r", "1.5"),
+            id="growth-r-outside-disc",
+        ),
+        pytest.param(("nonsense",), id="unknown-command"),
         # the former debugging commands are gone
-        ("digamma", "--x", "1.0"),
-        ("quad", "--coeffs", "0,1"),
+        pytest.param(("digamma", "--x", "1.0"), id="digamma"),
+        pytest.param(("quad", "--coeffs", "0,1"), id="quad"),
         # a negative seed, an --out that cannot be opened, empty float lists
-        ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--seed", "-1"),
-        ("bloch", "--alpha", "0", "--beta", "0", "--delta", "1",
-         "--out", "/nonexistent/dir/x.json"),
-        ("growth", "--alpha", "0", "--beta", "0", "--delta", "1", "--r", ","),
-        ("table", "--alpha", ",", "--beta", "0", "--delta", "1"),
+        pytest.param(
+            ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--seed", "-1"),
+            id="verify-seed-negative",
+        ),
+        pytest.param(
+            ("bloch", "--alpha", "0", "--beta", "0", "--delta", "1",
+             "--out", "/nonexistent/dir/x.json"),
+            id="bloch-out-unopenable",
+        ),
+        pytest.param(
+            ("growth", "--alpha", "0", "--beta", "0", "--delta", "1", "--r", ","),
+            id="growth-r-empty",
+        ),
+        pytest.param(
+            ("table", "--alpha", ",", "--beta", "0", "--delta", "1"), id="table-alpha-empty"
+        ),
         # only bounds takes --n-max: verify checks n = 2..12
-        ("verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--n-max", "12"),
+        pytest.param(
+            ("verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--n-max", "12"),
+            id="verify-n-max",
+        ),
     ],
 )
 def test_invalid_flags_exit_two(capsys, argv):
@@ -108,6 +140,17 @@ def test_invalid_flags_exit_two(capsys, argv):
         cli.main(list(argv))
     assert excinfo.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_unknown_flag_error_names_the_subcommand(capsys):
+    """An unknown flag is reported by the subcommand's parser, with its usage line."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--n-max", "12"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hcl verify ")
+    assert "\nhcl verify: error: unrecognized arguments: --n-max 12\n" in captured.err
 
 
 def test_negative_seed_error_names_the_seed(capsys):
@@ -139,6 +182,24 @@ def test_bounds_at_large_delta_exit_zero_under_warnings_as_errors(capsys):
     assert code == 0 and err == ""
     values = [json.loads(line)["value"] for line in out.splitlines()]
     assert values == [0.375, 0.24999999999999994, 0.18749999999999997]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bloch", "table"])
+def test_bloch_at_delta_1022_matches_delta_1000(capsys, command):
+    """H is finite at delta = 1022 and its sign pattern certifies the root, so
+    both commands exit 0; there the 1 - alpha terms are below the last bit of
+    the 2^delta terms, so r0 and the bound are those of delta = 1000."""
+    rows = {}
+    for delta in ("1000", "1022"):
+        code, out, err = run_cli(
+            capsys, command, "--alpha", "0.3", "--beta", "0.5", "--delta", delta
+        )
+        assert code == 0 and err == ""
+        rows[delta] = json.loads(out)
+    key = "" if command == "bloch" else "bloch_"
+    for field in ("r0", "bound"):
+        assert rows["1022"][key + field] == pytest.approx(rows["1000"][key + field], abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -214,11 +275,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_no_command_takes_tol(capsys, command):
-    """The bounds are exact, so no command takes a quadrature tolerance."""
+    """The bounds are exact, so no command takes a quadrature tolerance; the
+    command's own parser rejects the flag."""
     with pytest.raises(SystemExit) as excinfo:
         cli.main([command, "--alpha", "0", "--beta", "0", "--delta", "1", "--tol", "1e-8"])
     assert excinfo.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"\nhcl {command}: error: unrecognized arguments: --tol 1e-8\n" in captured.err
 
 
 def test_csv_uses_period_decimal_and_15_digits(capsys):

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from harmclass.numerics import (
     bisect_bracket,
     digamma,
     sign_variations,
-    vincent_variation_count,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -276,87 +274,23 @@ def test_sign_variations_zeros_between_equal_signs_change_nothing(coeffs):
     assert sign_variations(coeffs) == 0
 
 
-def test_polynomial_degree_trims_trailing_zeros():
-    assert QUARTIC.degree == 3
-    assert Polynomial([0.0]).degree == 0
-
-
-def test_vincent_count_quartic_unit_interval():
-    assert vincent_variation_count(QUARTIC, 0.0, 1.0) == 1
-
-
-def test_vincent_count_no_roots():
-    assert vincent_variation_count(Polynomial([1, 1]), 0.0, 1.0) == 0
-
-
-def test_vincent_count_simple_half_root():
-    assert vincent_variation_count(Polynomial([-0.25, 0, 1]), 0.0, 1.0) == 1
-
-
-def test_vincent_count_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        vincent_variation_count(QUARTIC, 0.5, 0.5)
-
-
-def _root_built_cases(seed, cases, max_degree):
-    """Seeded products of real linear factors over random intervals in [0, 2.5):
-    (roots, coefficients, a, b), skipping intervals that are too narrow or
-    have a root within 1e-6 of an endpoint."""
-    rng = np.random.default_rng(seed)
-    for _ in range(cases):
-        degree = int(rng.integers(1, max_degree + 1))
-        roots = rng.uniform(-2.0, 2.5, size=degree)
+def test_sign_variations_bound_positive_roots_and_match_their_parity():
+    """Descartes' rule of signs on seeded products of real linear factors."""
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        roots = rng.uniform(-2.0, 2.5, size=int(rng.integers(1, 7)))
         coeffs = np.array([1.0])
         for root in roots:
             coeffs = np.convolve(coeffs, np.array([-root, 1.0]))
-        a, b = (float(x) for x in sorted(rng.uniform(0.0, 2.5, size=2)))
-        if b - a < 1e-3 or np.any(np.abs(roots - a) < 1e-6) or np.any(np.abs(roots - b) < 1e-6):
-            continue
-        yield roots, coeffs, a, b
+        positive = int(np.sum(roots > 0))
+        count = sign_variations(coeffs)
+        assert count >= positive
+        assert (count - positive) % 2 == 0
 
 
-def test_vincent_count_bounds_root_count_and_parity():
-    """Random products of real linear factors: the variation count never
-    undercounts the roots in (a, b) and matches them mod 2."""
-    for roots, coeffs, a, b in _root_built_cases(42, 200, 6):
-        inside = int(np.sum((roots > a) & (roots < b)))
-        count = vincent_variation_count(Polynomial(coeffs), a, b)
-        assert count >= inside
-        assert (count - inside) % 2 == 0
-
-
-def _vincent_count_numpy(p, a, b):
-    """The variation count built with numpy convolutions, kept as an oracle
-    for the plain-float version."""
-    n = p.degree
-    acc = np.zeros(n + 1)
-    lin = np.array([a, b])
-    lin_pow = np.array([1.0])
-    for i, ci in enumerate(p.coeffs[: n + 1]):
-        if ci != 0.0:
-            shift_pow = np.ones(n - i + 1)
-            for k in range(1, n - i + 1):
-                shift_pow[k] = shift_pow[k - 1] * (n - i - k + 1) / k
-            term = np.convolve(lin_pow, shift_pow)
-            acc[: term.size] += ci * term
-        if i < n:
-            lin_pow = np.convolve(lin_pow, lin)
-    signs = np.sign(acc[acc != 0.0])
-    return int(np.sum(signs[1:] != signs[:-1]))
-
-
-def _vincent_count_exact(p, a, b):
-    """The variation count of the exact rational transform of the float
-    coefficients over the float endpoints."""
-    n = p.degree
-    a, b = Fraction(a), Fraction(b)
-    acc = [Fraction(0)] * (n + 1)
-    for i, ci in enumerate(p.coeffs[: n + 1].tolist()):
-        # (a + b x)^i (1 + x)^(n - i), coefficient of x^k
-        for j, k in itertools.product(range(i + 1), range(n - i + 1)):
-            acc[j + k] += Fraction(ci) * math.comb(i, j) * a ** (i - j) * b**j * math.comb(n - i, k)
-    positive = [c > 0 for c in acc if c != 0]
-    return sum(s != t for s, t in zip(positive, positive[1:]))
+def test_polynomial_degree_trims_trailing_zeros():
+    assert QUARTIC.degree == 3
+    assert Polynomial([0.0]).degree == 0
 
 
 _BLOCH_LATTICE = [
@@ -367,22 +301,19 @@ _BLOCH_LATTICE = [
 ]
 
 
-@pytest.mark.parametrize("params", _BLOCH_LATTICE, ids=str)
-def test_vincent_count_agrees_with_oracles_on_bloch_quartics(params):
-    poly = Polynomial(bloch_H_poly(params))
-    count = vincent_variation_count(poly, 0.0, 1.0)
-    assert count == _vincent_count_numpy(poly, 0.0, 1.0) == _vincent_count_exact(poly, 0.0, 1.0)
-    assert count == 1
-
-
-def test_vincent_count_agrees_with_oracles_on_random_polynomials():
-    checked = 0
-    for _, coeffs, a, b in _root_built_cases(7, 400, 8):
-        poly = Polynomial(coeffs)
-        count = vincent_variation_count(poly, a, b)
-        assert count == _vincent_count_numpy(poly, a, b) == _vincent_count_exact(poly, a, b)
-        checked += 1
-    assert checked > 300
+@pytest.mark.parametrize(
+    "params",
+    [*_BLOCH_LATTICE, ClassParams(0.3, 0.5, 1021.0), ClassParams(0.3, 0.5, 1022.0)],
+    ids=str,
+)
+def test_bloch_quartic_sign_pattern_certifies_one_root_in_the_unit_interval(params):
+    """c0 > 0, c2 < 0, c3 < 0 and c4 <= 0 whatever the sign of c1: one sign
+    variation, so one positive root, and H(1) < 0 < H(0) puts it in (0, 1)."""
+    coeffs = bloch_H_poly(params)
+    assert coeffs[0] > 0 and coeffs[2] < 0 and coeffs[3] < 0 and coeffs[4] <= 0
+    poly = Polynomial(coeffs)
+    assert sign_variations(poly) == 1
+    assert poly(1.0) < 0 < poly(0.0)
 
 
 def test_polynomial_call_is_horner_over_every_stored_coefficient():
@@ -397,17 +328,6 @@ def test_polynomial_call_is_horner_over_every_stored_coefficient():
             for c in coeffs[::-1].tolist():
                 val = val * x + c
             assert poly(x) == val
-
-
-def test_vincent_count_rejects_infinite_endpoint():
-    with pytest.raises(ValueError, match="finite"):
-        vincent_variation_count(Polynomial([-0.25, 0, 1]), 0.0, math.inf)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_vincent_count_rejects_non_finite_coefficient(bad):
-    with pytest.raises(ValueError, match="finite"):
-        vincent_variation_count(Polynomial([-0.25, bad, 1]), 0.0, 1.0)
 
 
 def test_sign_variations_rejects_nan():
