@@ -7,13 +7,15 @@ budget
 
 which is a sufficient condition, not a characterization: everything this
 module certifies is in the class, but the class may contain members the
-certificate cannot see.
+certificate cannot see.  The weights and the sampler's envelope are computed
+once per (params, degree) and kept read-only; ``budget_weights`` copies them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,11 +50,22 @@ class MembershipCertificate:
 
 
 def budget_weights(params: ClassParams, n_max: int) -> np.ndarray:
-    """Weights n^delta (n - alpha)/(1 - alpha) for n = 2..n_max; a weight
-    beyond the float range is inf."""
+    """Weights n^delta (n - alpha)/(1 - alpha) for n = 2..n_max, as a fresh
+    writable array; a weight beyond the float range is inf."""
+    return _budget_factors(params, n_max)[0].copy()
+
+
+@lru_cache(maxsize=32)
+def _budget_factors(params: ClassParams, n_max: int) -> tuple:
+    """Read-only budget weights and sampler envelope n^(-delta-2) for
+    n = 2..n_max, kept for the 32 most recently used (params, n_max)."""
     n = np.arange(2, n_max + 1, dtype=float)
     with np.errstate(over="ignore"):
-        return n**params.delta * (n - params.alpha) / (1.0 - params.alpha)
+        weights = n**params.delta * (n - params.alpha) / (1.0 - params.alpha)
+        envelope = n ** (-params.delta - 2.0)
+    for a in (weights, envelope):
+        a.setflags(write=False)
+    return weights, envelope
 
 
 def certify(h: TruncatedSeries, params: ClassParams) -> MembershipCertificate:
@@ -108,9 +121,7 @@ def sample_certified_h(
         raise ValueError("max_degree must be >= 2")
     if not 0.0 <= fill <= 1.0:
         raise ValueError("fill must be in [0, 1]")
-    n = np.arange(2, max_degree + 1, dtype=float)
-    weights = budget_weights(params, max_degree)
-    envelope = n ** (-params.delta - 2.0)
+    weights, envelope = _budget_factors(params, max_degree)
     if not (np.isfinite(weights[-1]) and envelope[-1] >= np.finfo(float).tiny):
         bits = math.log2(max_degree)
         top = math.log2((max_degree - params.alpha) / (1.0 - params.alpha))
@@ -120,8 +131,8 @@ def sample_certified_h(
             f"{max_degree} it supports delta up to about {largest:.4g}"
         )
     rng = np.random.default_rng(rng_seed)
-    mags = rng.uniform(0.0, 1.0, size=n.size) * envelope
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=n.size)
+    mags = rng.uniform(0.0, 1.0, size=envelope.size) * envelope
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=envelope.size)
     coeffs = np.zeros(max_degree + 1, dtype=complex)
     coeffs[1] = 1.0
     raw_budget = float(np.sum(weights * mags))

@@ -4,12 +4,15 @@ coefficient convolution that produces the co-analytic part.
 A map is f = h + conj(g) with analytic part h (normalized: h(0) = 0,
 h'(0) = 1) and co-analytic part g determined by the dilatation w through
 g' = w * h'.  The first co-analytic coefficient satisfies |b1| = |w(0)|.
+Factors that depend only on (beta, order) or on (phi, angle count) are kept
+read-only in small LRU caches, which change no value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -167,16 +170,25 @@ def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
     beta = w.beta
     coeffs[0] = beta * np.exp(1j * w.mu)
     if order >= 1:
-        n = np.arange(1, order + 1)
-        # (-beta)^(n-1) as a sign times beta^(n-1): a negative base is ~15x slower
+        # beta = -0.0 would share the entry of 0.0, but not the signs of its powers
+        factors = _geometric_factors if beta else _geometric_factors.__wrapped__
+        n, sign, powers = factors(beta, order)
         coeffs[1:] = (
-            np.exp(1j * w.mu)
-            * np.exp(1j * n * w.phi)
-            * (1.0 - beta * beta)
-            * np.where(n % 2 == 1, 1.0, -1.0)
-            * beta ** (n - 1)
+            np.exp(1j * w.mu) * np.exp(1j * n * w.phi) * (1.0 - beta * beta) * sign * powers
         )
     return TruncatedSeries(coeffs)
+
+
+@lru_cache(maxsize=8)
+def _geometric_factors(beta: float, order: int) -> tuple:
+    """Read-only n = 1..order, the sign of (-1)^(n-1) and beta^(n-1) for the
+    Moebius coefficients, kept for the 8 most recently used (beta, order)."""
+    n = np.arange(1, order + 1)
+    # (-beta)^(n-1) as a sign times beta^(n-1): a negative base is ~15x slower
+    factors = n, np.where(n % 2 == 1, 1.0, -1.0), beta ** (n - 1)
+    for a in factors:
+        a.setflags(write=False)
+    return factors
 
 
 def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
@@ -204,17 +216,26 @@ def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
     if radii.ndim != 1 or m < 1:
         raise ValueError("need a 1-d array of radii and n_angles >= 1")
     beta, r = w.beta, radii[:, None]
-    # t/2 = theta/2 + phi/2 is the rounded sum s plus its exact rounding error
-    # e (Knuth's two-sum), and cos(s + e) = cos(s) - e sin(s) to within e^2:
-    # taking cos(s) alone would move |w| by up to 1e-14 at beta = 0.99
-    a, b = np.pi * np.arange(m) / m, 0.5 * w.phi
-    s = a + b
-    v = s - a
-    e = (a - (s - v)) + (b - v)
-    q = (4.0 * beta) * r * (np.cos(s) - e * np.sin(s)) ** 2
+    q = (4.0 * beta) * r * _half_angle_cos2(float(w.phi), m)
     out = (r - beta) ** 2 + q
     out /= ((1.0 - beta) + beta * (1.0 - r)) ** 2 + q
     return np.sqrt(out, out=out)
+
+
+@lru_cache(maxsize=8)
+def _half_angle_cos2(phi: float, m: int) -> np.ndarray:
+    """Read-only cos^2((theta + phi)/2) at theta = 2 pi k/m for the 8 most
+    recently used (phi, m): one per member, shared by its grid and area rings."""
+    # t/2 = theta/2 + phi/2 is the rounded sum s plus its exact rounding error
+    # e (Knuth's two-sum), and cos(s + e) = cos(s) - e sin(s) to within e^2:
+    # taking cos(s) alone would move |w| by up to 1e-14 at beta = 0.99
+    a, b = np.pi * np.arange(m) / m, 0.5 * phi
+    s = a + b
+    v = s - a
+    e = (a - (s - v)) + (b - v)
+    cos2 = (np.cos(s) - e * np.sin(s)) ** 2
+    cos2.setflags(write=False)
+    return cos2
 
 
 def co_analytic_from(h: TruncatedSeries, w: DilatationSpec, order: int) -> TruncatedSeries:

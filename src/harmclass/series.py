@@ -2,12 +2,15 @@
 
 A series is a finite coefficient vector: index n holds the coefficient of
 z**n.  All operations are pure; the coefficient buffer is frozen after
-construction so instances can be shared freely across threads.
+construction so instances can be shared freely across threads.  The powers
+of the radii that ``evaluate_polar`` scales by are kept read-only in a
+bounded process-wide cache (``_ring_powers``), which changes no value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,15 +118,26 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     block = np.zeros(rows * m, dtype=complex)
     block[: s.coeffs.size] = s.coeffs
     block = block.reshape(rows, m)
-    t = radii[:, None] ** m
+    k = min(m, s.coeffs.size)
+    t, powers = _ring_powers(radii.tobytes(), m, k)
     val = np.empty((radii.size, m), dtype=complex)
     val[:] = block[-1]
     for row in block[-2::-1]:
         val *= t
         val += row
-    k = min(m, s.coeffs.size)
-    val[:, :k] *= radii[:, None] ** np.arange(k)
+    val[:, :k] *= powers
     return np.fft.ifft(val, axis=1, norm="forward")
+
+
+@lru_cache(maxsize=64)
+def _ring_powers(radii: bytes, m: int, k: int) -> tuple:
+    """Read-only r^m and r^j, j < k, for the float64 radii packed in ``radii``;
+    the 64 most recently used (the grid, the covering circle, area rings)."""
+    r = np.frombuffer(radii)[:, None]
+    powers = r**m, r ** np.arange(k)
+    for p in powers:
+        p.setflags(write=False)
+    return powers
 
 
 def lincomb(weights, series_list) -> TruncatedSeries:

@@ -40,11 +40,13 @@ builds one grid per argument tuple per process, shared by every table on it.
 
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
-coefficients folded modulo the angle count, Horner in r^M, one FFT per ring.
-The area is an adaptive radial quadrature (``numerics.adaptive_quadrature``,
-the package's one quadrature) of ring means: the rings of one bisection
-level are one ``evaluate_polar`` call.  The checks read the dilatation only
-through |w|, which ``model.dilatation_modulus`` computes on the same rings.
+coefficients folded modulo the angle count, Horner in r^M, one FFT per ring,
+with the powers of r cached per ring set.  The area is an adaptive radial
+quadrature (``numerics.adaptive_quadrature``, the package's one quadrature)
+of ring means of the sample's h', differentiated once per member: the rings
+of one bisection level are one ``evaluate_polar`` call.  The checks read the
+dilatation only through |w|, which ``model.dilatation_modulus`` computes on
+the same rings, from a half-angle factor cached per member.
 For a Moebius w it is a real closed form in the half angle, with no complex
 division and no cancellation near the zero or the pole of w (about an ulp
 from an exact evaluation), so the references the checks compare against
@@ -74,7 +76,9 @@ import numpy as np
 
 from . import bounds
 from .factory import build_member, certify, sample_certified_h
-from .model import ClassParams, HarmonicMapSpec, dilatation_modulus, moebius_dilatation
+from .model import (
+    ClassParams, DilatationSpec, HarmonicMapSpec, dilatation_modulus, moebius_dilatation
+)
 from .numerics import adaptive_quadrature
 from .series import TruncatedSeries, differentiate, evaluate_polar, lincomb
 
@@ -193,8 +197,12 @@ class _GridSample:
         return evaluate_polar(s, self.grid.radii, self.grid.n_angles)
 
     @cached_property
+    def hprime_series(self) -> TruncatedSeries:
+        return differentiate(self.member.h)
+
+    @cached_property
     def hprime(self) -> np.ndarray:
-        return np.abs(self._polar(differentiate(self.member.h)))
+        return np.abs(self._polar(self.hprime_series))
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -210,7 +218,10 @@ class _GridSample:
 
     @cached_property
     def f(self) -> np.ndarray:
-        return np.abs(self._polar(self.member.h) + np.conj(self.g_values))
+        f = self._polar(self.member.h)  # h + conj(g), formed in place
+        f.real += self.g_values.real
+        f.imag -= self.g_values.imag
+        return np.abs(f)
 
 
 class _EnvelopeTable:
@@ -335,24 +346,24 @@ def _g_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     return _grid_report("g_growth", sides, table.grid)
 
 
-def _measure_area(f: HarmonicMapSpec, tol: float) -> float:
-    """Area of the image counted with multiplicity: tensor quadrature of the
+def _measure_area(hprime: TruncatedSeries, w: DilatationSpec, tol: float) -> float:
+    """Area of the image, counted with multiplicity, of a member with
+    derivative ``hprime`` of h and dilatation ``w``: tensor quadrature of the
     Jacobian |h'|^2 (1 - |w|^2) in polar coordinates (adaptive radial x
     trapezoid angular).  The rings of one bisection level are evaluated
     together: one ``evaluate_polar`` call for h' and one ``dilatation_modulus``
     call for |w|."""
-    hprime = differentiate(f.h)
 
     def ring_mean(r: np.ndarray) -> np.ndarray:
         hp = evaluate_polar(hprime, r, _AREA_ANGLES)
-        m = dilatation_modulus(f.w, r, _AREA_ANGLES)
+        m = dilatation_modulus(w, r, _AREA_ANGLES)
         return r * np.mean(np.abs(hp) ** 2 * (1.0 - m**2), axis=1)
 
     return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
 
 
 def _area(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    measured = _measure_area(sample.member, _AREA_TOL)
+    measured = _measure_area(sample.hprime_series, sample.member.w, _AREA_TOL)
     env = table.area_envelope
     margins = (measured - env.lower, env.upper - measured)
     if margins[0] <= margins[1]:
@@ -385,7 +396,9 @@ def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 def _bloch(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     grid = table.grid
-    weighted = table.bloch_weight * (sample.hprime * (1.0 + sample.w))
+    weighted = 1.0 + sample.w  # (1 - r^2) |h'| (1 + |w|), in one array
+    weighted *= sample.hprime
+    weighted *= table.bloch_weight
     bound = table.bloch_bound
     r_idx, t_idx = np.unravel_index(int(np.argmax(weighted)), weighted.shape)
     measured = float(weighted[r_idx, t_idx])
