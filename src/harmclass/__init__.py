@@ -46,7 +46,7 @@ from .model import (
     DilatationSpec,
     HarmonicMapSpec,
     co_analytic_from,
-    custom_dilatation,
+    constant_dilatation,
     dilatation_coeffs,
     harmonic_map,
     moebius_dilatation,

@@ -10,7 +10,10 @@ compute its moments once; the cache never changes a value.
 
 The Bloch critical radius is the unique root in (0, 1) of a quartic whose
 own coefficient signs and endpoint values certify that root (Descartes'
-rule of signs, see ``bloch_bound``); bisection then narrows it.
+rule of signs, see ``bloch_bound``); bisection then narrows it.  The
+quartic and the closed g-growth forms scale with 2^delta; above delta = 1000
+they are evaluated divided by an exact power of two, so they stay finite up
+to delta = 1024 (``_scaled_power_of_two``).
 
 Two growth quantities carry a stated/derived split.  The closed lower form
 for |g| (via the expression F below) and the lower growth integrand for |f|
@@ -81,6 +84,10 @@ _G_GROWTH_BETA_SWITCH = 1e-3
 #: agreement threshold for stated-vs-derived growth forms.
 _CROSSCHECK_TOL = 1e-8
 
+#: Largest exponent of the power-of-two scale a bound is evaluated with
+#: (see ``_scaled_power_of_two``).
+_SCALE_EXPONENT_CAP = 1000
+
 #: 1/(k + 1), k = 0..255: the moments at t = 0 and the terms of their recurrences.
 _RECIPROCALS = tuple(1.0 / (k + 1) for k in range(256))
 
@@ -140,6 +147,19 @@ class GrowthFormCheck:
                     }
                 )
         return out
+
+
+def _scaled_power_of_two(x: float) -> tuple[float, int]:
+    """2^x / 2^k and k, the least integer k >= 0 with x - k <= 1000.
+
+    The Bloch quartic and profile and the closed g-growth forms are
+    homogeneous of degree one in 2^delta and 1 - alpha, and from delta ~ 1022
+    on their sums overflow.  Dividing both by 2^k leaves the root and the
+    ratios as they are; ``math.ldexp`` divides exactly, so a value that was a
+    normal float unscaled keeps its bits, and k = 0 up to x = 1000.
+    """
+    k = max(0, math.ceil(x - _SCALE_EXPONENT_CAP))
+    return math.ldexp(2.0**x, -k), k
 
 
 def distortion_slope(params: ClassParams) -> float:
@@ -313,13 +333,13 @@ def bn_bounds(params: ClassParams, n_top: int) -> np.ndarray:
     k = np.arange(1, n_top, dtype=float)
     partial = np.cumsum(k ** (1.0 - delta) / (k - alpha))[1:]
     n = k[1:] + 1.0
-    # n^delta overflows from delta ~ 646 (n = 3): inf sends the last term to
-    # its limit 0, so the overflow is not worth a warning
+    # n^delta, or n^delta (n - alpha), overflows from delta ~ 645 (n = 3): inf
+    # sends the last term to its limit 0, so the overflow is not worth a warning
     with np.errstate(over="ignore"):
         scale = n**delta
-    rest = (1.0 - alpha) * (1.0 - beta * beta) / n * partial + (1.0 - alpha) * beta / (
-        scale * (n - alpha)
-    )
+        rest = (1.0 - alpha) * (1.0 - beta * beta) / n * partial + (1.0 - alpha) * beta / (
+            scale * (n - alpha)
+        )
     return np.concatenate(([_b2_bound(params)], rest))
 
 
@@ -365,16 +385,19 @@ def gprime_envelope(params: ClassParams, r: float) -> BoundEnvelope:
 
 
 def _g_growth_closed(params: ClassParams, r: float) -> tuple[float, float]:
-    """The stated closed forms (|F|, E) / (2^delta (2-alpha) beta^3)."""
-    alpha, beta, delta = params.alpha, params.beta, params.delta
-    d = 2.0**delta * (2.0 - alpha)
+    """The stated closed forms (|F|, E) / (2^delta (2-alpha) beta^3), with
+    numerator and denominator divided by 2^k (``_scaled_power_of_two``)."""
+    alpha, beta = params.alpha, params.beta
+    power, k = _scaled_power_of_two(params.delta)
+    d = power * (2.0 - alpha)
+    a1, a2 = math.ldexp(1.0 - alpha, -k), math.ldexp(2.0 - 2.0 * alpha, -k)
     log_p = math.log1p(r * beta)
     log_m = math.log1p(-r * beta)
-    e_val = r * beta * (d * beta - (1.0 - alpha) * (2.0 - (r + 2.0 * beta) * beta)) + (
-        2.0 - 2.0 * alpha - d * beta
+    e_val = r * beta * (d * beta - a1 * (2.0 - (r + 2.0 * beta) * beta)) + (
+        a2 - d * beta
     ) * (1.0 - beta * beta) * log_p
-    f_val = r * beta * (-d * beta + (1.0 - alpha) * (2.0 + (r - 2.0 * beta) * beta)) + (
-        2.0 - 2.0 * alpha - d * beta
+    f_val = r * beta * (-d * beta + a1 * (2.0 + (r - 2.0 * beta) * beta)) + (
+        a2 - d * beta
     ) * (1.0 - beta * beta) * log_m
     scale = d * beta**3
     return abs(f_val) / scale, e_val / scale
@@ -515,13 +538,24 @@ def covering_radius_floor(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) ->
     return _f_lower_integral(params, 1.0, -1.0)
 
 
+def _bloch_scales(params: ClassParams) -> tuple[float, float, float]:
+    """d2 = 2^(delta-1) (2-alpha), a1 = 1 - alpha and 2^(delta-1), each divided
+    by the 2^k of ``_scaled_power_of_two(delta - 1)``: k = 0 up to delta = 1001."""
+    power, k = _scaled_power_of_two(params.delta - 1.0)
+    return power * (2.0 - params.alpha), math.ldexp(1.0 - params.alpha, -k), power
+
+
 def bloch_H_poly(params: ClassParams) -> np.ndarray:
     """Ascending coefficients of the quartic whose unique root in (0, 1)
-    maximizes the weighted stretch profile G."""
+    maximizes the weighted stretch profile G.
+
+    Above delta = 1001 the quartic is divided by 2^k, k = ceil(delta - 1001)
+    (see ``_bloch_scales``): a positive multiple with the same root, whose
+    coefficients stay finite for every delta below 1024.
+    """
     params.require_nonnegative_delta()
-    alpha, beta, delta = params.alpha, params.beta, params.delta
-    d2 = 2.0 ** (delta - 1.0) * (2.0 - alpha)
-    a1 = 1.0 - alpha
+    beta = params.beta
+    d2, a1, _ = _bloch_scales(params)
     coeffs = np.array(
         [
             d2 * (1.0 - beta) + a1,
@@ -548,12 +582,11 @@ def bloch_L_coeffs(params: ClassParams, r: float) -> tuple[float, float]:
     return a0, a1
 
 
-def _bloch_profile(params: ClassParams, r: float) -> float:
-    """G(r) = ((1 + r - r^2 - r^3) d2 + (1-alpha)(r + r^2 - r^3 - r^4))/(1 + beta r),
-    in the factored form (1 + r)(1 - r^2)(d2 + (1-alpha) r)/(1 + beta r)."""
-    alpha, beta, delta = params.alpha, params.beta, params.delta
-    d2 = 2.0 ** (delta - 1.0) * (2.0 - alpha)
-    return (1.0 + r) * (1.0 - r * r) * (d2 + (1.0 - alpha) * r) / (1.0 + beta * r)
+def _bloch_profile(d2: float, a1: float, beta: float, r: float) -> float:
+    """G(r) = ((1 + r - r^2 - r^3) d2 + a1 (r + r^2 - r^3 - r^4))/(1 + beta r),
+    in the factored form (1 + r)(1 - r^2)(d2 + a1 r)/(1 + beta r), with d2 and
+    a1 = 1 - alpha as ``_bloch_scales`` gives them."""
+    return (1.0 + r) * (1.0 - r * r) * (d2 + a1 * r) / (1.0 + beta * r)
 
 
 def bloch_bound(params: ClassParams) -> BlochResult:
@@ -568,9 +601,10 @@ def bloch_bound(params: ClassParams) -> BlochResult:
     The count is read off the coefficients themselves, so no rounding can
     change it.  A variation count other than one, H(0) <= 0 or H(1) >= 0
     contradicts that argument and raises RootCountError rather than being
-    masked.  Near delta = 1022 Horner's rule can overflow to -inf where H is
-    positive and steer the bisection off the root; a bracket at which H does
-    not evaluate finite raises ValueError.
+    masked.  H, G and the prefactor carry the scale 2^k of ``_bloch_scales``,
+    which cancels exactly in the bound, so they stay finite up to delta = 1024
+    and the prefactor stays a normal float (unscaled, it is subnormal from
+    delta ~ 1022 on).
     """
     params.require_nonnegative_delta()
     h_coeffs = bloch_H_poly(params)
@@ -583,12 +617,8 @@ def bloch_bound(params: ClassParams) -> BlochResult:
             f"{count}, H(0) = {h_at_zero!r}, H(1) = {h_at_one!r}"
         )
     bracket = bisect_bracket(H, 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
-    if not all(math.isfinite(H(x)) for x in bracket):
-        raise ValueError(
-            f"delta = {params.delta} is too large: evaluating H overflows at the bracket "
-            f"{list(bracket)} of its root"
-        )
     r0 = 0.5 * (bracket[0] + bracket[1])
-    prefactor = (1.0 + params.beta) / ((2.0 - params.alpha) * 2.0 ** (params.delta - 1.0))
-    bound = prefactor * _bloch_profile(params, r0)
+    d2, a1, power = _bloch_scales(params)
+    prefactor = (1.0 + params.beta) / ((2.0 - params.alpha) * power)
+    bound = prefactor * _bloch_profile(d2, a1, params.beta, r0)
     return BlochResult(r0=r0, bound=bound, H_coeffs=tuple(h_coeffs.tolist()), bracket=bracket)

@@ -159,7 +159,7 @@ def member_to_json(
     member: HarmonicMapSpec, params: ClassParams, seed: int | None = None
 ) -> dict:
     """Serialized member: series payloads plus a parameter/seed header."""
-    record = {
+    return {
         "params": {"alpha": params.alpha, "beta": params.beta, "delta": params.delta},
         "seed": seed,
         "h": series_to_json(member.h),
@@ -171,6 +171,3 @@ def member_to_json(
             "phi": member.w.phi,
         },
     }
-    if member.w.kind == "custom":
-        record["dilatation"]["series"] = series_to_json(member.w.series)
-    return record

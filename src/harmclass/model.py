@@ -1,5 +1,6 @@
-"""Data model for the harmonic-map class: parameters, dilatations and the
-coefficient convolution that produces the co-analytic part.
+"""Data model for the harmonic-map class: parameters, dilatations (Moebius
+and constant, both closed forms) and the coefficient convolution that
+produces the co-analytic part.
 
 A map is f = h + conj(g) with analytic part h (normalized: h(0) = 0,
 h'(0) = 1) and co-analytic part g determined by the dilatation w through
@@ -11,13 +12,12 @@ read-only in small LRU caches, which change no value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .series import TruncatedSeries, differentiate, evaluate_polar
+from .series import TruncatedSeries, differentiate
 
 __all__ = [
     "ClassParams",
@@ -25,7 +25,7 @@ __all__ = [
     "HarmonicMapSpec",
     "moebius_dilatation",
     "rotation_dilatation",
-    "custom_dilatation",
+    "constant_dilatation",
     "default_truncation_order",
     "dilatation_coeffs",
     "dilatation_modulus",
@@ -103,27 +103,28 @@ class DilatationSpec:
     """Admissible dilatation: |w| < 1 on the disk with |w(0)| = beta.
 
     kinds:
-      * ``moebius`` - w(z) = e^{i mu} (e^{i phi} z + beta) / (1 + beta e^{i phi} z);
+      * ``moebius``  - w(z) = e^{i mu} (e^{i phi} z + beta) / (1 + beta e^{i phi} z);
         at beta = 0 it is the rotation e^{i(mu + phi)} z
-      * ``custom``  - an explicit truncated series
+      * ``constant`` - w(z) = beta e^{i mu}, so g = beta e^{i mu} h; at beta = 0
+        it gives the analytic members.  It has no phi (which must be 0).
+
+    Both are admissible for every beta in [0, 1) and finite mu and phi.
     """
 
     kind: str
     beta: float
     mu: float = 0.0
     phi: float = 0.0
-    series: Optional[TruncatedSeries] = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("moebius", "custom"):
+        if self.kind not in ("moebius", "constant"):
             raise ValueError(f"unknown dilatation kind {self.kind!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if self.kind == "custom":
-            if self.series is None:
-                raise ValueError("custom dilatation requires a series")
-        elif self.series is not None:
-            raise ValueError("series is only meaningful for the custom kind")
+        if not (math.isfinite(self.mu) and math.isfinite(self.phi)):
+            raise ValueError(f"mu and phi must be finite, got {self.mu} and {self.phi}")
+        if self.kind == "constant" and self.phi != 0.0:
+            raise ValueError("a constant dilatation has no phi: it must be 0")
 
 
 def moebius_dilatation(beta: float, mu: float = 0.0, phi: float = 0.0) -> DilatationSpec:
@@ -135,41 +136,25 @@ def rotation_dilatation(mu: float = 0.0, phi: float = 0.0) -> DilatationSpec:
     return moebius_dilatation(0.0, mu, phi)
 
 
-def custom_dilatation(series: TruncatedSeries, beta: float) -> DilatationSpec:
-    """Wrap an explicit series, checking |c0| = beta and |w| < 1 on a grid.
-
-    The modulus check samples |z| <= 0.999; it is a necessary screen, not a
-    proof of admissibility on the open disk.  Non-finite coefficients raise.
-    """
-    if not np.all(np.isfinite(series.coeffs)):
-        raise ValueError("custom dilatation coefficients must be finite")
-    if abs(abs(series.coeffs[0]) - beta) > IDENT_TOL:
-        raise ValueError("custom dilatation must have |c0| = beta")
-    w = DilatationSpec(kind="custom", beta=beta, series=series)
-    if not dilatation_modulus(w, np.linspace(0.1, 0.999, 10), 64).max() < 1.0:
-        raise ValueError("custom dilatation reaches modulus >= 1 inside the disk")
-    return w
+def constant_dilatation(beta: float, mu: float = 0.0) -> DilatationSpec:
+    """The constant w(z) = beta e^{i mu}; at beta = 0 the member is analytic."""
+    return DilatationSpec(kind="constant", beta=beta, mu=mu)
 
 
 def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
     """Power-series coefficients of the dilatation, truncated at ``order``.
 
-    For the Moebius kind the geometric expansion gives c0 = e^{i mu} beta and
-    c_n = e^{i mu} e^{i n phi} (1 - beta^2)(-beta)^{n-1} for n >= 1, which
-    realizes |c1| = 1 - |c0|^2 (the largest value the Schwarz-Pick coefficient
-    inequality allows).
+    Both kinds have c0 = e^{i mu} beta.  For the Moebius kind the geometric
+    expansion gives c_n = e^{i mu} e^{i n phi} (1 - beta^2)(-beta)^{n-1} for
+    n >= 1, which realizes |c1| = 1 - |c0|^2 (the largest value the
+    Schwarz-Pick coefficient inequality allows); the constant kind has c_n = 0.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if w.kind == "custom":
-        coeffs = np.zeros(order + 1, dtype=complex)
-        take = min(order, w.series.order) + 1
-        coeffs[:take] = w.series.coeffs[:take]
-        return TruncatedSeries(coeffs)
     coeffs = np.zeros(order + 1, dtype=complex)
     beta = w.beta
     coeffs[0] = beta * np.exp(1j * w.mu)
-    if order >= 1:
+    if w.kind == "moebius" and order >= 1:
         # beta = -0.0 would share the entry of 0.0, but not the signs of its powers
         factors = _geometric_factors if beta else _geometric_factors.__wrapped__
         n, sign, powers = factors(beta, order)
@@ -206,15 +191,15 @@ def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
     does not cancel near the pole either.  Against an exact evaluation at
     the same (r, theta, phi) it errs by about an ulp, where the complex form
     |(u + beta) / (1 + beta u)|, u = e^{i phi} z, errs by up to 1.2e-14 at
-    beta = 0.99.  At beta = 0 it returns r exactly.  The custom kind takes
-    the modulus of its series on the rings.
+    beta = 0.99.  At beta = 0 it returns r exactly.  The constant kind is
+    beta everywhere.
     """
     radii = np.asarray(radii, dtype=float)
-    if w.kind == "custom":
-        return np.abs(evaluate_polar(w.series, radii, n_angles))
     m = int(n_angles)
     if radii.ndim != 1 or m < 1:
         raise ValueError("need a 1-d array of radii and n_angles >= 1")
+    if w.kind == "constant":
+        return np.full((radii.size, m), w.beta)
     beta, r = w.beta, radii[:, None]
     q = (4.0 * beta) * r * _half_angle_cos2(float(w.phi), m)
     out = (r - beta) ** 2 + q

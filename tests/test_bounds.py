@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -99,9 +100,11 @@ def test_integral_float_coefficient_index_is_accepted():
 
 
 @pytest.mark.filterwarnings("error")
-def test_bn_bounds_at_large_delta_take_the_limit_without_a_warning():
-    """n^delta overflows from delta ~ 646 at n = 3; the term it divides goes to 0."""
-    got = bn_bounds(ClassParams(0.3, 0.5, 700), 4).tolist()
+@pytest.mark.parametrize("delta", [645.5, 700.0])
+def test_bn_bounds_at_large_delta_take_the_limit_without_a_warning(delta):
+    """n^delta overflows from delta ~ 646 at n = 3, and n^delta (n - alpha)
+    already at 645.5; the term they divide goes to 0."""
+    got = bn_bounds(ClassParams(0.3, 0.5, delta), 4).tolist()
     assert got == [0.375, 0.24999999999999994, 0.18749999999999997]
 
 
@@ -276,6 +279,38 @@ def test_g_growth_small_beta_switch_is_continuous():
     # below the switch the bounds are the quadrature form, bit for bit
     small = ClassParams(0.3, 5e-4, 1)
     assert g_growth_bounds(small, 0.6) == g_growth_quadrature(small, 0.6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1020.5, 1023.5, 1024.0 - 2.0**-43])
+@pytest.mark.parametrize("alpha, beta", itertools.product((0.0, 0.3, 0.9), (0.01, 0.5, 0.99)))
+def test_g_growth_closed_forms_stay_finite_up_to_delta_1024(alpha, beta, delta):
+    """2^delta (2 - alpha) overflowed from delta ~ 1023 and the closed forms
+    read NaN; scaled by 2^-k they take the delta = 1000 values."""
+    for r in (0.0, 0.3, 0.5, 0.999):
+        got = g_growth_bounds(ClassParams(alpha, beta, delta), r)
+        reference = g_growth_bounds(ClassParams(alpha, beta, 1000.0), r)
+        assert got.lower == pytest.approx(reference.lower, rel=1e-12, abs=1e-300)
+        assert got.upper == pytest.approx(reference.upper, rel=1e-12, abs=1e-300)
+
+
+def test_g_growth_closed_forms_keep_their_bits_where_the_scale_is_finite():
+    """Above delta = 1000 the closed forms are evaluated divided by 2^k, which
+    ``math.ldexp`` does exactly: every value stays that of the unscaled form."""
+    rng = np.random.default_rng(1023)
+    for _ in range(300):
+        alpha, beta, r = rng.uniform(0.0, 1.0, 3).tolist()
+        params = ClassParams(alpha, max(beta, 1e-3), float(rng.uniform(990.0, 1022.0)))
+        d = 2.0**params.delta * (2.0 - alpha)
+        b = params.beta
+        e_val = r * b * (d * b - (1.0 - alpha) * (2.0 - (r + 2.0 * b) * b)) + (
+            2.0 - 2.0 * alpha - d * b
+        ) * (1.0 - b * b) * math.log1p(r * b)
+        f_val = r * b * (-d * b + (1.0 - alpha) * (2.0 + (r - 2.0 * b) * b)) + (
+            2.0 - 2.0 * alpha - d * b
+        ) * (1.0 - b * b) * math.log1p(-r * b)
+        got = g_growth_bounds(params, r)
+        assert (got.lower, got.upper) == (abs(f_val) / (d * b**3), e_val / (d * b**3))
 
 
 def test_g_growth_closed_matches_quadrature_inside_beta():
@@ -710,7 +745,7 @@ def test_bloch_profile_factored_form_matches_expanded_quartic():
         expanded = (
             (1 + r - r**2 - r**3) * d2 + (1 - alpha) * (r + r**2 - r**3 - r**4)
         ) / (1 + beta * r)
-        got = _bloch_profile(ClassParams(alpha, beta, delta), r)
+        got = _bloch_profile(d2, 1.0 - alpha, beta, r)
         assert abs(got - expanded) <= 1e-15 * abs(expanded)
 
 
@@ -749,32 +784,47 @@ def test_bloch_raises_on_one_root_outside_the_unit_interval(monkeypatch, capsys,
     assert captured.err.startswith("root isolation failed: expected exactly one critical radius")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha, beta", itertools.product((0.0, 0.3, 0.9), (0.0, 0.5, 0.99)))
-def test_bloch_at_delta_1021_and_1022_matches_delta_1000(alpha, beta):
-    """H is finite up to about delta = 1022: the 1 - alpha terms fall below the
-    last bit of the 2^delta terms, so r0 and the bound are those of delta = 1000."""
+def test_bloch_up_to_delta_1024_matches_delta_1000(alpha, beta):
+    """The 1 - alpha terms fall below the last bit of the 2^delta terms, so
+    r0 and the bound are those of delta = 1000, also where the unscaled
+    quartic overflowed (from delta ~ 1022.07 on)."""
     reference = bloch_bound(ClassParams(alpha, beta, 1000.0))
-    for delta in (1021.0, 1022.0):
+    for delta in (1021.0, 1022.0, 1022.4, 1023.5, 1024.0 - 2.0**-43):
         result = bloch_bound(ClassParams(alpha, beta, delta))
+        assert all(map(math.isfinite, result.H_coeffs))
         assert result.r0 == pytest.approx(reference.r0, abs=1e-12)
         assert result.bound == pytest.approx(reference.bound, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1001.0, 1001.5, 1010.0, 1022.0])
+def test_bloch_quartic_above_delta_1001_is_divided_exactly_by_a_power_of_two(delta):
+    """Where the unscaled quartic is finite, the printed one is it times
+    2^-k, k = ceil(delta - 1001), bit for bit."""
+    alpha, beta = 0.3, 0.5
+    d2, a1 = 2.0 ** (delta - 1.0) * (2.0 - alpha), 1.0 - alpha
+    unscaled = [
+        d2 * (1.0 - beta) + a1,
+        -2.0 * (d2 - a1),
+        -(d2 * (3.0 + beta) + a1 * (3.0 - beta)),
+        -(2.0 * d2 * beta + a1 * (4.0 + 2.0 * beta)),
+        -3.0 * a1 * beta,
+    ]
+    k = max(0, math.ceil(delta - 1001.0))
+    got = bloch_H_poly(ClassParams(alpha, beta, delta)).tolist()
+    assert got == [math.ldexp(c, -k) for c in unscaled]
+
+
 @pytest.mark.filterwarnings("error")
-def test_bloch_rejects_a_bracket_where_the_quartic_overflows(capsys):
-    """At delta = 1022.4 the coefficients are finite, but Horner's rule
-    overflows to -inf where H > 0, and bisection stops near 0.066 instead of
-    at the root near 0.186: ValueError, and exit 2 with a message."""
-    params = ClassParams(0.3, 0.5, 1022.4)
-    assert all(map(math.isfinite, bloch_H_poly(params)))
-    with pytest.raises(ValueError, match="overflows at the bracket"):
-        bloch_bound(params)
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["bloch", "--alpha", "0.3", "--beta", "0.5", "--delta", "1022.4"])
-    assert excinfo.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "delta = 1022.4 is too large: evaluating H overflows" in captured.err
+def test_bloch_finds_the_root_where_the_unscaled_quartic_overflowed(capsys):
+    """At delta = 1022.4 Horner's rule on the unscaled quartic overflowed to
+    -inf where H > 0, and bisection stopped near 0.066; scaled, it finds the
+    root near 0.186 and ``hcl bloch`` exits 0."""
+    result = bloch_bound(ClassParams(0.3, 0.5, 1022.4))
+    assert result.r0 == pytest.approx(0.18614066163450715, abs=1e-12)
+    assert cli.main(["bloch", "--alpha", "0.3", "--beta", "0.5", "--delta", "1022.4"]) == 0
+    assert json.loads(capsys.readouterr().out)["r0"] == result.r0
 
 
 def test_bloch_rejects_negative_delta():

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from harmclass import cli
@@ -200,6 +202,59 @@ def test_bloch_at_delta_1022_matches_delta_1000(capsys, command):
     key = "" if command == "bloch" else "bloch_"
     for field in ("r0", "bound"):
         assert rows["1022"][key + field] == pytest.approx(rows["1000"][key + field], abs=1e-12)
+
+
+def _domain_points() -> list[tuple[float, float, float]]:
+    """Seeded (alpha, beta, delta) with alpha, beta in [0, 1) and delta in
+    [0, 1024), every other delta in [1020, 1024), plus the edges alpha,
+    beta -> 1-, delta -> 1024- and delta = 645.5 (where n^delta (n - alpha)
+    first overflows at n = 3)."""
+    rng = np.random.default_rng(20180914)
+    points = []
+    for i in range(160):
+        alpha, beta = rng.uniform(0.0, 1.0, 2).tolist()
+        delta = float(rng.uniform(1020.0, 1024.0) if i % 2 else rng.uniform(0.0, 1024.0))
+        points.append((alpha, beta, delta))
+    below_one, below_1024 = 1.0 - 2.0**-53, 1024.0 - 2.0**-43
+    for alpha in (0.0, below_one):
+        for beta in (0.0, below_one):
+            points += [(alpha, beta, delta) for delta in (645.5, 1023.5, below_1024)]
+    return points
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+def _numbers(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+_DOMAIN_FLAGS = {"bounds": ["--n-max", "4"], "growth": ["--r", "0,0.5,0.999"]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bounds", "table", "bloch", "area", "cover", "growth"])
+def test_bound_commands_are_total_on_the_bound_domain(capsys, command):
+    """Every bound command exits 0 on all of 0 <= alpha, beta < 1 and
+    0 <= delta < 1024 under warnings as errors, and prints strict JSON with
+    finite numbers only."""
+    for alpha, beta, delta in _domain_points():
+        argv = [command, "--alpha", repr(alpha), "--beta", repr(beta), "--delta", repr(delta),
+                *_DOMAIN_FLAGS.get(command, [])]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), argv
+        for line in out.splitlines():
+            record = json.loads(line, parse_constant=_reject_constant)
+            assert all(math.isfinite(x) for v in record.values() for x in _numbers(v)), argv
 
 
 @pytest.mark.filterwarnings("error")

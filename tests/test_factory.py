@@ -11,6 +11,7 @@ from harmclass.factory import (
 )
 from harmclass.model import (
     ClassParams,
+    constant_dilatation,
     dilatation_modulus,
     moebius_dilatation,
     rotation_dilatation,
@@ -209,3 +210,10 @@ def test_member_json_header():
     assert record["h"]["order"] == 2
     assert len(record["g"]["re"]) == record["g"]["order"] + 1
     assert record["dilatation"]["kind"] == "moebius"
+
+
+def test_member_json_records_a_constant_dilatation():
+    params = ClassParams(0.3, 0.5, 1)
+    member = build_member(extremal_h(2, 0.0, params), constant_dilatation(0.5, 0.2), params)
+    record = member_to_json(member, params)
+    assert record["dilatation"] == {"kind": "constant", "beta": 0.5, "mu": 0.2, "phi": 0.0}

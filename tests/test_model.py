@@ -6,7 +6,8 @@ import pytest
 from harmclass.model import (
     ClassParams,
     co_analytic_from,
-    custom_dilatation,
+    constant_dilatation,
+    DilatationSpec,
     default_truncation_order,
     dilatation_coeffs,
     dilatation_modulus,
@@ -112,11 +113,11 @@ def test_rotation_is_moebius_at_beta_zero(z):
     assert evaluate(dilatation_coeffs(w, 3), z) == pytest.approx(np.exp(0.7j) * z, abs=1e-15)
 
 
-def test_custom_coeffs_truncated_copy():
-    base = TruncatedSeries([0, 0.5, 0.25])
-    w = custom_dilatation(base, beta=0.0)
-    assert np.allclose(dilatation_coeffs(w, 1).coeffs, [0, 0.5])
-    assert np.allclose(dilatation_coeffs(w, 4).coeffs, [0, 0.5, 0.25, 0, 0])
+def test_constant_coeffs_are_the_center_alone():
+    w = constant_dilatation(0.5, mu=0.3)
+    assert w.kind == "constant"
+    assert np.array_equal(dilatation_coeffs(w, 0).coeffs, [0.5 * np.exp(0.3j)])
+    assert np.array_equal(dilatation_coeffs(w, 4).coeffs, [0.5 * np.exp(0.3j), 0, 0, 0, 0])
 
 
 def test_dilatation_coeffs_rejects_negative_order():
@@ -124,28 +125,25 @@ def test_dilatation_coeffs_rejects_negative_order():
         dilatation_coeffs(moebius_dilatation(0.2), order=-1)
 
 
-def test_custom_dilatation_validates_center_modulus():
-    with pytest.raises(ValueError):
-        custom_dilatation(TruncatedSeries([0.2, 0.1]), beta=0.0)
+def test_constant_dilatation_has_no_phi():
+    with pytest.raises(ValueError, match="phi"):
+        DilatationSpec(kind="constant", beta=0.5, phi=0.1)
 
 
-# |w(0.999)| = 0.999 + 0.0011 * 0.999^2 > 1: the screen reaches the ring r = 0.999
-@pytest.mark.parametrize("coeffs", [[0.0, 1.2], [0.0, 1.0, 0.0011]])
-def test_custom_dilatation_rejects_modulus_reaching_one(coeffs):
-    with pytest.raises(ValueError, match="modulus"):
-        custom_dilatation(TruncatedSeries(coeffs), beta=0.0)
+@pytest.mark.parametrize("beta", [-0.1, 1.0, math.nan])
+def test_constant_dilatation_rejects_beta_outside_the_unit_interval(beta):
+    with pytest.raises(ValueError, match="beta"):
+        constant_dilatation(beta)
 
 
-def test_custom_dilatation_rejects_a_nan_coefficient():
-    # NaN >= 1.0 is False: a ring screen written as "max >= 1" let this through
-    with pytest.raises(ValueError, match="finite"):
-        custom_dilatation(TruncatedSeries([0.0, math.nan]), beta=0.0)
-
-
-def test_custom_dilatation_rejects_a_nan_center():
-    # |NaN - beta| > tol is False: the |c0| = beta check alone let this through
-    with pytest.raises(ValueError, match="finite"):
-        custom_dilatation(TruncatedSeries([math.nan, 0.1]), beta=0.0)
+@pytest.mark.parametrize("kind", ["moebius", "constant"])
+@pytest.mark.parametrize("mu, phi", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan),
+                                     (0.0, -math.inf)])
+def test_dilatation_rejects_non_finite_angles(kind, mu, phi):
+    # a NaN phi passed build_member and then failed inside verification, and a
+    # NaN mu surfaced as "|b1| must equal the dilatation beta"
+    with pytest.raises(ValueError, match="mu and phi must be finite"):
+        DilatationSpec(kind=kind, beta=0.5, mu=mu, phi=phi)
 
 
 def test_rotation_requires_beta_zero():
@@ -240,13 +238,14 @@ def test_dilatation_modulus_has_no_cancellation_at_the_zero_of_w(beta):
         assert got[1, k] <= 1e-15 if beta <= 0.6 else got[1, k] <= 2e-14
 
 
-def test_dilatation_modulus_of_a_custom_series():
-    series = TruncatedSeries([0.2, 0.5j, -0.1, 0.05])
-    w = custom_dilatation(series, beta=0.2)
-    radii = np.array([0.1, 0.5, 0.9])
-    got = dilatation_modulus(w, radii, 64)
-    assert np.array_equal(got, np.abs(evaluate_polar(series, radii, 64)))
-    assert np.max(np.abs(got - np.abs(evaluate(series, _ring_points(radii, 64))))) <= 1e-15
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.99])
+def test_dilatation_modulus_of_a_constant_is_beta_exactly(beta):
+    radii = np.array([0.1, 0.5, 0.995])
+    got = dilatation_modulus(constant_dilatation(beta, mu=1.1), radii, 64)
+    assert got.shape == (3, 64)
+    assert np.all(got == beta)
+    # the modulus of the one-term series on the rings, bit for bit
+    assert np.array_equal(got, np.abs(evaluate_polar(TruncatedSeries([beta]), radii, 64)))
 
 
 @pytest.mark.parametrize("radii,n_angles", [([[0.5]], 8), ([0.5], 0)])
@@ -267,6 +266,16 @@ def test_co_analytic_identity_with_rotation():
     expected = np.zeros(7)
     expected[2] = 0.5
     assert np.allclose(g.coeffs, expected)
+
+
+@pytest.mark.parametrize("beta,mu", [(0.0, 0.7), (0.5, 0.0), (0.5, 1.3), (0.99, -2.0)])
+def test_co_analytic_from_a_constant_is_the_analytic_part_times_it(beta, mu):
+    h = TruncatedSeries([0, 1, 0.1 - 0.2j, 0.03j, -0.004])
+    c = beta * np.exp(1j * mu)
+    g = co_analytic_from(h, constant_dilatation(beta, mu), order=9)
+    expected = np.zeros(10, dtype=complex)
+    expected[:5] = c * h.coeffs
+    assert np.all(np.abs(g.coeffs - expected) <= 1e-15 * np.abs(expected))
 
 
 def test_co_analytic_extremal_attains_half():

@@ -13,7 +13,7 @@ from harmclass.model import (
     ClassParams,
     HarmonicMapSpec,
     co_analytic_from,
-    custom_dilatation,
+    constant_dilatation,
     dilatation_modulus,
     harmonic_map,
     moebius_dilatation,
@@ -48,8 +48,7 @@ def extremal_member():
 
 
 def identity_member():
-    w_zero = custom_dilatation(TruncatedSeries([0.0, 0.0]), beta=0.0)
-    return harmonic_map(TruncatedSeries([0, 1]), w_zero)
+    return harmonic_map(TruncatedSeries([0, 1]), constant_dilatation(0.0))
 
 
 def half_square_member():
@@ -108,6 +107,19 @@ def test_vanishing_dilatation_violates_area_envelope():
     rep = verify_area(identity_member(), P011)
     assert not rep.passed
     assert rep.worst_margin == pytest.approx(97 * math.pi / 120 - math.pi, abs=1e-6)
+
+
+def test_constant_dilatation_falls_below_the_moebius_gprime_lower_side():
+    """The |g'| lower side |beta - r|/(1 - beta r) (1 - c r) is sharp for
+    Moebius w only: near r = 1 it tends to 1 - c, while w = 0.5 keeps
+    |g'| = |h'|/2.  The distortion check records the violation at the
+    outermost ring."""
+    params = ClassParams(0.3, 0.5, 1)
+    h = sample_certified_h(params, 16, 0.7, 3)
+    rep = verify_distortion(build_member(h, constant_dilatation(0.5), params), params)
+    assert not rep.passed
+    assert rep.witness.startswith("|g'| lower at r=0.995,")
+    assert rep.worst_margin == pytest.approx(-0.10827858967853421, abs=1e-12)
 
 
 @pytest.mark.parametrize("member", [half_square_member, identity_member])
