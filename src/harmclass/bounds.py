@@ -11,9 +11,10 @@ compute its moments once; the cache never changes a value.
 The Bloch critical radius is the unique root in (0, 1) of a quartic whose
 own coefficient signs and endpoint values certify that root (Descartes'
 rule of signs, see ``bloch_bound``); bisection then narrows it.  The
-quartic and the closed g-growth forms scale with 2^delta; above delta = 1000
-they are evaluated divided by an exact power of two, so they stay finite up
-to delta = 1024 (``_scaled_power_of_two``).
+quartic, the coefficients of its derivative profile (``bloch_L_coeffs``) and
+the closed g-growth forms scale with 2^delta; above delta = 1000 they are
+evaluated divided by an exact power of two, so they stay finite up to
+delta = 1024 (``_scaled_power_of_two``).
 
 Two growth quantities carry a stated/derived split.  The closed lower form
 for |g| (via the expression F below) and the lower growth integrand for |f|
@@ -152,11 +153,12 @@ class GrowthFormCheck:
 def _scaled_power_of_two(x: float) -> tuple[float, int]:
     """2^x / 2^k and k, the least integer k >= 0 with x - k <= 1000.
 
-    The Bloch quartic and profile and the closed g-growth forms are
-    homogeneous of degree one in 2^delta and 1 - alpha, and from delta ~ 1022
-    on their sums overflow.  Dividing both by 2^k leaves the root and the
-    ratios as they are; ``math.ldexp`` divides exactly, so a value that was a
-    normal float unscaled keeps its bits, and k = 0 up to x = 1000.
+    The Bloch quartic and profile, the coefficients of its derivative profile
+    and the closed g-growth forms are homogeneous of degree one in 2^delta
+    and 1 - alpha, and from delta ~ 1022 on their sums overflow.  Dividing
+    both by 2^k leaves the root and the ratios as they are; ``math.ldexp``
+    divides exactly, so a value that was a normal float unscaled keeps its
+    bits, and k = 0 up to x = 1000.
     """
     k = max(0, math.ceil(x - _SCALE_EXPONENT_CAP))
     return math.ldexp(2.0**x, -k), k
@@ -572,13 +574,19 @@ def bloch_L_coeffs(params: ClassParams, r: float) -> tuple[float, float]:
     """Coefficients (a0, a1) of the linear-in-beta derivative profile L.
 
     Both are strictly negative for r in (0, 1), which is what makes the
-    quartic monotone and its root unique.
+    quartic monotone and its root unique.  Both are homogeneous of degree one
+    in 2^delta and 1 - alpha, so above delta = 1000 they are returned divided
+    by 2^k, k = ceil(delta - 1000) (``_scaled_power_of_two``): the signs
+    stay, the values stay finite for every delta below 1024, and up to
+    delta = 1000 (k = 0) they are the unscaled values.
     """
     params.require_nonnegative_delta()
-    alpha, delta = params.alpha, params.delta
-    d = 2.0**delta * (2.0 - alpha)
-    a0 = 2.0 * (1.0 - alpha) * (1.0 - 3.0 * r - 6.0 * r * r) - d * (1.0 + 3.0 * r)
-    a1 = -d * (1.0 + 3.0 * r) * r + 2.0 * (1.0 - alpha) * (1.0 - 3.0 * r - 6.0 * r * r) * r
+    alpha = params.alpha
+    power, k = _scaled_power_of_two(params.delta)
+    d = power * (2.0 - alpha)
+    a = 2.0 * math.ldexp(1.0 - alpha, -k)
+    a0 = a * (1.0 - 3.0 * r - 6.0 * r * r) - d * (1.0 + 3.0 * r)
+    a1 = -d * (1.0 + 3.0 * r) * r + a * (1.0 - 3.0 * r - 6.0 * r * r) * r
     return a0, a1
 
 

@@ -154,19 +154,39 @@ def _adaptive_levels(
     return value
 
 
-def adaptive_quadrature(f: Callable, a: float, b: float, tol: float) -> float:
+def adaptive_quadrature(
+    f: Callable, a: float, b: float, tol: float, breakpoints: Sequence[float] = ()
+) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol`` (see
     ``_adaptive_levels``).  ``f`` maps a 1-d float array to one of the same
     shape.  Failure to converge within ``_DEPTH_LIMIT`` bisection levels
     raises QuadratureError rather than returning a silently degraded estimate.
+
+    The starting panels are [a, b] split at ``breakpoints``, which must
+    increase strictly inside (a, b).  Each panel gets the share of ``tol``
+    of its width, (hi - lo) / (b - a), which is what bisection gives a
+    panel of that width, and the panel values are summed right-nested,
+    v_0 + (v_1 + (... + v_n)), as the bisection tree that splits [a, b] and
+    then each right half sums them.  So breakpoints that bisection would
+    reach by splitting [a, b] and then each right half (1/2, 3/4, ... of
+    [0, 1]) leave the value bit for bit as it is, and save the levels that
+    would have found them; the depth limit counts from the starting panels.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
+    edges = np.array([a, *breakpoints, b], dtype=float)
+    if len(breakpoints) and not np.all(edges[1:] > edges[:-1]):
+        raise ValueError("breakpoints must increase strictly inside (a, b)")
     if b == a:
         return 0.0
-    return float(_adaptive_levels(f, np.array([a]), np.array([b]), np.array([tol]))[0])
+    lo, hi = edges[:-1], edges[1:]
+    values = _adaptive_levels(f, lo, hi, tol * ((hi - lo) / (b - a)))
+    total = values[-1]
+    for value in values[-2::-1]:
+        total = value + total
+    return float(total)
 
 
 # B_{2k}/(2k) for the asymptotic tail psi(x) = log x - 1/(2x) - sum B_{2k}/(2k x^{2k}).

@@ -3,8 +3,9 @@
 A series is a finite coefficient vector: index n holds the coefficient of
 z**n.  All operations are pure; the coefficient buffer is frozen after
 construction so instances can be shared freely across threads.  The powers
-of the radii that ``evaluate_polar`` scales by are kept read-only in a
-bounded process-wide cache (``_ring_powers``), which changes no value.
+of the radii that ``evaluate_polar`` scales by, and the ring order and row
+powers its per-ring truncation reads, are kept read-only in bounded
+process-wide caches (``_ring_powers``, ``_ring_rows``), which change no value.
 """
 
 from __future__ import annotations
@@ -104,11 +105,22 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
 
     Writing n = q*M + j with M = ``n_angles``, s(r w^k) = sum_j w^(jk) r^j P_j(r^M)
     with P_j(t) = sum_q a_(qM+j) t^q.  The coefficients are folded modulo M
-    into a (ceil((N+1)/M), M) block, Horner runs in t = r^M over its rows, the
-    result is scaled by r^j, and one inverse FFT per ring sums over j.  At
+    into a (ceil((N+1)/M), M) block B, Horner runs in t = r^M over its rows,
+    the result is scaled by r^j, and one inverse FFT per ring sums over j.  At
     order N that is ceil((N+1)/M) in-place passes over a (radii, M) array
     instead of N passes of ``evaluate`` over the same points.  Only the first
     min(M, N+1) columns are scaled: the others hold exact zeros.
+
+    Ring i runs Horner only over the rows q < Q_i, Q_i >= 1 the least count
+    whose remainder sum_{q >= Q_i} (sum_j |B[q, j]|) |t_i|^q is at most
+    2^-60 (``_REMAINDER``).  For radii in [0, 1], |w^(jk)| = 1 and r^j <= 1,
+    so that remainder bounds what the dropped rows add to every value of the
+    ring.  The rings are taken in increasing |t| (the cached order of
+    ``_ring_rows``, the identity on increasing radii), where the rings that
+    read a row form a suffix: each row updates one contiguous slice, and the
+    first row a ring reads is assigned, so a ring that drops no row gets
+    the bits, signed zeros included, of the full Horner pass.  A block of
+    one row is assigned to every ring.
     """
     radii = np.asarray(radii, dtype=float)
     m = int(n_angles)
@@ -119,14 +131,40 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     block[: s.coeffs.size] = s.coeffs
     block = block.reshape(rows, m)
     k = min(m, s.coeffs.size)
-    t, powers = _ring_powers(radii.tobytes(), m, k)
+    key = radii.tobytes()
+    powers = _ring_powers(key, m, k)[1]
     val = np.empty((radii.size, m), dtype=complex)
-    val[:] = block[-1]
-    for row in block[-2::-1]:
-        val *= t
-        val += row
+    if rows == 1:
+        val[:] = block[0]
+    else:
+        _truncated_horner(val, block, key, m)
     val[:, :k] *= powers
     return np.fft.ifft(val, axis=1, norm="forward")
+
+
+def _truncated_horner(val: np.ndarray, block: np.ndarray, key: bytes, m: int) -> None:
+    """Fill ``val[i]`` with Horner in t_i over the rows of ``block`` that ring
+    i reads (see ``evaluate_polar``); ``key`` holds the radii's bytes."""
+    order, t, t_powers = _ring_rows(key, m, block.shape[0])
+    # tail[Q - 1, i]: the remainder of ring i after the rows q < Q, Q >= 1; a NaN
+    # keeps its rows, and the running maximum keeps the readers of a row a suffix
+    tail = np.cumsum((np.abs(block[:0:-1]).sum(axis=1)[:, None] * t_powers[:0:-1]), axis=0)
+    needed = np.maximum.accumulate(1 + np.count_nonzero(~(tail <= _REMAINDER), axis=0))
+    # first[q]: the first ring, in increasing |t|, that reads row q
+    first = np.searchsorted(needed, np.arange(block.shape[0] + 1), side="right")
+    for q in range(needed.max(initial=0) - 1, -1, -1):
+        start, cont = first[q], first[q + 1]
+        if cont < val.shape[0]:
+            v = val[cont:]
+            v *= t[cont:]
+            v += block[q]
+        val[start:cont] = block[q]
+    if order is not None:
+        val[order] = val.copy()
+
+
+#: The remainder ``evaluate_polar`` may drop from every value of a ring.
+_REMAINDER = 2.0**-60
 
 
 @lru_cache(maxsize=64)
@@ -138,6 +176,26 @@ def _ring_powers(radii: bytes, m: int, k: int) -> tuple:
     for p in powers:
         p.setflags(write=False)
     return powers
+
+
+@lru_cache(maxsize=16)
+def _ring_rows(radii: bytes, m: int, rows: int) -> tuple:
+    """The order that sorts the rings of ``radii`` by increasing |t|, t = r^m
+    (None when they are sorted already), t in that order as a column, and
+    |t|^q, q < ``rows``, as a (rows, rings) array in that order, all
+    read-only; the 16 most recently used."""
+    t = _ring_powers(radii, m, m)[0]  # more than one row: the k = m entry
+    size = np.abs(t[:, 0])
+    order = np.argsort(size, kind="stable")
+    if np.array_equal(order, np.arange(order.size)):
+        order = None
+    else:
+        t, size = t[order], size[order]
+    out = order, t, size ** np.arange(rows)[:, None]
+    for a in out:
+        if a is not None:
+            a.setflags(write=False)
+    return out
 
 
 def lincomb(weights, series_list) -> TruncatedSeries:

@@ -41,10 +41,16 @@ builds one grid per argument tuple per process, shared by every table on it.
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
 coefficients folded modulo the angle count, Horner in r^M, one FFT per ring,
-with the powers of r cached per ring set.  The area is an adaptive radial
-quadrature (``numerics.adaptive_quadrature``, the package's one quadrature)
-of ring means of the sample's h', differentiated once per member: the rings
-of one bisection level are one ``evaluate_polar`` call.  The checks read the
+with the powers of r cached per ring set; each ring reads only the folded
+rows whose remainder on it exceeds 2^-60, so at high beta the inner grid
+rings skip most of g.  The area is an adaptive radial quadrature
+(``numerics.adaptive_quadrature``, the package's one quadrature) of ring
+means of the sample's h', differentiated once per member: the rings of one
+bisection level are one ``evaluate_polar`` call.  For a Moebius w the
+quadrature starts from dyadic panels graded toward r = 1, where 1 - |w|^2
+has its pole at r = 1/beta (``_area_breakpoints``: none below beta = 0.8),
+each with the tolerance share bisection would give it, so bisection does
+not rediscover those panels level by level.  The checks read the
 dilatation only through |w|, which ``model.dilatation_modulus`` computes on
 the same rings, from a half-angle factor cached per member.
 For a Moebius w it is a real closed form in the half angle, with no complex
@@ -113,6 +119,10 @@ _COVERING_SAMPLES = 256
 #: tolerance of its radial quadrature.
 _AREA_ANGLES = 128
 _AREA_TOL = 1e-8
+
+#: The area quadrature starts with the panel next to r = 1 halved while it is
+#: wider than this many pole distances (1 - beta)/beta (``_area_breakpoints``).
+_AREA_POLE_WIDTHS = 4.0
 
 #: The member suite checks the coefficient bounds for n = 2.._SUITE_N_MAX.
 _SUITE_N_MAX = 12
@@ -346,20 +356,46 @@ def _g_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     return _grid_report("g_growth", sides, table.grid)
 
 
+def _area_breakpoints(w: DilatationSpec) -> tuple:
+    """Interior breakpoints 1 - 2^-j, j = 1..J, of the starting panels of the
+    area quadrature: the dyadic panels [1 - 2^-j, 1 - 2^-(j+1)] toward r = 1,
+    where [1 - 2^-j, 1] is split while it is wider than ``_AREA_POLE_WIDTHS``
+    times the distance (1 - beta)/beta from r = 1 to the pole of 1 - |w|^2
+    at r = 1/beta.  A Gauss-Kronrod panel converges only inside the
+    Bernstein ellipse through the nearest singularity, so these splits are
+    made in advance instead of found by bisection one level at a time (and,
+    from beta ~ 0.999 on, sometimes missed by it).  There are none for a
+    constant w, whose ring mean is a polynomial, nor for beta below 0.8:
+    those start at [0, 1]."""
+    if w.kind != "moebius":
+        return ()
+    edges, width = [], 1.0
+    while width * w.beta > _AREA_POLE_WIDTHS * (1.0 - w.beta):
+        width *= 0.5
+        edges.append(1.0 - width)
+    return tuple(edges)
+
+
 def _measure_area(hprime: TruncatedSeries, w: DilatationSpec, tol: float) -> float:
     """Area of the image, counted with multiplicity, of a member with
     derivative ``hprime`` of h and dilatation ``w``: tensor quadrature of the
     Jacobian |h'|^2 (1 - |w|^2) in polar coordinates (adaptive radial x
-    trapezoid angular).  The rings of one bisection level are evaluated
-    together: one ``evaluate_polar`` call for h' and one ``dilatation_modulus``
-    call for |w|."""
+    trapezoid angular), starting from the panels of ``_area_breakpoints``.
+    The rings of one bisection level are evaluated together: one
+    ``evaluate_polar`` call for h' and one ``dilatation_modulus`` call for
+    |w|."""
 
     def ring_mean(r: np.ndarray) -> np.ndarray:
-        hp = evaluate_polar(hprime, r, _AREA_ANGLES)
+        # |h'|^2 (1 - |w|^2), formed in place
+        jacobian = np.abs(evaluate_polar(hprime, r, _AREA_ANGLES))
+        jacobian *= jacobian
         m = dilatation_modulus(w, r, _AREA_ANGLES)
-        return r * np.mean(np.abs(hp) ** 2 * (1.0 - m**2), axis=1)
+        m *= m
+        jacobian *= np.subtract(1.0, m, out=m)
+        return r * np.mean(jacobian, axis=1)
 
-    return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol)
+    edges = _area_breakpoints(w)
+    return 2.0 * math.pi * adaptive_quadrature(ring_mean, 0.0, 1.0, tol, edges)
 
 
 def _area(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:

@@ -757,6 +757,37 @@ def test_bloch_L_coefficients_negative():
             assert a1 < 0
 
 
+def _unscaled_L_coeffs(params, r):
+    """``bloch_L_coeffs`` with 2^delta (2 - alpha) formed unscaled."""
+    alpha = params.alpha
+    d = 2.0**params.delta * (2.0 - alpha)
+    a0 = 2.0 * (1.0 - alpha) * (1.0 - 3.0 * r - 6.0 * r * r) - d * (1.0 + 3.0 * r)
+    a1 = -d * (1.0 + 3.0 * r) * r + 2.0 * (1.0 - alpha) * (1.0 - 3.0 * r - 6.0 * r * r) * r
+    return a0, a1
+
+
+def test_bloch_L_coefficients_keep_their_bits_up_to_delta_1000():
+    rng = np.random.default_rng(1000)
+    deltas = [0.0, 1.0, 500.0, 999.5, 1000.0, *rng.uniform(0.0, 1000.0, 200).tolist()]
+    for delta in deltas:
+        alpha, r = rng.uniform(0.0, 1.0, 2).tolist()
+        params = ClassParams(alpha, 0.5, delta)
+        assert bloch_L_coeffs(params, r) == _unscaled_L_coeffs(params, r)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [1023.5, 1024.0 - 2.0**-43])
+def test_bloch_L_coefficients_stay_finite_and_negative_up_to_delta_1024(delta):
+    """Unscaled, both read -inf from delta ~ 1023; divided by 2^k they are
+    finite and keep their sign."""
+    assert _unscaled_L_coeffs(ClassParams(0.3, 0.5, 1023.5), 0.5) == (-math.inf, -math.inf)
+    for alpha in (0.0, 0.3, 0.9):
+        for r in np.linspace(0.05, 0.95, 10).tolist():
+            a0, a1 = bloch_L_coeffs(ClassParams(alpha, 0.5, delta), r)
+            assert math.isfinite(a0) and a0 < 0
+            assert math.isfinite(a1) and a1 < 0
+
+
 def test_bloch_raises_on_unexpected_root_count(monkeypatch):
     # (x^2 - 0.04)(x^2 - 0.64): two roots inside (0, 1)
     fake = np.array([0.0256, 0.0, -0.68, 0.0, 1.0])

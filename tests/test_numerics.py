@@ -138,6 +138,41 @@ def test_adaptive_quadrature_matches_the_recursion_exactly(f, a, b):
     assert adaptive_quadrature(f, a, b, 1e-10) == _adaptive_panel(f, a, b, 1e-10)
 
 
+def test_breakpoints_that_bisection_reaches_keep_the_value_bit_for_bit():
+    # the pole at 1/0.99 makes bisection split [0, 1] and then each right half
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return 1.0 / (1.0 - 0.99 * x) ** 2
+
+    whole = adaptive_quadrature(f, 0.0, 1.0, 1e-10)
+    bisection_calls = len(calls)
+    calls.clear()
+    graded = adaptive_quadrature(f, 0.0, 1.0, 1e-10, [0.5, 0.75, 0.875])
+    assert graded == whole
+    assert calls[0] == 4 * 15 and len(calls) <= bisection_calls - 3
+
+
+def test_breakpoints_share_the_tolerance_by_width_and_sum_right_nested():
+    f = lambda x: abs(0.3 - x) / (1.0 + x) + abs(0.7 - x)
+    a, b, tol = 0.1, 1.3, 1e-9
+    edges = [a, 0.2, 0.45, 0.8, b]
+    v0, v1, v2, v3 = (
+        _adaptive_panel(f, lo, hi, tol * ((hi - lo) / (b - a)))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    assert adaptive_quadrature(f, a, b, tol, edges[1:-1]) == v0 + (v1 + (v2 + v3))
+
+
+@pytest.mark.parametrize(
+    "breakpoints", [[0.5, 0.5], [0.7, 0.3], [0.0], [1.0], [1.5], [-0.5], [math.nan]]
+)
+def test_breakpoints_must_increase_strictly_inside_the_interval(breakpoints):
+    with pytest.raises(ValueError, match="breakpoints"):
+        adaptive_quadrature(np.ones_like, 0.0, 1.0, 1e-10, breakpoints)
+
+
 def test_levels_subdivided_panel_matches_exactly():
     # the steep panel next to x = 0.99 fails level 0 and is subdivided
     sizes = []

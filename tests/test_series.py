@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from harmclass import series
 from harmclass.series import (
     TruncatedSeries,
     cauchy_product,
@@ -110,6 +111,79 @@ def test_evaluate_polar_single_radius(r):
     assert out.shape == (1, 128)
     assert np.max(np.abs(out[0] - evaluate(s, z))) <= 1e-13
     assert out.tobytes() == _all_columns_polar(s, [r], 128).tobytes()
+
+
+def _g_of_member(beta, seed=9):
+    from harmclass.factory import build_member, sample_certified_h
+    from harmclass.model import ClassParams, moebius_dilatation
+
+    params = ClassParams(0.3, beta, 1.0)
+    h = sample_certified_h(params, 16, 0.8, seed)
+    return build_member(h, moebius_dilatation(beta, 1.0, 2.5), params).g
+
+
+def test_evaluate_polar_keeps_signed_zeros_where_no_row_is_dropped():
+    # near r = 1 both rows of this block are read; column 1 holds -0 - 0j in
+    # both, and the sign of its imaginary part survives Horner only if the top
+    # row is assigned
+    rng = np.random.default_rng(4)
+    coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
+    coeffs[1::4] = complex(-0.0, -0.0)
+    s = TruncatedSeries(coeffs)
+    radii = np.array([0.99, 0.995, 0.999])
+    assert evaluate_polar(s, radii, 4).tobytes() == _all_columns_polar(s, radii, 4).tobytes()
+    block = s.coeffs.reshape(2, 4)
+    val = np.empty((3, 4), dtype=complex)
+    series._truncated_horner(val, block, radii.tobytes(), 4)
+    full = np.empty_like(val)
+    full[:] = block[-1]
+    for row in block[-2::-1]:
+        full *= radii[:, None] ** 4
+        full += row
+    assert val.tobytes() == full.tobytes()
+    assert np.signbit(val[:, 1].imag).all()
+
+
+@pytest.mark.parametrize("beta", [0.99, 0.999, 0.9999])
+def test_evaluate_polar_drops_rows_within_the_stated_remainder(beta):
+    """Dropped rows change no value by more than 2^-60 before rounding; after
+    it, values differ from the full Horner pass by an ulp or two of |g|."""
+    from harmclass.verify import default_polar_grid
+
+    grid = default_polar_grid()
+    g = _g_of_member(beta)
+    got = evaluate_polar(g, grid.radii, grid.n_angles)
+    full = _all_columns_polar(g, grid.radii, grid.n_angles)
+    assert np.max(np.abs(got - full)) <= 2.0**-60 + 2.0**-51 * np.max(np.abs(full))
+    # the innermost ring reads the first row only: the first M coefficients
+    head = TruncatedSeries(g.coeffs[: grid.n_angles])
+    inner = grid.radii[:1]
+    assert evaluate_polar(g, inner, 128).tobytes() == evaluate_polar(head, inner, 128).tobytes()
+
+
+def test_evaluate_polar_takes_unsorted_rings_ring_by_ring():
+    from harmclass.verify import default_polar_grid
+
+    g = _g_of_member(0.999)
+    radii = default_polar_grid().radii
+    order = np.random.default_rng(2).permutation(radii.size)
+    rings = np.concatenate((radii[order], radii[::-1][:5], [0.0, 0.5, 0.5]))
+    got = evaluate_polar(g, rings, 128)
+    for ring, r in zip(got, rings):
+        assert ring.tobytes() == evaluate_polar(g, [r], 128)[0].tobytes()
+    assert got[: radii.size][np.argsort(order)].tobytes() == evaluate_polar(g, radii, 128).tobytes()
+
+
+def test_ring_order_is_the_identity_on_the_rings_of_verify():
+    from harmclass.verify import default_polar_grid
+
+    grid = default_polar_grid()
+    for radii, m in ((grid.radii, grid.n_angles), (np.array([0.999]), 256)):
+        order, t, t_powers = series._ring_rows(radii.tobytes(), m, 23)
+        assert order is None
+        assert t is series._ring_powers(radii.tobytes(), m, m)[0]
+        assert t_powers.shape == (23, radii.size)
+        assert not (t.flags.writeable or t_powers.flags.writeable)
 
 
 @pytest.mark.parametrize("radii, n_angles", [([[0.5]], 8), (0.5, 8), ([0.5], 0)])

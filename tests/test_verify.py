@@ -489,8 +489,8 @@ def test_kink_radius_keeps_previous_numbers():
 
 def _ring_by_ring_area(f, tol, modulus=None):
     """The former area measurement: the ring means evaluated one radius at a
-    time.  ``modulus(r)`` gives |w| on the ring; by default
-    ``dilatation_modulus``."""
+    time, from the starting panels of the measurement.  ``modulus(r)`` gives
+    |w| on the ring; by default ``dilatation_modulus``."""
     hprime = differentiate(f.h)
     modulus = modulus or (lambda r: dilatation_modulus(f.w, [r], 128)[0])
 
@@ -501,7 +501,8 @@ def _ring_by_ring_area(f, tol, modulus=None):
         return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - modulus(r) ** 2)))
 
     rings = lambda radii: np.array([ring_mean(r) for r in radii.tolist()])
-    return 2.0 * math.pi * adaptive_quadrature(rings, 0.0, 1.0, tol)
+    edges = verify._area_breakpoints(f.w)
+    return 2.0 * math.pi * adaptive_quadrature(rings, 0.0, 1.0, tol, edges)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.6, 0.9, 0.97, 0.99])
@@ -523,6 +524,63 @@ def test_area_equals_ring_by_ring_quadrature(beta):
 
         complex_form = _ring_by_ring_area(member, 1e-8, complex_modulus)
         assert abs(area - complex_form) <= 1e-13
+
+
+def _suite_members(beta, members=3):
+    params = ClassParams(0.3, beta, 1.0)
+    return [member for _, member, _ in run_member_suite(params, members=members, seed=9)]
+
+
+def _areas(members, tol=1e-8):
+    return [verify._measure_area(differentiate(m.h), m.w, tol) for m in members]
+
+
+def test_area_breakpoints_halve_the_panel_next_to_the_pole():
+    dyadic = lambda j: tuple(1.0 - 2.0**-i for i in range(1, j + 1))
+    expected = {0.0: 0, 0.6: 0, 0.75: 0, 0.79: 0, 0.85: 1, 0.9: 2, 0.99: 5, 0.999: 8, 0.9999: 12}
+    for beta, j in expected.items():
+        assert verify._area_breakpoints(moebius_dilatation(beta, 1.0, 2.0)) == dyadic(j)
+        assert verify._area_breakpoints(constant_dilatation(beta, 1.0)) == ()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.75])
+def test_area_starts_from_the_unit_interval_where_nothing_is_pre_split(monkeypatch, beta):
+    members = _suite_members(beta)
+    members.append(harmonic_map(members[0].h, constant_dilatation(0.99, 1.0)))
+    graded = _areas(members)
+    monkeypatch.setattr(verify, "_area_breakpoints", lambda w: ())
+    assert graded == _areas(members)
+
+
+# From beta 0.999 on, the [0, 1] start itself misses: it accepts a wide panel
+# whose Kronrod and Gauss rules both miss the pole, by up to 1.3e-11 at 0.999
+# (80 suite members tried) and 5.2e-7 at 0.9999 (30 tried), where the graded
+# start is within 3e-17 of a fine quadrature.  There the graded start is
+# checked against that quadrature instead (next test).
+@pytest.mark.parametrize("beta", [0.8, 0.9, 0.97, 0.99])
+def test_graded_area_is_within_1e_12_of_the_unit_interval_start(monkeypatch, beta):
+    members = _suite_members(beta)
+    graded = _areas(members)
+    monkeypatch.setattr(verify, "_area_breakpoints", lambda w: ())
+    assert max(abs(a - b) for a, b in zip(graded, _areas(members))) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.99, 0.999, 0.9999])
+def test_graded_area_matches_a_fine_quadrature(monkeypatch, beta):
+    members = _suite_members(beta, members=2)
+    graded = _areas(members)
+    fine_edges = tuple(1.0 - 2.0**-j for j in range(1, 41))
+    monkeypatch.setattr(verify, "_area_breakpoints", lambda w: fine_edges)
+    assert max(abs(a - b) for a, b in zip(graded, _areas(members, 1e-15))) <= 1e-13
+
+
+def test_graded_area_takes_at_most_two_levels_at_beta_0_99(monkeypatch):
+    members = _suite_members(0.99)
+    levels = _counting(monkeypatch, verify, "evaluate_polar")  # one call per level
+    for member in members:
+        levels.clear()
+        _areas([member])
+        assert 1 <= len(levels) <= 2
 
 
 def _counting(monkeypatch, module, name):
@@ -631,8 +689,9 @@ def test_second_call_reuses_the_shared_table(monkeypatch, call):
     quadratures = _counting(monkeypatch, verify, "adaptive_quadrature")
     assert call(member) == first
     assert counted == {name: [] for name in counted}
-    # the area measurement over [0, 1] is the only quadrature
-    assert all((a, b) == (0.0, 1.0) for _, a, b, _ in quadratures)
+    # the area measurement over [0, 1] is the only quadrature; at beta 0.6 it
+    # starts from [0, 1] whole
+    assert all((a, b, edges) == (0.0, 1.0, ()) for _, a, b, _, edges in quadratures)
 
 
 _LATTICE = [
