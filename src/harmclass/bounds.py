@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import RootCountError
-from .model import MAX_TRUNCATION_ORDER, ClassParams
+from .model import ClassParams
 from .numerics import Polynomial, bisect_bracket, digamma, sign_variations
 
 __all__ = [
@@ -74,6 +74,9 @@ __all__ = [
 
 #: Default of the ``tol`` that some bounds still take and ignore (they are exact).
 DEFAULT_QUAD_TOL = 1e-10
+
+#: Largest coefficient index ``bn_bounds`` takes (its running sum has one float per index).
+MAX_COEFF_INDEX = 10**6
 
 #: Width to which bisection narrows the bracket of the Bloch critical radius.
 _BLOCH_BRACKET_WIDTH = 1e-14
@@ -315,7 +318,7 @@ def bn_bound(params: ClassParams, n: int) -> float:
 
 def bn_bounds(params: ClassParams, n_top: int) -> np.ndarray:
     """Upper bounds for |b_n|, n = 2..n_top (at index n - 2), 2 <= n_top <=
-    ``model.MAX_TRUNCATION_ORDER`` (the largest order g can have).
+    ``MAX_COEFF_INDEX``.
 
     n = 2 is the special case (1-alpha) beta / (2^delta (2-alpha)) + (1-beta^2)/2;
     for n >= 3 the convolution estimate gives
@@ -327,9 +330,9 @@ def bn_bounds(params: ClassParams, n_top: int) -> np.ndarray:
     ``ValueError``.
     """
     params.require_nonnegative_delta()
-    if not (2 <= n_top <= MAX_TRUNCATION_ORDER and float(n_top).is_integer()):
+    if not (2 <= n_top <= MAX_COEFF_INDEX and float(n_top).is_integer()):
         raise ValueError(
-            f"coefficient index must be an integer in [2, {MAX_TRUNCATION_ORDER}], got {n_top}"
+            f"coefficient index must be an integer in [2, {MAX_COEFF_INDEX}], got {n_top}"
         )
     alpha, beta, delta = params.alpha, params.beta, params.delta
     k = np.arange(1, n_top, dtype=float)

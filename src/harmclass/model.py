@@ -1,10 +1,11 @@
 """Data model for the harmonic-map class: parameters, dilatations (Moebius
-and constant, both closed forms) and the coefficient convolution that
-produces the co-analytic part.
+and constant, both closed forms) and the co-analytic part they produce.
 
 A map is f = h + conj(g) with analytic part h (normalized: h(0) = 0,
 h'(0) = 1) and co-analytic part g determined by the dilatation w through
 g' = w * h'.  The first co-analytic coefficient satisfies |b1| = |w(0)|.
+``harmonic_map`` truncates g where it drops at most 2^-60 on the covering
+circle, the largest ring any check evaluates g on.
 Factors that depend only on (beta, order) or on (phi, angle count) are kept
 read-only in small LRU caches, which change no value.
 """
@@ -26,18 +27,16 @@ __all__ = [
     "moebius_dilatation",
     "rotation_dilatation",
     "constant_dilatation",
-    "default_truncation_order",
     "dilatation_coeffs",
     "dilatation_modulus",
     "co_analytic_from",
     "harmonic_map",
 ]
 
-#: Tail target for the automatic dilatation truncation order.
-COEFF_TAIL_TARGET = 1e-12
-
-#: Largest automatic truncation order (terms per series).
-MAX_TRUNCATION_ORDER = 10**6
+#: Radius of the covering check's circle, the largest on which any check reads g,
+#: and what the order ``harmonic_map`` gives g may drop from a value of g there.
+COVERING_CIRCLE_RADIUS = 0.999
+_G_REMAINDER = 2.0**-60
 
 #: Bound evaluators need delta below this: 2.0 ** delta overflows from here on.
 MAX_BOUND_DELTA = 1024
@@ -74,28 +73,6 @@ class ClassParams:
             raise ValueError(
                 f"delta must be in [0, {MAX_BOUND_DELTA}) for bound evaluation, got {self.delta}"
             )
-
-
-def default_truncation_order(beta: float) -> int:
-    """Truncation order keeping the dilatation coefficient tail below 1e-12.
-
-    The geometric tail sum_{n>N} |c_n| = (1-beta^2) beta^N / (1-beta) is
-    solved for N; the result is floored at 64 so small-beta series keep a
-    comfortable default resolution.  An order above ``MAX_TRUNCATION_ORDER``
-    (beta above about 0.99997) raises ValueError instead of asking for arrays
-    that do not fit in memory.
-    """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must be in [0, 1)")
-    if beta == 0.0:
-        return 64
-    n = math.log(COEFF_TAIL_TARGET * (1.0 - beta) / (1.0 - beta * beta)) / math.log(beta)
-    if n > MAX_TRUNCATION_ORDER:
-        raise ValueError(
-            f"beta = {beta!r} needs {n:.3g} series terms, above the cap of "
-            f"{MAX_TRUNCATION_ORDER}"
-        )
-    return max(64, int(math.ceil(n)))
 
 
 @dataclass(frozen=True)
@@ -227,6 +204,10 @@ def co_analytic_from(h: TruncatedSeries, w: DilatationSpec, order: int) -> Trunc
     """Co-analytic coefficients from g' = w h':
 
         n b_n = sum_{k=0}^{n-1} (k+1) a_{k+1} c_{n-1-k},   b_0 = 0.
+
+    That gives the head b_1..b_{D+1}, D = deg h'.  Past it, as c_m = c_1 q^(m-1),
+    q = -beta e^{i phi} (Moebius), n b_n = S c_{n-D-1} with S = sum_k (k+1)
+    a_{k+1} q^(D-k): a geometric tail T q^(n-D-2), T = S c_1, in O(order).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -234,10 +215,43 @@ def co_analytic_from(h: TruncatedSeries, w: DilatationSpec, order: int) -> Trunc
         raise ValueError("analytic part must be normalized (a0 = 0, a1 = 1)")
     hp = differentiate(h).coeffs
     c = dilatation_coeffs(w, order - 1).coeffs
-    gp = np.convolve(hp, c)[:order]
+    d = hp.size - 1
     b = np.zeros(order + 1, dtype=complex)
-    b[1:] = gp / np.arange(1, order + 1)
+    # c[: d + 2] is longer than hp, so np.convolve sums each head entry as on the full c
+    head = np.convolve(hp, c[: d + 2])[: min(order, d + 1)]
+    b[1 : head.size + 1] = head
+    if w.kind == "moebius":
+        q, s = -w.beta * complex(np.exp(1j * w.phi)), 0j
+        for p in hp.tolist():  # Horner for S, on Python complex scalars
+            s = s * q + p
+        b[d + 2 :] = s * c[1 : order - d]
+    b[1:] /= np.arange(1, order + 1)
     return TruncatedSeries(b)
+
+
+def _g_order(h: TruncatedSeries, w: DilatationSpec) -> int:
+    """The order of g: h.order + 1 (exact) for a constant w, and for a Moebius
+    w the least N >= h.order + 1 with |T| x^(N-D-1) / ((N+1)(1 - x)) <= 2^-60,
+    x = beta COVERING_CIRCLE_RADIUS, which bounds what g beyond N adds there
+    for |T| <= (1 - beta^2) max(2, sum n |a_n|): one N for every certified h.
+    k = N - D - 1 solves a k + log(k + D + 2) = log(|T| / (2^-60 (1 - x))),
+    a = -log x, which is concave: Newton's iterates climb to the root.
+    """
+    n_min = h.order + 1
+    x = w.beta * COVERING_CIRCLE_RADIUS
+    if w.kind == "constant" or x == 0.0:
+        return n_min
+    t = (1.0 - w.beta * w.beta) * max(2.0, float(np.abs(differentiate(h).coeffs).sum()))
+    if not math.isfinite(t):
+        raise ValueError("sum n |a_n| of the analytic part must be finite")
+    a, rhs = -math.log(x), math.log(t / (_G_REMAINDER * (1.0 - x)))
+    k = rhs / a
+    for _ in range(4):
+        k -= (a * k + math.log(k + n_min) - rhs) / (a + 1.0 / (k + n_min))
+    n = max(n_min, n_min - 1 + math.ceil(k))
+    while t * x ** (n - n_min + 1) / ((n + 1) * (1.0 - x)) > _G_REMAINDER:  # rounding
+        n += 1
+    return n
 
 
 @dataclass(frozen=True)
@@ -256,10 +270,9 @@ class HarmonicMapSpec:
 
 
 def harmonic_map(h: TruncatedSeries, w: DilatationSpec) -> HarmonicMapSpec:
-    """Assemble a HarmonicMapSpec, deriving g at a tail-controlled order.
+    """Assemble a HarmonicMapSpec, deriving g at the order of ``_g_order``.
 
     No membership certificate is checked here; see the factory module for the
     certified constructor.
     """
-    order = max(h.order + 1, default_truncation_order(w.beta))
-    return HarmonicMapSpec(h=h, w=w, g=co_analytic_from(h, w, order))
+    return HarmonicMapSpec(h=h, w=w, g=co_analytic_from(h, w, _g_order(h, w)))

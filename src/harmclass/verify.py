@@ -43,7 +43,9 @@ the covering circle, the area rings) goes through ``series.evaluate_polar``:
 coefficients folded modulo the angle count, Horner in r^M, one FFT per ring,
 with the powers of r cached per ring set; each ring reads only the folded
 rows whose remainder on it exceeds 2^-60, so at high beta the inner grid
-rings skip most of g.  The area is an adaptive radial quadrature
+rings skip most of g, whose own truncation (``model.harmonic_map``) drops
+at most 2^-60 on the covering circle, the outermost ring g is read on.
+The area is an adaptive radial quadrature
 (``numerics.adaptive_quadrature``, the package's one quadrature) of ring
 means of the sample's h', differentiated once per member: the rings of one
 bisection level are one ``evaluate_polar`` call.  For a Moebius w the
@@ -83,7 +85,8 @@ import numpy as np
 from . import bounds
 from .factory import build_member, certify, sample_certified_h
 from .model import (
-    ClassParams, DilatationSpec, HarmonicMapSpec, dilatation_modulus, moebius_dilatation
+    COVERING_CIRCLE_RADIUS, ClassParams, DilatationSpec, HarmonicMapSpec, dilatation_modulus,
+    moebius_dilatation,
 )
 from .numerics import adaptive_quadrature
 from .series import TruncatedSeries, differentiate, evaluate_polar, lincomb
@@ -111,8 +114,7 @@ DEFAULT_SLACK = 1e-9
 
 MEMBER_THEOREMS = ("coeff", "distortion", "g_growth", "area", "f_growth", "covering", "bloch")
 
-#: Circle on which the covering proxy samples |f|: its radius and point count.
-_COVERING_RADIUS = 0.999
+#: Points at which the covering proxy samples |f| on |z| = COVERING_CIRCLE_RADIUS.
 _COVERING_SAMPLES = 256
 
 #: Angles per ring of the area measurement's trapezoid rule, and the
@@ -266,7 +268,7 @@ class _EnvelopeTable:
         self.f_floor = np.array([[bounds._f_lower_integral(params, x, -1.0)] for x in radii])
         self.f_upper = bounds._f_upper(params, r, self.g_upper)
         self.area_envelope = bounds.area_envelope(params)
-        self.covering_floor = bounds.f_growth_floor(params, _COVERING_RADIUS)
+        self.covering_floor = bounds.f_growth_floor(params, COVERING_CIRCLE_RADIUS)
         self.bloch_bound = bounds.bloch_bound(params).bound
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -419,7 +421,7 @@ def _f_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     f, m, floor = sample.member, _COVERING_SAMPLES, table.covering_floor
-    h, g = (evaluate_polar(s, [_COVERING_RADIUS], m)[0] for s in (f.h, f.g))
+    h, g = (evaluate_polar(s, [COVERING_CIRCLE_RADIUS], m)[0] for s in (f.h, f.g))
     fm = np.abs(h + np.conj(g))
     idx = int(np.argmin(fm))
     worst = float(fm[idx] - floor)

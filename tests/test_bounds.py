@@ -29,9 +29,9 @@ from harmclass.bounds import (
 )
 import harmclass.bounds as bounds_mod
 from harmclass import cli
-from harmclass.bounds import _BLOCH_BRACKET_WIDTH, _bloch_profile
+from harmclass.bounds import _BLOCH_BRACKET_WIDTH, MAX_COEFF_INDEX, _bloch_profile
 from harmclass.errors import RootCountError
-from harmclass.model import MAX_TRUNCATION_ORDER, ClassParams
+from harmclass.model import ClassParams
 from harmclass.numerics import adaptive_quadrature, bisect_bracket
 from harmclass.verify import _EnvelopeTable, default_polar_grid
 
@@ -77,7 +77,7 @@ def test_bn_bound_rejections():
 
 
 def test_bn_bounds_rejections():
-    for n_top in (1, MAX_TRUNCATION_ORDER + 1):
+    for n_top in (1, MAX_COEFF_INDEX + 1):
         with pytest.raises(ValueError, match="coefficient index"):
             bn_bounds(P011, n_top)
     with pytest.raises(ValueError, match="delta"):

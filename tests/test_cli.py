@@ -91,7 +91,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
             ("verify", "--alpha", "0", "--beta", "0", "--delta", "1", "--members", "0"),
             id="verify-members-0",
         ),
-        # --n-max above the series order cap of 10**6
+        # --n-max above the index cap bounds.MAX_COEFF_INDEX = 10**6
         pytest.param(
             ("bounds", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "1000001"),
             id="bounds-n-max-over-cap",
@@ -99,11 +99,6 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
         pytest.param(
             ("table", "--alpha", "0", "--beta", "0", "--delta", "1", "--n-max", "9"),
             id="table-n-max",
-        ),
-        # the truncation order (~2.8e13 terms) is over the cap: rejected before sampling
-        pytest.param(
-            ("verify", "--alpha", "0", "--beta", "0.999999999999", "--delta", "1"),
-            id="verify-order-over-cap",
         ),
         pytest.param(
             ("growth", "--alpha", "0", "--beta", "0", "--delta", "1", "--r", "1.5"),
@@ -267,6 +262,18 @@ def test_verify_beyond_the_sampler_delta_range_exits_two(capsys):
     assert captured.out == ""
     assert "delta = 300.0 is too large for the sampler" in captured.err
     assert "up to about 253.5" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_reaches_beta_next_to_one(capsys):
+    """g is sized for the covering circle, so no beta < 1 asks for too many terms."""
+    code, out, err = run_cli(
+        capsys, "verify", "--alpha", "0", "--beta", "0.999999999999", "--delta", "1",
+        "--members", "1",
+    )
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 7 and all(record["passed"] for record in records)
 
 
 @pytest.mark.filterwarnings("error")

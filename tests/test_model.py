@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from harmclass.factory import build_member, extremal_h, sample_certified_h
 from harmclass.model import (
+    COVERING_CIRCLE_RADIUS,
     ClassParams,
     co_analytic_from,
     constant_dilatation,
     DilatationSpec,
-    default_truncation_order,
     dilatation_coeffs,
     dilatation_modulus,
     harmonic_map,
@@ -47,19 +48,114 @@ def test_params_allow_negative_delta_at_data_level():
         p.require_nonnegative_delta()
 
 
-def test_truncation_order_default_and_tail_control():
-    assert default_truncation_order(0.0) == 64
-    for beta in (0.3, 0.5, 0.65, 0.8, 0.95):
-        n = default_truncation_order(beta)
-        tail = (1 - beta**2) * beta**n / (1 - beta)
-        assert tail < 1e-12
-        assert n >= 64
+# ------------------------------------------------------------ order of g
+
+RHO = COVERING_CIRCLE_RADIUS
+ORDER_BETAS = [0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 0.9999]
 
 
-def test_truncation_order_cap():
-    # at beta = 1 - 1e-12 the tail target would need ~2.8e13 terms
-    with pytest.raises(ValueError, match="cap"):
-        default_truncation_order(1.0 - 1e-12)
+def _certified_h(seed=0):
+    """A degree-16 analytic part with a full budget at (0.3, *, 1): D = 15."""
+    return sample_certified_h(ClassParams(0.3, 0.5, 1.0), 16, 1.0, seed)
+
+
+def _dropped(h, beta, n):
+    """The closed-form bound on what g beyond order n adds on |z| <= RHO."""
+    d, x = h.order - 1, beta * RHO
+    t = (1 - beta**2) * max(2.0, float(np.sum(np.abs(differentiate(h).coeffs))))
+    return t * x ** (n - d - 1) / ((n + 1) * (1 - x))
+
+
+@pytest.mark.parametrize("beta", ORDER_BETAS[1:] + [0.99999, 0.999999, 1 - 1e-12])
+def test_g_order_is_the_least_with_its_remainder_on_the_covering_circle(beta):
+    h = _certified_h()
+    n = harmonic_map(h, moebius_dilatation(beta, 0.4, 1.9)).g.order
+    assert _dropped(h, beta, n) <= 2.0**-60 < _dropped(h, beta, n - 1)
+
+
+def test_g_order_at_the_default_degree():
+    # D = deg h' = 15: 17 terms at beta = 0 (g' = e^{i(mu+phi)} z h'), then the
+    # covering circle's remainder
+    orders = [harmonic_map(_certified_h(), moebius_dilatation(beta)).g.order
+              for beta in (0.0, 0.6, 0.9, 0.99, 0.999, 0.9999)]
+    assert orders == [17, 91, 365, 3167, 16300, 27596]
+
+
+def test_g_order_has_no_cap_below_one():
+    # the remainder's factor 1 - beta^2 shrinks as beta -> 1: the order peaks
+    # near beta = 0.99997 and falls after it, down to the largest float below 1
+    h = _certified_h()
+    betas = [1 - 10.0**-k for k in np.arange(4.0, 16.5, 0.25)] + [np.nextafter(1.0, 0.0)]
+    orders = [harmonic_map(h, moebius_dilatation(float(b))).g.order for b in betas]
+    assert max(orders) < 30_000
+    assert orders[-1] < orders[0]
+
+
+@pytest.mark.parametrize("coefficient", [math.inf, 1e308])
+def test_g_order_needs_a_finite_derivative_sum(coefficient):
+    # 2 * 1e308 overflows: the remainder bound, and with it the order, is undefined
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="must be finite"):
+            harmonic_map(TruncatedSeries([0, 1, coefficient]), moebius_dilatation(0.5))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9999])
+def test_constant_w_gets_the_exact_order(beta):
+    h = _certified_h()
+    g = harmonic_map(h, constant_dilatation(beta, 0.7)).g
+    assert g.order == h.order + 1
+    assert g.coeffs[-1] == 0
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9, 0.99, 0.9999])
+def test_certified_members_at_one_beta_share_one_order(beta):
+    rng = np.random.default_rng(20261019)
+    orders = set()
+    for alpha, delta in ((0.0, 0.0), (0.3, 1.0), (0.9, 2.5)):
+        params = ClassParams(alpha, beta, delta)
+        hs = [sample_certified_h(params, 16, fill, int(rng.integers(2**31)))
+              for fill in (0.0, 0.5, 1.0)]
+        hs.append(extremal_h(16, 0.3, params))
+        for h in hs:
+            w = moebius_dilatation(beta, *rng.uniform(0.0, 2.0 * math.pi, 2))
+            orders.add(build_member(h, w, params).g.order)
+    assert len(orders) == 1
+
+
+@pytest.mark.parametrize("kind", ["moebius", "constant"])
+@pytest.mark.parametrize("beta", ORDER_BETAS)
+def test_g_at_its_order_matches_a_four_times_longer_series(beta, kind):
+    """What g drops is at most 2^-60 on the grid and the covering circle; the
+    evaluated values differ by that and at most an ulp or two of rounding."""
+    grid = default_polar_grid()
+    for seed in range(2):
+        h = _certified_h(seed)
+        if kind == "moebius":
+            w = moebius_dilatation(beta, 1.0 + seed, 2.5)
+        else:
+            w = constant_dilatation(beta, 1.0 + seed)
+        g = harmonic_map(h, w).g
+        longer = co_analytic_from(h, w, 4 * g.order)
+        assert np.array_equal(longer.coeffs[: g.order + 1], g.coeffs)
+        tail = np.abs(longer.coeffs[g.order + 1 :])
+        n = np.arange(g.order + 1, longer.order + 1)
+        for radii, m in ((grid.radii, grid.n_angles), (np.array([RHO]), 256)):
+            assert np.sum(tail * radii[-1] ** n) <= 2.0**-60
+            got, ref = (evaluate_polar(s, radii, m) for s in (g, longer))
+            assert np.max(np.abs(got - ref)) <= 2.0**-59 + 2.0**-52 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("beta", [0.9, 0.99])
+def test_co_analytic_tail_matches_the_cauchy_oracle(beta):
+    """Past index D + 2 the geometric tail agrees with the double-loop
+    convolution to 1e-16 per coefficient."""
+    for seed in range(3):
+        h = _certified_h(seed)
+        w = moebius_dilatation(beta, 1.0 + seed, 2.5 + seed)
+        g = harmonic_map(h, w).g
+        gp = cauchy_product(dilatation_coeffs(w, g.order - 1), differentiate(h), g.order - 1)
+        oracle = gp.coeffs / np.arange(1, g.order + 1)
+        assert np.max(np.abs(g.coeffs[h.order + 1 :] - oracle[h.order :])) <= 1e-16
 
 
 # -------------------------------------------------------------- dilatations
@@ -77,7 +173,7 @@ def test_moebius_coeffs_hand_expansion():
 @pytest.mark.parametrize("z", [0.1, 0.2j])
 def test_moebius_series_matches_closed_form(z):
     w = moebius_dilatation(0.5)
-    series = dilatation_coeffs(w, order=default_truncation_order(0.5))
+    series = dilatation_coeffs(w, order=64)
     assert evaluate(series, z) == pytest.approx(moebius_value(w, z), abs=1e-13)
 
 
@@ -151,13 +247,6 @@ def test_rotation_requires_beta_zero():
 
     with pytest.raises(ValueError):
         DilatationSpec(kind="rotation", beta=0.3)
-
-
-def test_moebius_tail_sum_below_target():
-    for beta in (0.3, 0.65, 0.9):
-        order = default_truncation_order(beta)
-        c = dilatation_coeffs(moebius_dilatation(beta), order=order + 200).coeffs
-        assert np.sum(np.abs(c[order + 1 :])) < 1e-12
 
 
 # ------------------------------------------------------- dilatation modulus

@@ -611,7 +611,7 @@ def test_standalone_checks_compute_only_what_they_read(monkeypatch):
     evaluated = _counting(monkeypatch, verify, "evaluate_polar")
     verify_distortion(member, params)
     verify_bloch(member, params)
-    # h' only: neither g (order 2818 here) nor h is evaluated on the grid
+    # h' only: neither g (order 3167 here) nor h is evaluated on the grid
     assert [s.order for s, *_ in evaluated] == [member.h.order - 1] * 2
 
 
