@@ -4,21 +4,21 @@ and constant, both closed forms) and the co-analytic part they produce.
 A map is f = h + conj(g) with analytic part h (normalized: h(0) = 0,
 h'(0) = 1) and co-analytic part g determined by the dilatation w through
 g' = w * h'.  The first co-analytic coefficient satisfies |b1| = |w(0)|.
-``harmonic_map`` truncates g where it drops at most 2^-60 on the covering
-circle, the largest ring any check evaluates g on.
+``harmonic_map`` truncates g for the largest ring any check reads it on.
 Factors that depend only on (beta, order) or on (phi, angle count) are kept
 read-only in small LRU caches, which change no value.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .series import TruncatedSeries, differentiate
+from .series import _REMAINDER, TruncatedSeries, differentiate
 
 __all__ = [
     "ClassParams",
@@ -33,10 +33,9 @@ __all__ = [
     "harmonic_map",
 ]
 
-#: Radius of the covering check's circle, the largest on which any check reads g,
-#: and what the order ``harmonic_map`` gives g may drop from a value of g there.
+#: Radius of the covering check's circle, the largest on which any check reads g:
+#: the order ``harmonic_map`` gives g drops at most ``series._REMAINDER`` there.
 COVERING_CIRCLE_RADIUS = 0.999
-_G_REMAINDER = 2.0**-60
 
 #: Bound evaluators need delta below this: 2.0 ** delta overflows from here on.
 MAX_BOUND_DELTA = 1024
@@ -218,9 +217,8 @@ def co_analytic_from(h: TruncatedSeries, w: DilatationSpec, order: int) -> Trunc
     d = hp.size - 1
     b = np.zeros(order + 1, dtype=complex)
     # c[: d + 2] is longer than hp, so np.convolve sums each head entry as on the full c
-    head = np.convolve(hp, c[: d + 2])[: min(order, d + 1)]
-    b[1 : head.size + 1] = head
-    if w.kind == "moebius":
+    b[1 : d + 2] = np.convolve(hp, c[: d + 2])[: min(order, d + 1)]
+    if w.kind == "moebius" and order > d + 1:
         q, s = -w.beta * complex(np.exp(1j * w.phi)), 0j
         for p in hp.tolist():  # Horner for S, on Python complex scalars
             s = s * q + p
@@ -234,24 +232,21 @@ def _g_order(h: TruncatedSeries, w: DilatationSpec) -> int:
     w the least N >= h.order + 1 with |T| x^(N-D-1) / ((N+1)(1 - x)) <= 2^-60,
     x = beta COVERING_CIRCLE_RADIUS, which bounds what g beyond N adds there
     for |T| <= (1 - beta^2) max(2, sum n |a_n|): one N for every certified h.
-    k = N - D - 1 solves a k + log(k + D + 2) = log(|T| / (2^-60 (1 - x))),
-    a = -log x, which is concave: Newton's iterates climb to the root.
+    Bisection finds it below the N at which the bound without 1/(N+1) holds.
     """
     n_min = h.order + 1
     x = w.beta * COVERING_CIRCLE_RADIUS
     if w.kind == "constant" or x == 0.0:
         return n_min
-    t = (1.0 - w.beta * w.beta) * max(2.0, float(np.abs(differentiate(h).coeffs).sum()))
-    if not math.isfinite(t):
+    s = float(np.abs(differentiate(h).coeffs).sum())
+    if not math.isfinite(s):
         raise ValueError("sum n |a_n| of the analytic part must be finite")
-    a, rhs = -math.log(x), math.log(t / (_G_REMAINDER * (1.0 - x)))
-    k = rhs / a
-    for _ in range(4):
-        k -= (a * k + math.log(k + n_min) - rhs) / (a + 1.0 / (k + n_min))
-    n = max(n_min, n_min - 1 + math.ceil(k))
-    while t * x ** (n - n_min + 1) / ((n + 1) * (1.0 - x)) > _G_REMAINDER:  # rounding
-        n += 1
-    return n
+    t = (1.0 - w.beta * w.beta) * max(2.0, s)
+    k = math.ceil((math.log(t) - math.log1p(-x) - math.log(_REMAINDER)) / -math.log(x))
+    return n_min + bisect.bisect_left(
+        range(n_min, n_min + max(1, k)), True,
+        key=lambda n: t * x ** (n - n_min + 1) / ((n + 1) * (1.0 - x)) <= _REMAINDER,
+    )
 
 
 @dataclass(frozen=True)

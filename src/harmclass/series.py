@@ -119,9 +119,8 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     ``_ring_rows``, the identity on increasing radii), where the rings that
     read a row form a suffix: each row updates one contiguous slice, and the
     first row a ring reads is assigned, so a ring that drops no row gets
-    the bits, signed zeros included, of the full Horner pass.  A single
-    ring runs the same passes with no bookkeeping of which rings read a row,
-    and a block of one row is assigned to every ring.
+    the bits, signed zeros included, of the full Horner pass.  A block of
+    one row is assigned to every ring.
     """
     radii = np.asarray(radii, dtype=float)
     m = int(n_angles)
@@ -150,15 +149,7 @@ def _truncated_horner(val: np.ndarray, block: np.ndarray, key: bytes, m: int) ->
     # tail[Q - 1, i]: the remainder of ring i after the rows q < Q, Q >= 1; a NaN
     # keeps its rows, and the running maximum keeps the readers of a row a suffix
     tail = np.cumsum((np.abs(block[:0:-1]).sum(axis=1)[:, None] * t_powers[:0:-1]), axis=0)
-    needed = 1 + np.count_nonzero(~(tail <= _REMAINDER), axis=0)
-    if val.shape[0] == 1:  # one ring: the same passes, with no suffix bookkeeping
-        v, top = val[0], int(needed[0]) - 1
-        v[:] = block[top]
-        for q in range(top - 1, -1, -1):
-            v *= t[0]
-            v += block[q]
-        return
-    needed = np.maximum.accumulate(needed)
+    needed = np.maximum.accumulate(1 + np.count_nonzero(~(tail <= _REMAINDER), axis=0))
     # first[q]: the first ring, in increasing |t|, that reads row q
     first = np.searchsorted(needed, np.arange(block.shape[0] + 1), side="right")
     for q in range(needed.max(initial=0) - 1, -1, -1):

@@ -43,9 +43,8 @@ the covering circle, the area rings) goes through ``series.evaluate_polar``:
 coefficients folded modulo the angle count, Horner in r^M, one FFT per ring,
 with the powers of r cached per ring set; each ring reads only the folded
 rows whose remainder on it exceeds 2^-60, so at high beta the inner grid
-rings skip most of g, whose own truncation (``model.harmonic_map``) drops
-at most 2^-60 on the covering circle, the outermost ring g is read on.
-The area is an adaptive radial quadrature
+rings skip most of g, whose order drops at most 2^-60 on the covering
+circle (``model.harmonic_map``).  The area is an adaptive radial quadrature
 (``numerics.adaptive_quadrature``, the package's one quadrature) of ring
 means of the sample's h', differentiated once per member: the rings of one
 bisection level are one ``evaluate_polar`` call.  For a Moebius w the
@@ -82,11 +81,10 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from . import bounds
+from . import bounds, model
 from .factory import build_member, certify, sample_certified_h
 from .model import (
-    COVERING_CIRCLE_RADIUS, ClassParams, DilatationSpec, HarmonicMapSpec, dilatation_modulus,
-    moebius_dilatation,
+    ClassParams, DilatationSpec, HarmonicMapSpec, dilatation_modulus, moebius_dilatation
 )
 from .numerics import adaptive_quadrature
 from .series import TruncatedSeries, differentiate, evaluate_polar, lincomb
@@ -114,7 +112,7 @@ DEFAULT_SLACK = 1e-9
 
 MEMBER_THEOREMS = ("coeff", "distortion", "g_growth", "area", "f_growth", "covering", "bloch")
 
-#: Points at which the covering proxy samples |f| on |z| = COVERING_CIRCLE_RADIUS.
+#: Points at which the covering proxy samples |f| on |z| = ``model.COVERING_CIRCLE_RADIUS``.
 _COVERING_SAMPLES = 256
 
 #: Angles per ring of the area measurement's trapezoid rule, and the
@@ -132,9 +130,10 @@ _SUITE_N_MAX = 12
 
 @dataclass(frozen=True, eq=False)
 class PolarGrid:
-    """Evaluation grid: strictly increasing radii in (0, 1) crossed with the
+    """Evaluation grid: strictly increasing radii in (0, 0.999] crossed with the
     M = ``n_angles`` uniform angles 2*pi*k/M, k = 0..M-1, the angle set that
-    ``series.evaluate_polar`` evaluates on.
+    ``series.evaluate_polar`` evaluates on.  Past ``model.COVERING_CIRCLE_RADIUS``
+    (0.999) the order of g keeps no 2^-60 error bound, so no radius lies there.
 
     The grid keeps a read-only float copy of the radii, so it cannot change
     after validation; its angles are computed with it, also read-only.  Grids
@@ -147,8 +146,8 @@ class PolarGrid:
 
     def __post_init__(self) -> None:
         r = np.array(self.radii, dtype=float)
-        if r.ndim != 1 or r.size == 0 or not (r[0] > 0.0 and r[-1] < 1.0):
-            raise ValueError("grid radii must be a non-empty 1-d array inside (0, 1)")
+        if r.ndim != 1 or r.size == 0 or not 0.0 < r[0] <= r[-1] <= model.COVERING_CIRCLE_RADIUS:
+            raise ValueError("grid radii must be a non-empty 1-d array inside (0, 0.999]")
         if not np.all(r[1:] > r[:-1]):
             raise ValueError("grid radii must be strictly increasing")
         m = self.n_angles
@@ -268,7 +267,7 @@ class _EnvelopeTable:
         self.f_floor = np.array([[bounds._f_lower_integral(params, x, -1.0)] for x in radii])
         self.f_upper = bounds._f_upper(params, r, self.g_upper)
         self.area_envelope = bounds.area_envelope(params)
-        self.covering_floor = bounds.f_growth_floor(params, COVERING_CIRCLE_RADIUS)
+        self.covering_floor = bounds.f_growth_floor(params, model.COVERING_CIRCLE_RADIUS)
         self.bloch_bound = bounds.bloch_bound(params).bound
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -421,7 +420,7 @@ def _f_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     f, m, floor = sample.member, _COVERING_SAMPLES, table.covering_floor
-    h, g = (evaluate_polar(s, [COVERING_CIRCLE_RADIUS], m)[0] for s in (f.h, f.g))
+    h, g = (evaluate_polar(s, [model.COVERING_CIRCLE_RADIUS], m)[0] for s in (f.h, f.g))
     fm = np.abs(h + np.conj(g))
     idx = int(np.argmin(fm))
     worst = float(fm[idx] - floor)

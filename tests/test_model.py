@@ -91,9 +91,10 @@ def test_g_order_has_no_cap_below_one():
     assert orders[-1] < orders[0]
 
 
-@pytest.mark.parametrize("coefficient", [math.inf, 1e308])
+@pytest.mark.parametrize("coefficient", [math.inf, 1e308, math.nan, complex(0, math.nan)])
 def test_g_order_needs_a_finite_derivative_sum(coefficient):
-    # 2 * 1e308 overflows: the remainder bound, and with it the order, is undefined
+    # 2 * 1e308 overflows, and a NaN propagates: the remainder bound, and with
+    # it the order, is undefined
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(ValueError, match="must be finite"):
             harmonic_map(TruncatedSeries([0, 1, coefficient]), moebius_dilatation(0.5))
@@ -383,7 +384,8 @@ def test_co_analytic_rejects_zero_order():
         co_analytic_from(H_IDENTITY, rotation_dilatation(), order=0)
 
 
-@pytest.mark.parametrize("order", [4, 16, 64])
+# D = deg h' = 7: orders up to, at and past the head b_1..b_{D+1}
+@pytest.mark.parametrize("order", [1, 4, 5, 6, 7, 8, 9, 16, 64])
 @pytest.mark.parametrize("beta", [0.0, 0.35, 0.8])
 def test_convolution_route_consistency(order, beta):
     """Independent route: Cauchy-multiply the dilatation series with h', then

@@ -273,6 +273,7 @@ def test_member_suite_reports_seven_per_member():
         [0.2, 0.2, 0.9],
         [0.0, 0.5],
         [0.5, 1.0],
+        [0.5, 0.9991],  # past the covering circle, where g has no error bound
         [-0.1, 0.5],
         [],
         [[0.2, 0.9]],
