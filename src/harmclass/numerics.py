@@ -108,50 +108,36 @@ def _adaptive_levels(
     tolerance ``tol[k]``: a panel whose Kronrod error estimate exceeds its
     tolerance is bisected, each half with half the tolerance, and its value is
     the sum of its halves'.  ``f`` is called once per bisection level, on the
-    nodes of all its panels.  The values equal, bit for bit, those of the
-    depth-first recursion that refines one panel at a time (kept in the tests
-    as the reference).
-
-    Each level keeps its estimates and which panels it split; the children of
-    the split panels, in order, form the next level.  The first level that
-    accepts all its panels is the last one: its estimates are the values,
-    and every split panel above it becomes ``left + right``, from the
-    deepest level up.  A panel that cannot be split ends the refinement to
-    its right: the recursion, depth first and left first, raises for the
-    leftmost one, also when a later level accepts every panel it has left.
-    A level of more than ``_LEVEL_PANELS`` panels is finished chunk by chunk,
-    left to right, so an integrand that converges nowhere costs about
-    ``_DEPTH_LIMIT`` chunks instead of 2**_DEPTH_LIMIT panels.
+    nodes of all its panels (never on none).  The values and the error raised
+    equal, bit for bit, those of the depth-first recursion that refines one
+    panel at a time (kept in the tests as the reference): it meets a panel
+    that cannot be split after the panels on its left, so their refinement
+    runs first and that panel's error is raised after it.  A level of more
+    than ``_LEVEL_PANELS`` panels is refined chunk by chunk, left to right,
+    so an integrand that converges nowhere costs about ``_DEPTH_LIMIT``
+    chunks instead of 2**_DEPTH_LIMIT panels.
     """
-    levels, failure = [], None
-    while 0 < lo.size <= _LEVEL_PANELS:
-        est, err = _gauss_kronrod_level(f, lo, hi)
-        split = ~(err <= tol)
-        if not split.any():
-            value = est
-            break
-        levels.append((est, split))
-        lo, hi, tol, err = lo[split], hi[split], tol[split], err[split]
-        mid = 0.5 * (lo + hi)
-        stuck = (mid <= lo) | (mid >= hi) | (depth >= _DEPTH_LIMIT)
-        if stuck.any():
-            k = int(np.argmax(stuck))
-            failure = _failure(lo[k], hi[k], err[k], tol[k], depth)
-            lo, hi, tol, mid = lo[:k], hi[:k], tol[:k], mid[:k]
-        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
-        tol = np.repeat(0.5 * tol, 2)
-        depth += 1
-    else:
-        chunks = [slice(i, i + _LEVEL_PANELS) for i in range(0, lo.size, _LEVEL_PANELS)]
-        value = np.concatenate(
-            [np.empty(0), *(_adaptive_levels(f, lo[c], hi[c], tol[c], depth) for c in chunks)]
-        )
-    if failure is not None:
-        raise failure
-    for est, split in reversed(levels):
-        est[split] = value[0::2] + value[1::2]
-        value = est
-    return value
+    if lo.size > _LEVEL_PANELS:
+        # halve at a chunk boundary: the chunks run left to right, log2(chunks) deep
+        c = _LEVEL_PANELS * -(-lo.size // (2 * _LEVEL_PANELS))
+        head = _adaptive_levels(f, lo[:c], hi[:c], tol[:c], depth)
+        return np.concatenate((head, _adaptive_levels(f, lo[c:], hi[c:], tol[c:], depth)))
+    est, err = _gauss_kronrod_level(f, lo, hi)
+    split = ~(err <= tol)
+    if not split.any():
+        return est
+    lo, hi, tol, err = lo[split], hi[split], tol[split], err[split]
+    mid = 0.5 * (lo + hi)
+    stuck = (mid <= lo) | (mid >= hi) | (depth >= _DEPTH_LIMIT)
+    k = int(np.argmax(stuck)) if stuck.any() else lo.size
+    if k:
+        left = np.stack((lo[:k], mid[:k]), axis=1).ravel()
+        right = np.stack((mid[:k], hi[:k]), axis=1).ravel()
+        halves = _adaptive_levels(f, left, right, np.repeat(0.5 * tol[:k], 2), depth + 1)
+    if k < lo.size:
+        raise _failure(lo[k], hi[k], err[k], tol[k], depth)
+    est[split] = halves[0::2] + halves[1::2]
+    return est
 
 
 def adaptive_quadrature(

@@ -3,9 +3,10 @@
 A series is a finite coefficient vector: index n holds the coefficient of
 z**n.  All operations are pure; the coefficient buffer is frozen after
 construction so instances can be shared freely across threads.  The powers
-of the radii that ``evaluate_polar`` scales by, and the ring order and row
-powers its per-ring truncation reads, are kept read-only in bounded
-process-wide caches (``_ring_powers``, ``_ring_rows``), which change no value.
+of the radii that ``evaluate_polar`` reads and the ring order of its
+per-ring truncation are kept read-only in one bounded process-wide cache
+(``_ring_powers``, one entry per ring set and angle count), which changes
+no value.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     whose remainder sum_{q >= Q_i} (sum_j |B[q, j]|) |t_i|^q is at most
     2^-60 (``_REMAINDER``).  For radii in [0, 1], |w^(jk)| = 1 and r^j <= 1,
     so that remainder bounds what the dropped rows add to every value of the
-    ring.  The rings are taken in increasing |t| (the cached order of
-    ``_ring_rows``, the identity on increasing radii), where the rings that
-    read a row form a suffix: each row updates one contiguous slice, and the
+    ring.  The rings are taken in increasing |t| (the order cached with the
+    powers, the identity on increasing radii), where the rings that read a
+    row form a suffix: each row updates one contiguous slice, and the
     first row a ring reads is assigned, so a ring that drops no row gets
     the bits, signed zeros included, of the full Horner pass.  A block of
     one row is assigned to every ring.
@@ -132,26 +133,30 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     block = block.reshape(rows, m)
     k = min(m, s.coeffs.size)
     key = radii.tobytes()
-    powers = _ring_powers(key, m, k)[1]
     val = np.empty((radii.size, m), dtype=complex)
     if rows == 1:
         val[:] = block[0]
     else:
         _truncated_horner(val, block, key, m)
-    val[:, :k] *= powers
+    val[:, :k] *= _ring_powers(key, m)[1][:, :k]
     return np.fft.ifft(val, axis=1, norm="forward")
 
 
 def _truncated_horner(val: np.ndarray, block: np.ndarray, key: bytes, m: int) -> None:
     """Fill ``val[i]`` with Horner in t_i over the rows of ``block`` that ring
     i reads (see ``evaluate_polar``); ``key`` holds the radii's bytes."""
-    order, t, t_powers = _ring_rows(key, m, block.shape[0])
+    t, _, order = _ring_powers(key, m)
+    if order is not None:
+        t = t[order]
+    # |t|^q, q = 1..rows-1, by a running product: they only pick the rows a ring reads
+    rows = block.shape[0]
+    t_powers = np.multiply.accumulate(np.repeat(np.abs(t.T), rows - 1, axis=0), axis=0)
     # tail[Q - 1, i]: the remainder of ring i after the rows q < Q, Q >= 1; a NaN
     # keeps its rows, and the running maximum keeps the readers of a row a suffix
-    tail = np.cumsum((np.abs(block[:0:-1]).sum(axis=1)[:, None] * t_powers[:0:-1]), axis=0)
+    tail = np.cumsum((np.abs(block[:0:-1]).sum(axis=1)[:, None] * t_powers[::-1]), axis=0)
     needed = np.maximum.accumulate(1 + np.count_nonzero(~(tail <= _REMAINDER), axis=0))
     # first[q]: the first ring, in increasing |t|, that reads row q
-    first = np.searchsorted(needed, np.arange(block.shape[0] + 1), side="right")
+    first = np.searchsorted(needed, np.arange(rows + 1), side="right")
     for q in range(needed.max(initial=0) - 1, -1, -1):
         start, cont = first[q], first[q + 1]
         if cont < val.shape[0]:
@@ -168,30 +173,17 @@ _REMAINDER = 2.0**-60
 
 
 @lru_cache(maxsize=64)
-def _ring_powers(radii: bytes, m: int, k: int) -> tuple:
-    """Read-only r^m and r^j, j < k, for the float64 radii packed in ``radii``;
-    the 64 most recently used (the grid, the covering circle, area rings)."""
+def _ring_powers(radii: bytes, m: int) -> tuple:
+    """Read-only r^m and r^j, j < m, as (rings, 1) and (rings, m) arrays, for
+    the float64 radii packed in ``radii``, and the order that sorts the rings
+    by increasing |r^m| (None when they are sorted already); the 64 most
+    recently used (the grid, the covering circle, area rings)."""
     r = np.frombuffer(radii)[:, None]
-    powers = r**m, r ** np.arange(k)
-    for p in powers:
-        p.setflags(write=False)
-    return powers
-
-
-@lru_cache(maxsize=16)
-def _ring_rows(radii: bytes, m: int, rows: int) -> tuple:
-    """The order that sorts the rings of ``radii`` by increasing |t|, t = r^m
-    (None when they are sorted already), t in that order as a column, and
-    |t|^q, q < ``rows``, as a (rows, rings) array in that order, all
-    read-only; the 16 most recently used."""
-    t = _ring_powers(radii, m, m)[0]  # more than one row: the k = m entry
-    size = np.abs(t[:, 0])
-    order = np.argsort(size, kind="stable")
+    t = r**m
+    order = np.argsort(np.abs(t[:, 0]), kind="stable")
     if np.array_equal(order, np.arange(order.size)):
         order = None
-    else:
-        t, size = t[order], size[order]
-    out = order, t, size ** np.arange(rows)[:, None]
+    out = t, r ** np.arange(m), order
     for a in out:
         if a is not None:
             a.setflags(write=False)

@@ -27,6 +27,8 @@ built whole, with read-only arrays, before it is shared, and nothing fills
 it later.  Table values are deterministic, so a cached table gives the
 same reports as a fresh one.  Sample fields are computed when a check first
 reads them, so a standalone check evaluates only the member values it reads.
+The covering check reads |f| from a sample on the covering circle, so
+f = h + conj(g) is formed in one place.
 A grid check reduces each of its sides over the angles first: the least
 margin of a side at a radius is its envelope against the row maximum (upper
 side) or minimum (lower side) of the values, exactly, because rounding is
@@ -112,9 +114,6 @@ DEFAULT_SLACK = 1e-9
 
 MEMBER_THEOREMS = ("coeff", "distortion", "g_growth", "area", "f_growth", "covering", "bloch")
 
-#: Points at which the covering proxy samples |f| on |z| = ``model.COVERING_CIRCLE_RADIUS``.
-_COVERING_SAMPLES = 256
-
 #: Angles per ring of the area measurement's trapezoid rule, and the
 #: tolerance of its radial quadrature.
 _AREA_ANGLES = 128
@@ -159,6 +158,10 @@ class PolarGrid:
             object.__setattr__(self, name, value)
 
 
+#: Where the covering proxy samples |f|: 256 points on |z| = ``model.COVERING_CIRCLE_RADIUS``.
+_COVERING_CIRCLE = PolarGrid([model.COVERING_CIRCLE_RADIUS], 256)
+
+
 @cache
 def default_polar_grid(n_radii: int = 64, n_angles: int = 128) -> PolarGrid:
     """Chebyshev-spaced radii in (0, 0.995] (clustered near both ends) x
@@ -197,8 +200,8 @@ def report_to_dict(report: VerificationReport, **extra) -> dict:
 
 
 class _GridSample:
-    """One member on the grid: |h'|, |w|, |g| and |f|, each evaluated once, when
-    a check first reads it."""
+    """One member on a grid (the check grid or the covering circle): |h'|, |w|,
+    |g| and |f|, each evaluated once, when a check first reads it."""
 
     def __init__(self, f: HarmonicMapSpec, grid: PolarGrid) -> None:
         self.member = f
@@ -419,13 +422,11 @@ def _f_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 
 def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    f, m, floor = sample.member, _COVERING_SAMPLES, table.covering_floor
-    h, g = (evaluate_polar(s, [model.COVERING_CIRCLE_RADIUS], m)[0] for s in (f.h, f.g))
-    fm = np.abs(h + np.conj(g))
+    fm, floor = _GridSample(sample.member, _COVERING_CIRCLE).f[0], table.covering_floor
     idx = int(np.argmin(fm))
     worst = float(fm[idx] - floor)
     witness = (
-        f"proxy min |f| {fm[idx]:.12g} at theta={2 * math.pi * idx / m:.6g} "
+        f"proxy min |f| {fm[idx]:.12g} at theta={_COVERING_CIRCLE.angles[idx]:.6g} "
         f"vs floor {floor:.12g}"
     )
     return _report("covering", worst, witness)

@@ -109,19 +109,38 @@ def _recursion(f, edges, tol):
     return [_adaptive_panel(f, lo, hi, tol) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _levels(f, edges, tol):
-    """``_adaptive_levels`` on the intervals between consecutive ``edges``."""
+def _levels(f, edges, tol, calls):
+    """``_adaptive_levels`` on the intervals between consecutive ``edges``;
+    the node count of each call of ``f`` is appended to ``calls``."""
+
+    def counted(x):
+        calls.append(np.size(x))
+        return f(x)
+
     edges = np.asarray(edges, dtype=float)
     return numerics._adaptive_levels(
-        f, edges[:-1], edges[1:], np.full(edges.size - 1, tol)
+        counted, edges[:-1], edges[1:], np.full(edges.size - 1, tol)
     ).tolist()
 
 
-@pytest.mark.parametrize("kink", [0.45, 0.5])  # inside an interval, on an edge
-def test_levels_match_the_recursion_exactly(kink):
+def _assert_calls(calls, expected):
+    """No call of the integrand gets an empty array, and the node counts of
+    the calls are ``expected``, in order (those of the level-list driver that
+    the recursion over levels replaced)."""
+    assert min(calls) > 0
+    assert calls == expected
+
+
+@pytest.mark.parametrize(
+    "kink, expected",
+    [(0.45, [90] + [30] * 12), (0.5, [90])],  # inside an interval, on an edge
+)
+def test_levels_match_the_recursion_exactly(kink, expected):
     f = lambda x: abs(kink - x) / (1.0 - kink * x) * (1.0 - 0.7 * x)
     edges = [0.0, 0.05, 0.2, 0.44, 0.5, 0.9, 0.999]
-    assert _levels(f, edges, 1e-9) == _recursion(f, edges, 1e-9)
+    calls = []
+    assert _levels(f, edges, 1e-9, calls) == _recursion(f, edges, 1e-9)
+    _assert_calls(calls, expected)
 
 
 @pytest.mark.parametrize(
@@ -175,63 +194,71 @@ def test_breakpoints_must_increase_strictly_inside_the_interval(breakpoints):
 
 def test_levels_subdivided_panel_matches_exactly():
     # the steep panel next to x = 0.99 fails level 0 and is subdivided
-    sizes = []
-
-    def f(x):
-        sizes.append(np.size(x))
-        return abs(0.99 - x) / (1.0 - 0.99 * x)
-
+    f = lambda x: abs(0.99 - x) / (1.0 - 0.99 * x)
     edges = [0.0, 0.4975, 0.99, 0.995]
-    got = _levels(f, edges, 1e-9)
+    sizes = []
+    got = _levels(f, edges, 1e-9, sizes)
     assert len(sizes) > 1
     assert got == _recursion(f, edges, 1e-9)
+    _assert_calls(sizes, [45] + [30] * 4)
 
 
 def test_levels_hold_several_panels():
     # one kink per interval: each level rejects the two panels holding a kink
-    sizes = []
-
-    def f(x):
-        sizes.append(np.size(x))
-        return abs(x - 0.3) + abs(x - 0.7)
-
+    f = lambda x: abs(x - 0.3) + abs(x - 0.7)
     edges = [0.0, 0.5, 1.0]
-    got = _levels(f, edges, 1e-9)
+    sizes = []
+    got = _levels(f, edges, 1e-9, sizes)
     rejected = [size // 30 for size in sizes[1:]]  # two children of 15 nodes each
     assert any(a >= 2 and b >= 2 for a, b in zip(rejected, rejected[1:]))
     assert got == _recursion(f, edges, 1e-9)
+    _assert_calls(sizes, [30] + [60] * 21)
 
 
 def test_wide_levels_match_exactly():
     # 601 panels at level 0: more than one integrand call may take
-    sizes = []
-
-    def f(x):
-        sizes.append(np.size(x))
-        return abs(x - 0.3) / (1.0 + x)
-
+    f = lambda x: abs(x - 0.3) / (1.0 + x)
     edges = np.concatenate(([0.0], np.linspace(0.001, 0.999, 601)))
-    got = _levels(f, edges, 1e-9)
+    sizes = []
+    got = _levels(f, edges, 1e-9, sizes)
     assert max(sizes) <= 15 * numerics._LEVEL_PANELS < 15 * (edges.size - 1)
     assert got == _recursion(f, edges.tolist(), 1e-9)
+    # chunks of 256, 256 and 89 panels; the first two each split one panel
+    _assert_calls(sizes, [3840, 30, 30, 3840, 1335])
 
 
 # NaN from 1e6 on: every panel there is split until it is one float wide
 _NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
 
 
+#: Node counts of the integrand calls up to the error: levels of 256 panels or
+#: fewer are one call each, and a wider level is refined 256 panels at a time.
+_DOUBLING = [15 * 2**j for j in range(9)]  # 1, 2, 4, ..., 256 panels
+
+
 @pytest.mark.parametrize(
-    "f, edges, reason",
+    "f, edges, reason, expected",
     [
-        (lambda x: (x >= 1 / 3) * 1.0, [0.0, 1.0], "40 subdivision levels"),
-        (lambda x: (x >= 1 / 3) + (x >= 2 / 3) * 1.0, [0.0, 0.5, 1.0], "40 subdivision levels"),
-        (lambda x: x * math.nan, [0.0, 1.0], "40 subdivision levels"),
-        (_NAN_FROM_1E6, [0.0, 1e6, 1e6 + 1e-4], "cannot be subdivided"),
+        (lambda x: (x >= 1 / 3) * 1.0, [0.0, 1.0], "40 subdivision levels", [15] + [30] * 40),
+        (
+            lambda x: (x >= 1 / 3) + (x >= 2 / 3) * 1.0,
+            [0.0, 0.5, 1.0],
+            "40 subdivision levels",
+            [30] + [60] * 40,
+        ),
+        (lambda x: x * math.nan, [0.0, 1.0], "40 subdivision levels", _DOUBLING + [3840] * 32),
+        (
+            _NAN_FROM_1E6,
+            [0.0, 1e6, 1e6 + 1e-4],
+            "cannot be subdivided",
+            [30] + _DOUBLING[1:] + [3840] * 11 + [30],
+        ),
         # the right interval gets stuck ~20 levels before the left one hits the limit
         (
             lambda x: (x >= 1e6 / 3) + _NAN_FROM_1E6(x),
             [0.0, 1e6, 1e6 + 1e-4],
             "40 subdivision levels",
+            [30, 60, 90, 150, 270, 510, 990, 1950] + [3840] * 12 + [60] + [30] * 20,
         ),
         # the right interval gets stuck on level 3; level 5, the last, accepts every
         # panel of the left one: the error recorded before it must still be raised
@@ -239,6 +266,7 @@ _NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
             lambda x: 1e-9 * np.exp(-(((x - 3e5) / 3e4) ** 2)) + _NAN_FROM_1E6(x),
             [0.0, 1e6, 1e6 + 1e-9],
             "cannot be subdivided",
+            [30, 60, 90, 180, 90, 90],
         ),
     ],
     ids=[
@@ -246,13 +274,15 @@ _NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
         "stuck-then-converged",
     ],
 )
-def test_levels_raise_the_recursions_error(f, edges, reason):
+def test_levels_raise_the_recursions_error(f, edges, reason, expected):
     """The error the depth-first recursion meets first, with the same message."""
     with pytest.raises(QuadratureError, match=reason) as scalar:
         _recursion(f, edges, 1e-13)
+    calls = []
     with pytest.raises(QuadratureError) as levels:
-        _levels(f, edges, 1e-13)
+        _levels(f, edges, 1e-13, calls)
     assert str(levels.value) == str(scalar.value)
+    _assert_calls(calls, expected)
 
 
 # ------------------------------------------------------------------- digamma

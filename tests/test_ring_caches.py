@@ -9,7 +9,7 @@ import pytest
 from harmclass import factory, model, series
 from harmclass.factory import budget_weights, certify, sample_certified_h
 from harmclass.model import ClassParams, dilatation_coeffs, dilatation_modulus, moebius_dilatation
-from harmclass.series import TruncatedSeries, evaluate_polar
+from harmclass.series import TruncatedSeries, differentiate, evaluate_polar
 from harmclass.verify import default_polar_grid, run_member_suite
 
 CACHES = (
@@ -136,6 +136,25 @@ def test_evaluate_polar_after_eviction():
     assert_same_bits(evaluate_polar(s, radii, n_angles), expected)
     assert series._ring_powers.cache_info().misses == misses + 1  # it was evicted
     assert series._ring_powers.cache_info().currsize <= capacity
+    # one entry per (radii, n_angles) serves a series of any order
+    head = TruncatedSeries(s.coeffs[:2])
+    expected = _inline_evaluate_polar(head, radii, n_angles)
+    assert_same_bits(evaluate_polar(head, radii, n_angles), expected)
+    assert series._ring_powers.cache_info().misses == misses + 1
+
+
+def test_one_member_reads_one_ring_entry_on_the_grid():
+    # h', h and g have 16, 17 and 366 coefficients; g folds into 3 rows
+    grid = default_polar_grid()
+    params = ClassParams(0.3, 0.9, 1.0)
+    h = sample_certified_h(params, 16, 0.8, 3)
+    member = model.harmonic_map(h, moebius_dilatation(0.9, 1.0, 2.5))
+    assert -(-member.g.coeffs.size // grid.n_angles) == 3
+    series._ring_powers.cache_clear()
+    for s in (differentiate(member.h), member.h, member.g):
+        evaluate_polar(s, grid.radii, grid.n_angles)
+    info = series._ring_powers.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
 
 
 #: More phi than the cache holds; each signed zero also comes first once.
@@ -187,7 +206,8 @@ def test_budget_weights_and_sampler_match_inline_factors():
 def test_cached_arrays_are_read_only():
     grid = default_polar_grid()
     arrays = [
-        *series._ring_powers(grid.radii.tobytes(), grid.n_angles, 17),
+        *series._ring_powers(grid.radii.tobytes(), grid.n_angles)[:2],
+        series._ring_powers(np.array([0.5, 0.25]).tobytes(), 8)[2],  # the ring order
         model._half_angle_cos2(0.25, 128),
         *model._geometric_factors(0.6, 100),
         *factory._budget_factors(ClassParams(0.3, 0.6, 1.0), 16),

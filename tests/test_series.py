@@ -179,11 +179,10 @@ def test_ring_order_is_the_identity_on_the_rings_of_verify():
 
     grid = default_polar_grid()
     for radii, m in ((grid.radii, grid.n_angles), (np.array([0.999]), 256)):
-        order, t, t_powers = series._ring_rows(radii.tobytes(), m, 23)
+        t, powers, order = series._ring_powers(radii.tobytes(), m)
         assert order is None
-        assert t is series._ring_powers(radii.tobytes(), m, m)[0]
-        assert t_powers.shape == (23, radii.size)
-        assert not (t.flags.writeable or t_powers.flags.writeable)
+        assert t.shape == (radii.size, 1) and powers.shape == (radii.size, m)
+        assert not (t.flags.writeable or powers.flags.writeable)
 
 
 @pytest.mark.parametrize("radii, n_angles", [([[0.5]], 8), (0.5, 8), ([0.5], 0)])

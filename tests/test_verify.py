@@ -527,6 +527,19 @@ def test_area_equals_ring_by_ring_quadrature(beta):
         assert abs(area - complex_form) <= 1e-13
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.9, 0.99])
+def test_area_of_a_two_row_derivative_equals_ring_by_ring_quadrature(beta):
+    # h' of a degree-200 h folds into two rows at 128 angles, and the Kronrod
+    # nodes of each level arrive centre first, so the rings of one call reach
+    # the per-ring truncation of evaluate_polar out of order
+    params = ClassParams(0.3, beta, 1.0)
+    h = sample_certified_h(params, 200, 0.9, 5)
+    member = harmonic_map(h, moebius_dilatation(beta, 1.0, 2.0))
+    hprime = differentiate(member.h)
+    assert hprime.order == 199
+    assert verify._measure_area(hprime, member.w, 1e-8) == _ring_by_ring_area(member, 1e-8)
+
+
 def _suite_members(beta, members=3):
     params = ClassParams(0.3, beta, 1.0)
     return [member for _, member, _ in run_member_suite(params, members=members, seed=9)]
