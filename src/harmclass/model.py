@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import _REMAINDER, TruncatedSeries, differentiate
+from .series import TruncatedSeries, differentiate
 
 __all__ = [
     "ClassParams",
@@ -34,8 +34,14 @@ __all__ = [
 ]
 
 #: Radius of the covering check's circle, the largest on which any check reads g:
-#: the order ``harmonic_map`` gives g drops at most ``series._REMAINDER`` there.
+#: the order ``harmonic_map`` gives g drops at most ``_REMAINDER`` there.
 COVERING_CIRCLE_RADIUS = 0.999
+
+#: What the truncation of g may drop from any value on the covering circle.
+_REMAINDER = 2.0**-60
+
+#: Row length of the geometric tail of g in ``co_analytic_from``.
+_TAIL_ROW = 128
 
 #: Bound evaluators need delta below this: 2.0 ** delta overflows from here on.
 MAX_BOUND_DELTA = 1024
@@ -206,15 +212,16 @@ def co_analytic_from(h: TruncatedSeries, w: DilatationSpec, order: int) -> Trunc
 
     That gives the head b_1..b_{D+1}, D = deg h'.  Past it, as c_m = c_1 q^(m-1),
     q = -beta e^{i phi} (Moebius), n b_n = S c_{n-D-1} with S = sum_k (k+1)
-    a_{k+1} q^(D-k): a geometric tail T q^(n-D-2), T = S c_1, in O(order).
+    a_{k+1} q^(D-k): a geometric tail T q^(n-D-2), T = S c_1, in O(order), in
+    rows of M = ``_TAIL_ROW``: S c_1..S c_M, then that row times (q^M)^k.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not h.is_normalized():
         raise ValueError("analytic part must be normalized (a0 = 0, a1 = 1)")
     hp = differentiate(h).coeffs
-    c = dilatation_coeffs(w, order - 1).coeffs
     d = hp.size - 1
+    c = dilatation_coeffs(w, min(order - 1, d + 1 + _TAIL_ROW)).coeffs
     b = np.zeros(order + 1, dtype=complex)
     # c[: d + 2] is longer than hp, so np.convolve sums each head entry as on the full c
     b[1 : d + 2] = np.convolve(hp, c[: d + 2])[: min(order, d + 1)]
@@ -222,7 +229,11 @@ def co_analytic_from(h: TruncatedSeries, w: DilatationSpec, order: int) -> Trunc
         q, s = -w.beta * complex(np.exp(1j * w.phi)), 0j
         for p in hp.tolist():  # Horner for S, on Python complex scalars
             s = s * q + p
-        b[d + 2 :] = s * c[1 : order - d]
+        n = order - d - 1
+        row = s * c[1 : min(n, _TAIL_ROW) + 1]
+        qm = (-w.beta) ** _TAIL_ROW * complex(np.exp(1j * _TAIL_ROW * w.phi))
+        powers = np.multiply.accumulate(np.full(-(-n // row.size) - 1, qm))  # (q^M)^k, k >= 1
+        b[d + 2 :] = np.concatenate((row, (powers[:, None] * row).ravel()))[:n]
     b[1:] /= np.arange(1, order + 1)
     return TruncatedSeries(b)
 

@@ -3,10 +3,9 @@
 A series is a finite coefficient vector: index n holds the coefficient of
 z**n.  All operations are pure; the coefficient buffer is frozen after
 construction so instances can be shared freely across threads.  The powers
-of the radii that ``evaluate_polar`` reads and the ring order of its
-per-ring truncation are kept read-only in one bounded process-wide cache
-(``_ring_powers``, one entry per ring set and angle count), which changes
-no value.
+of the radii that ``evaluate_polar`` reads, r^j and (r^M)^q, are kept
+read-only in one bounded process-wide cache (``_ring_powers``, one entry
+per ring set and angle count), which changes no value.
 """
 
 from __future__ import annotations
@@ -106,22 +105,17 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
 
     Writing n = q*M + j with M = ``n_angles``, s(r w^k) = sum_j w^(jk) r^j P_j(r^M)
     with P_j(t) = sum_q a_(qM+j) t^q.  The coefficients are folded modulo M
-    into a (ceil((N+1)/M), M) block B, Horner runs in t = r^M over its rows,
-    the result is scaled by r^j, and one inverse FFT per ring sums over j.  At
-    order N that is ceil((N+1)/M) in-place passes over a (radii, M) array
-    instead of N passes of ``evaluate`` over the same points.  Only the first
-    min(M, N+1) columns are scaled: the others hold exact zeros.
+    into a (ceil((N+1)/M), M) block B; a block of one row is assigned to
+    every ring, and a longer one is summed over its rows as a real matrix
+    product, sum_q t_i^q B[q, :] = (V @ B)[i] with V[i, q] = t_i^q, so every
+    ring reads every row (a NaN in any row reaches every ring).  The result
+    is scaled by r^j and one inverse FFT per ring sums over j.  Only the
+    first min(M, N+1) columns are scaled: the others hold exact zeros.
 
-    Ring i runs Horner only over the rows q < Q_i, Q_i >= 1 the least count
-    whose remainder sum_{q >= Q_i} (sum_j |B[q, j]|) |t_i|^q is at most
-    2^-60 (``_REMAINDER``).  For radii in [0, 1], |w^(jk)| = 1 and r^j <= 1,
-    so that remainder bounds what the dropped rows add to every value of the
-    ring.  The rings are taken in increasing |t| (the order cached with the
-    powers, the identity on increasing radii), where the rings that read a
-    row form a suffix: each row updates one contiguous slice, and the
-    first row a ring reads is assigned, so a ring that drops no row gets
-    the bits, signed zeros included, of the full Horner pass.  A block of
-    one row is assigned to every ring.
+    V comes from the ring cache, one row per power of t by a cumulative
+    product.  The product runs on at most ``_ROWS_PER_PRODUCT`` rows at a
+    time, added in order: a BLAS splits a longer inner dimension into blocks
+    that can depend on its thread count, and so would the last bits.
     """
     radii = np.asarray(radii, dtype=float)
     m = int(n_angles)
@@ -132,62 +126,50 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     block[: s.coeffs.size] = s.coeffs
     block = block.reshape(rows, m)
     k = min(m, s.coeffs.size)
-    key = radii.tobytes()
-    val = np.empty((radii.size, m), dtype=complex)
+    powers, row_powers = _ring_powers(radii.tobytes(), m)
     if rows == 1:
+        val = np.empty((radii.size, m), dtype=complex)
         val[:] = block[0]
     else:
-        _truncated_horner(val, block, key, m)
-    val[:, :k] *= _ring_powers(key, m)[1][:, :k]
+        v, b, n = _grown(row_powers, rows), block.view(float), _ROWS_PER_PRODUCT
+        val = v[:n].T @ b[:n]
+        for q in range(n, rows, n):
+            val += v[q : q + n].T @ b[q : q + n]
+        val = val.view(complex)
+    val[:, :k] *= powers[:, :k]
     return np.fft.ifft(val, axis=1, norm="forward")
 
 
-def _truncated_horner(val: np.ndarray, block: np.ndarray, key: bytes, m: int) -> None:
-    """Fill ``val[i]`` with Horner in t_i over the rows of ``block`` that ring
-    i reads (see ``evaluate_polar``); ``key`` holds the radii's bytes."""
-    t, _, order = _ring_powers(key, m)
-    if order is not None:
-        t = t[order]
-    # |t|^q, q = 1..rows-1, by a running product: they only pick the rows a ring reads
-    rows = block.shape[0]
-    t_powers = np.multiply.accumulate(np.repeat(np.abs(t.T), rows - 1, axis=0), axis=0)
-    # tail[Q - 1, i]: the remainder of ring i after the rows q < Q, Q >= 1; a NaN
-    # keeps its rows, and the running maximum keeps the readers of a row a suffix
-    tail = np.cumsum((np.abs(block[:0:-1]).sum(axis=1)[:, None] * t_powers[::-1]), axis=0)
-    needed = np.maximum.accumulate(1 + np.count_nonzero(~(tail <= _REMAINDER), axis=0))
-    # first[q]: the first ring, in increasing |t|, that reads row q
-    first = np.searchsorted(needed, np.arange(rows + 1), side="right")
-    for q in range(needed.max(initial=0) - 1, -1, -1):
-        start, cont = first[q], first[q + 1]
-        if cont < val.shape[0]:
-            v = val[cont:]
-            v *= t[cont:]
-            v += block[q]
-        val[start:cont] = block[q]
-    if order is not None:
-        val[order] = val.copy()
-
-
-#: The remainder ``evaluate_polar`` may drop from every value of a ring.
-_REMAINDER = 2.0**-60
+#: Rows of the folded block summed by one matrix product in ``evaluate_polar``.
+_ROWS_PER_PRODUCT = 128
 
 
 @lru_cache(maxsize=64)
 def _ring_powers(radii: bytes, m: int) -> tuple:
-    """Read-only r^m and r^j, j < m, as (rings, 1) and (rings, m) arrays, for
-    the float64 radii packed in ``radii``, and the order that sorts the rings
-    by increasing |r^m| (None when they are sorted already); the 64 most
-    recently used (the grid, the covering circle, area rings)."""
-    r = np.frombuffer(radii)[:, None]
-    t = r**m
-    order = np.argsort(np.abs(t[:, 0]), kind="stable")
-    if np.array_equal(order, np.arange(order.size)):
-        order = None
-    out = t, r ** np.arange(m), order
-    for a in out:
-        if a is not None:
-            a.setflags(write=False)
-    return out
+    """Read-only r^j, j < m, as a (rings, m) array for the float64 radii
+    packed in ``radii``, and a one-item list holding the read-only row
+    powers (r^m)^q, q < 2, as a (2, rings) array, which ``_grown`` extends;
+    the 64 most recently used (the grid, the covering circle, area rings)."""
+    r = np.frombuffer(radii)
+    powers, row_powers = r[:, None] ** np.arange(m), np.vstack((np.ones_like(r), r**m))
+    powers.setflags(write=False)
+    row_powers.setflags(write=False)
+    return powers, [row_powers]
+
+
+def _grown(row_powers: list, rows: int) -> np.ndarray:
+    """The first ``rows`` row powers t^q of a ``_ring_powers`` entry, whose
+    table is first replaced by a longer one if needed.  Each row is the one
+    before times t, by a cumulative product, so a longer table keeps every
+    bit of a fresh one."""
+    held = row_powers[0]
+    n = held.shape[0]
+    if n < rows:
+        grown = np.concatenate((held, np.repeat(held[1:2], rows - n, axis=0)))
+        np.multiply.accumulate(grown[n - 1 :], axis=0, out=grown[n - 1 :])
+        grown.setflags(write=False)
+        row_powers[0] = held = grown
+    return held[:rows]
 
 
 def lincomb(weights, series_list) -> TruncatedSeries:

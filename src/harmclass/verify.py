@@ -42,11 +42,11 @@ builds one grid per argument tuple per process, shared by every table on it.
 
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
-coefficients folded modulo the angle count, Horner in r^M, one FFT per ring,
-with the powers of r cached per ring set; each ring reads only the folded
-rows whose remainder on it exceeds 2^-60, so at high beta the inner grid
-rings skip most of g, whose order drops at most 2^-60 on the covering
-circle (``model.harmonic_map``).  The area is an adaptive radial quadrature
+coefficients folded modulo the angle count, a matrix product over the
+folded rows with the powers of r^M cached per ring set, one FFT per ring.
+Every ring reads every row of g, whose order drops at most 2^-60 on the
+covering circle (``model.harmonic_map``).
+The area is an adaptive radial quadrature
 (``numerics.adaptive_quadrature``, the package's one quadrature) of ring
 means of the sample's h', differentiated once per member: the rings of one
 bisection level are one ``evaluate_polar`` call.  For a Moebius w the

@@ -159,6 +159,23 @@ def test_co_analytic_tail_matches_the_cauchy_oracle(beta):
         assert np.max(np.abs(g.coeffs[h.order + 1 :] - oracle[h.order :])) <= 1e-16
 
 
+# D = deg h' = 15: tails b_17..b_order of 84, 200 and 3151 coefficients fold
+# into 1, 2 and 25 rows of 128
+@pytest.mark.parametrize("order", [100, 216, 3167])
+@pytest.mark.parametrize("beta", [0.0, 0.6, 0.99])
+def test_co_analytic_tail_rows_match_the_cauchy_oracle(order, beta):
+    h = _certified_h(4)
+    w = moebius_dilatation(beta, 0.7, -2.2)
+    g = co_analytic_from(h, w, order)
+    gp = cauchy_product(dilatation_coeffs(w, order - 1), differentiate(h), order - 1)
+    oracle = np.concatenate(([0.0], gp.coeffs / np.arange(1, order + 1)))
+    assert np.max(np.abs(g.coeffs - oracle)) <= 1e-16
+    # relative, past the head: the oracle's own phases n phi round by up to
+    # 4.5e-13 at n = 3167; subnormal tail entries keep fewer digits
+    tail, ref = g.coeffs[h.order + 1 :], oracle[h.order + 1 :]
+    assert np.all(np.abs(tail - ref) <= 1e-12 * np.abs(ref) + 1e-300)
+
+
 # -------------------------------------------------------------- dilatations
 
 def test_moebius_coeffs_degenerate_to_rotation():

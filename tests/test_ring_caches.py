@@ -47,12 +47,18 @@ def _inline_evaluate_polar(s, radii, n_angles):
     block = np.zeros(rows * m, dtype=complex)
     block[: s.coeffs.size] = s.coeffs
     block = block.reshape(rows, m)
-    t = radii[:, None] ** m
-    val = np.empty((radii.size, m), dtype=complex)
-    val[:] = block[-1]
-    for row in block[-2::-1]:
-        val *= t
-        val += row
+    if rows == 1:
+        val = np.empty((radii.size, m), dtype=complex)
+        val[:] = block[0]
+    else:
+        t = np.empty((rows, radii.size))
+        t[0], t[1:] = 1.0, radii**m
+        np.multiply.accumulate(t, axis=0, out=t)
+        b, n = block.view(float), series._ROWS_PER_PRODUCT
+        val = t[:n].T @ b[:n]
+        for q in range(n, rows, n):
+            val += t[q : q + n].T @ b[q : q + n]
+        val = val.view(complex)
     k = min(m, s.coeffs.size)
     val[:, :k] *= radii[:, None] ** np.arange(k)
     return np.fft.ifft(val, axis=1, norm="forward")
@@ -206,8 +212,8 @@ def test_budget_weights_and_sampler_match_inline_factors():
 def test_cached_arrays_are_read_only():
     grid = default_polar_grid()
     arrays = [
-        *series._ring_powers(grid.radii.tobytes(), grid.n_angles)[:2],
-        series._ring_powers(np.array([0.5, 0.25]).tobytes(), 8)[2],  # the ring order
+        series._ring_powers(grid.radii.tobytes(), grid.n_angles)[0],
+        series._grown(series._ring_powers(grid.radii.tobytes(), grid.n_angles)[1], 5),
         model._half_angle_cos2(0.25, 128),
         *model._geometric_factors(0.6, 100),
         *factory._budget_factors(ClassParams(0.3, 0.6, 1.0), 16),

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import harmclass
 
 from harmclass import series
 from harmclass.series import (
@@ -67,17 +74,40 @@ def _random_series(order, seed):
 
 def _all_columns_polar(s, radii, m):
     """The former kernel: every one of the M columns is scaled by r^j,
-    including the columns of exact zeros above the order."""
+    including the columns of exact zeros above the order.  The rows are
+    summed as ``evaluate_polar`` sums them, with powers formed afresh."""
     radii = np.asarray(radii, dtype=float)
     rows = -(-s.coeffs.size // m)
     block = np.zeros(rows * m, dtype=complex)
     block[: s.coeffs.size] = s.coeffs
     block = block.reshape(rows, m)
-    t = radii[:, None] ** m
+    if rows == 1:
+        val = np.empty((radii.size, m), dtype=complex)
+        val[:] = block[0]
+    else:
+        t = np.empty((rows, radii.size))
+        t[0], t[1:] = 1.0, radii**m
+        np.multiply.accumulate(t, axis=0, out=t)
+        b, n = block.view(float), series._ROWS_PER_PRODUCT
+        val = t[:n].T @ b[:n]
+        for q in range(n, rows, n):
+            val += t[q : q + n].T @ b[q : q + n]
+        val = val.view(complex)
+    val *= radii[:, None] ** np.arange(m)
+    return np.fft.ifft(val, axis=1, norm="forward")
+
+
+def _horner_polar(s, radii, m):
+    """The folded block summed by Horner in r^M over all its rows."""
+    radii = np.asarray(radii, dtype=float)
+    rows = -(-s.coeffs.size // m)
+    block = np.zeros(rows * m, dtype=complex)
+    block[: s.coeffs.size] = s.coeffs
+    block = block.reshape(rows, m)
     val = np.empty((radii.size, m), dtype=complex)
     val[:] = block[-1]
     for row in block[-2::-1]:
-        val *= t
+        val *= radii[:, None] ** m
         val += row
     val *= radii[:, None] ** np.arange(m)
     return np.fft.ifft(val, axis=1, norm="forward")
@@ -122,43 +152,44 @@ def _g_of_member(beta, seed=9):
     return build_member(h, moebius_dilatation(beta, 1.0, 2.5), params).g
 
 
-def test_evaluate_polar_keeps_signed_zeros_where_no_row_is_dropped():
-    # near r = 1 both rows of this block are read; column 1 holds -0 - 0j in
-    # both, and the sign of its imaginary part survives Horner only if the top
-    # row is assigned
+def test_evaluate_polar_one_row_blocks_keep_the_bits_of_horner():
+    # a one-row block is assigned to every ring, as the first Horner step
+    # assigns it: column 1 of this block holds -0 - 0j, and those bits survive
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
     coeffs[1::4] = complex(-0.0, -0.0)
     s = TruncatedSeries(coeffs)
     radii = np.array([0.99, 0.995, 0.999])
+    for m in (8, 9, 128):
+        assert evaluate_polar(s, radii, m).tobytes() == _horner_polar(s, radii, m).tobytes()
     assert evaluate_polar(s, radii, 4).tobytes() == _all_columns_polar(s, radii, 4).tobytes()
-    block = s.coeffs.reshape(2, 4)
-    val = np.empty((3, 4), dtype=complex)
-    series._truncated_horner(val, block, radii.tobytes(), 4)
-    full = np.empty_like(val)
-    full[:] = block[-1]
-    for row in block[-2::-1]:
-        full *= radii[:, None] ** 4
-        full += row
-    assert val.tobytes() == full.tobytes()
-    assert np.signbit(val[:, 1].imag).all()
 
 
-@pytest.mark.parametrize("beta", [0.99, 0.999, 0.9999])
-def test_evaluate_polar_drops_rows_within_the_stated_remainder(beta):
-    """Dropped rows change no value by more than 2^-60 before rounding; after
-    it, values differ from the full Horner pass by an ulp or two of |g|."""
+@pytest.mark.parametrize("beta", [0.9, 0.99, 0.9999])
+def test_evaluate_polar_of_g_matches_evaluate(beta):
+    """Every ring reads every row of g: on the grid and on the covering
+    circle the values agree with Horner at each point and with Horner in r^M."""
+    from harmclass.model import COVERING_CIRCLE_RADIUS
     from harmclass.verify import default_polar_grid
 
     grid = default_polar_grid()
     g = _g_of_member(beta)
-    got = evaluate_polar(g, grid.radii, grid.n_angles)
-    full = _all_columns_polar(g, grid.radii, grid.n_angles)
-    assert np.max(np.abs(got - full)) <= 2.0**-60 + 2.0**-51 * np.max(np.abs(full))
-    # the innermost ring reads the first row only: the first M coefficients
-    head = TruncatedSeries(g.coeffs[: grid.n_angles])
-    inner = grid.radii[:1]
-    assert evaluate_polar(g, inner, 128).tobytes() == evaluate_polar(head, inner, 128).tobytes()
+    for radii, m in ((grid.radii, grid.n_angles), (np.array([COVERING_CIRCLE_RADIUS]), 256)):
+        got = evaluate_polar(g, radii, m)
+        z = radii[:, None] * np.exp(2j * np.pi * np.arange(m) / m)
+        assert np.max(np.abs(got - evaluate(g, z))) <= 1e-13
+        assert np.max(np.abs(got - _horner_polar(g, radii, m))) <= 1e-13
+
+
+@pytest.mark.parametrize("order", [127, 255, 3167])
+def test_evaluate_polar_spreads_a_nan_in_any_row_to_every_ring(order):
+    radii = np.array([0.0, 1e-3, 0.5, 0.999])
+    rows = -(-(order + 1) // 128)
+    for row in range(rows):
+        coeffs = _random_series(order, seed=row).coeffs.copy()
+        coeffs[min(128 * row + 5, order)] = np.nan
+        out = evaluate_polar(TruncatedSeries(coeffs), radii, 128)
+        assert np.isnan(out).all()
 
 
 def test_evaluate_polar_takes_unsorted_rings_ring_by_ring():
@@ -170,19 +201,53 @@ def test_evaluate_polar_takes_unsorted_rings_ring_by_ring():
     rings = np.concatenate((radii[order], radii[::-1][:5], [0.0, 0.5, 0.5]))
     got = evaluate_polar(g, rings, 128)
     for ring, r in zip(got, rings):
-        assert ring.tobytes() == evaluate_polar(g, [r], 128)[0].tobytes()
+        z = r * np.exp(2j * np.pi * np.arange(128) / 128)
+        assert np.max(np.abs(ring - evaluate_polar(g, [r], 128)[0])) <= 1e-13
+        assert np.max(np.abs(ring - evaluate(g, z))) <= 1e-13
     assert got[: radii.size][np.argsort(order)].tobytes() == evaluate_polar(g, radii, 128).tobytes()
 
 
-def test_ring_order_is_the_identity_on_the_rings_of_verify():
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from harmclass.series import TruncatedSeries, evaluate_polar
+rng = np.random.default_rng(0)
+s = TruncatedSeries(rng.normal(size=27597) + 1j * rng.normal(size=27597))
+print(hashlib.sha256(evaluate_polar(s, np.linspace(0.01, 0.999, 64), 64).tobytes()).hexdigest())
+"""
+
+
+def test_evaluate_polar_does_not_depend_on_the_blas_thread_count():
+    # 432 rows: one product over all of them reads differently at 1 and 2
+    # OpenBLAS threads; products of at most 128 rows do not
+    src = str(Path(harmclass.__file__).resolve().parent.parent)
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout)
+    assert len(digests) == 1
+
+
+def test_row_powers_extend_by_their_cumulative_product():
     from harmclass.verify import default_polar_grid
 
     grid = default_polar_grid()
     for radii, m in ((grid.radii, grid.n_angles), (np.array([0.999]), 256)):
-        t, powers, order = series._ring_powers(radii.tobytes(), m)
-        assert order is None
-        assert t.shape == (radii.size, 1) and powers.shape == (radii.size, m)
-        assert not (t.flags.writeable or powers.flags.writeable)
+        series._ring_powers.cache_clear()
+        powers, row_powers = series._ring_powers(radii.tobytes(), m)
+        assert powers.shape == (radii.size, m) and not powers.flags.writeable
+        fresh = np.empty((25, radii.size))
+        fresh[0], fresh[1:] = 1.0, radii**m
+        np.multiply.accumulate(fresh, axis=0, out=fresh)
+        first = series._grown(row_powers, 3).copy()
+        for rows in (25, 3, 25, 2):
+            got = series._grown(row_powers, rows)
+            assert got.tobytes() == fresh[:rows].tobytes()
+            assert not got.flags.writeable
+        assert first.tobytes() == fresh[:3].tobytes()
+        assert series._ring_powers(radii.tobytes(), m)[1][0].shape == (25, radii.size)
 
 
 @pytest.mark.parametrize("radii, n_angles", [([[0.5]], 8), (0.5, 8), ([0.5], 0)])

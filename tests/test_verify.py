@@ -531,7 +531,7 @@ def test_area_equals_ring_by_ring_quadrature(beta):
 def test_area_of_a_two_row_derivative_equals_ring_by_ring_quadrature(beta):
     # h' of a degree-200 h folds into two rows at 128 angles, and the Kronrod
     # nodes of each level arrive centre first, so the rings of one call reach
-    # the per-ring truncation of evaluate_polar out of order
+    # the matrix product of evaluate_polar out of order
     params = ClassParams(0.3, beta, 1.0)
     h = sample_certified_h(params, 200, 0.9, 5)
     member = harmonic_map(h, moebius_dilatation(beta, 1.0, 2.0))
