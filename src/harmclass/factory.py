@@ -7,15 +7,15 @@ budget
 
 which is a sufficient condition, not a characterization: everything this
 module certifies is in the class, but the class may contain members the
-certificate cannot see.  The weights and the sampler's envelope are computed
-once per (params, degree) and kept read-only; ``budget_weights`` copies them.
+certificate cannot see.  The weights and the sampler's envelope are formed
+on each call: keeping them saved under 3 % on every benchmark workload
+(``BENCH_caches.json``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,22 +50,11 @@ class MembershipCertificate:
 
 
 def budget_weights(params: ClassParams, n_max: int) -> np.ndarray:
-    """Weights n^delta (n - alpha)/(1 - alpha) for n = 2..n_max, as a fresh
-    writable array; a weight beyond the float range is inf."""
-    return _budget_factors(params, n_max)[0].copy()
-
-
-@lru_cache(maxsize=32)
-def _budget_factors(params: ClassParams, n_max: int) -> tuple:
-    """Read-only budget weights and sampler envelope n^(-delta-2) for
-    n = 2..n_max, kept for the 32 most recently used (params, n_max)."""
+    """Weights n^delta (n - alpha)/(1 - alpha) for n = 2..n_max; a weight
+    beyond the float range is inf."""
     n = np.arange(2, n_max + 1, dtype=float)
     with np.errstate(over="ignore"):
-        weights = n**params.delta * (n - params.alpha) / (1.0 - params.alpha)
-        envelope = n ** (-params.delta - 2.0)
-    for a in (weights, envelope):
-        a.setflags(write=False)
-    return weights, envelope
+        return n**params.delta * (n - params.alpha) / (1.0 - params.alpha)
 
 
 def certify(h: TruncatedSeries, params: ClassParams) -> MembershipCertificate:
@@ -121,7 +110,8 @@ def sample_certified_h(
         raise ValueError("max_degree must be >= 2")
     if not 0.0 <= fill <= 1.0:
         raise ValueError("fill must be in [0, 1]")
-    weights, envelope = _budget_factors(params, max_degree)
+    weights = budget_weights(params, max_degree)
+    envelope = np.arange(2, max_degree + 1, dtype=float) ** (-params.delta - 2.0)
     if not (np.isfinite(weights[-1]) and envelope[-1] >= np.finfo(float).tiny):
         bits = math.log2(max_degree)
         top = math.log2((max_degree - params.alpha) / (1.0 - params.alpha))

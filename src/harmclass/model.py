@@ -5,8 +5,11 @@ A map is f = h + conj(g) with analytic part h (normalized: h(0) = 0,
 h'(0) = 1) and co-analytic part g determined by the dilatation w through
 g' = w * h'.  The first co-analytic coefficient satisfies |b1| = |w(0)|.
 ``harmonic_map`` truncates g for the largest ring any check reads it on.
-Factors that depend only on (beta, order) or on (phi, angle count) are kept
-read-only in small LRU caches, which change no value.
+The half-angle factor of ``dilatation_modulus``, which depends only on
+(phi, angle count), is kept read-only in a small LRU cache, which changes no
+value: without it the ``high_beta`` benchmark verifies 3.5 % fewer members
+per second (``BENCH_caches.json``).  The Moebius coefficients are formed on
+each call.
 """
 
 from __future__ import annotations
@@ -137,25 +140,14 @@ def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
     beta = w.beta
     coeffs[0] = beta * np.exp(1j * w.mu)
     if w.kind == "moebius" and order >= 1:
-        # beta = -0.0 would share the entry of 0.0, but not the signs of its powers
-        factors = _geometric_factors if beta else _geometric_factors.__wrapped__
-        n, sign, powers = factors(beta, order)
+        n = np.arange(1, order + 1)
+        # (-beta)^(n-1) as a sign times beta^(n-1): a negative base is ~15x slower
+        sign = np.where(n % 2 == 1, 1.0, -1.0)
         coeffs[1:] = (
-            np.exp(1j * w.mu) * np.exp(1j * n * w.phi) * (1.0 - beta * beta) * sign * powers
+            np.exp(1j * w.mu) * np.exp(1j * n * w.phi) * (1.0 - beta * beta)
+            * sign * beta ** (n - 1)
         )
     return TruncatedSeries(coeffs)
-
-
-@lru_cache(maxsize=8)
-def _geometric_factors(beta: float, order: int) -> tuple:
-    """Read-only n = 1..order, the sign of (-1)^(n-1) and beta^(n-1) for the
-    Moebius coefficients, kept for the 8 most recently used (beta, order)."""
-    n = np.arange(1, order + 1)
-    # (-beta)^(n-1) as a sign times beta^(n-1): a negative base is ~15x slower
-    factors = n, np.where(n % 2 == 1, 1.0, -1.0), beta ** (n - 1)
-    for a in factors:
-        a.setflags(write=False)
-    return factors
 
 
 def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:

@@ -489,19 +489,26 @@ def test_kink_radius_keeps_previous_numbers():
 
 
 def _ring_by_ring_area(f, tol, modulus=None):
-    """The former area measurement: the ring means evaluated one radius at a
-    time, from the starting panels of the measurement.  ``modulus(r)`` gives
-    |w| on the ring; by default ``dilatation_modulus``."""
+    """The former area measurement: the ring means formed one radius at a
+    time, from the starting panels of the measurement.  h' is evaluated on
+    each level's radii in one call over the sorted radii, mapped back to
+    their positions, so a level of several rings takes the same kind of
+    matrix product as the measurement, which passes them out of order.
+    ``modulus(r)`` gives |w| on the ring; by default ``dilatation_modulus``."""
     hprime = differentiate(f.h)
     modulus = modulus or (lambda r: dilatation_modulus(f.w, [r], 128)[0])
 
-    def ring_mean(r):
+    def ring_mean(r, hp):
         if r == 0.0:
             return 0.0
-        hp = evaluate_polar(hprime, [r], 128)[0]
         return r * float(np.mean(np.abs(hp) ** 2 * (1.0 - modulus(r) ** 2)))
 
-    rings = lambda radii: np.array([ring_mean(r) for r in radii.tolist()])
+    def rings(radii):
+        order = np.argsort(radii, kind="stable")
+        hp = np.empty((radii.size, 128), dtype=complex)
+        hp[order] = evaluate_polar(hprime, radii[order], 128)
+        return np.array([ring_mean(r, v) for r, v in zip(radii.tolist(), hp)])
+
     edges = verify._area_breakpoints(f.w)
     return 2.0 * math.pi * adaptive_quadrature(rings, 0.0, 1.0, tol, edges)
 
@@ -531,7 +538,7 @@ def test_area_equals_ring_by_ring_quadrature(beta):
 def test_area_of_a_two_row_derivative_equals_ring_by_ring_quadrature(beta):
     # h' of a degree-200 h folds into two rows at 128 angles, and the Kronrod
     # nodes of each level arrive centre first, so the rings of one call reach
-    # the matrix product of evaluate_polar out of order
+    # the matrix product of evaluate_polar out of order (the reference sorts them)
     params = ClassParams(0.3, beta, 1.0)
     h = sample_certified_h(params, 200, 0.9, 5)
     member = harmonic_map(h, moebius_dilatation(beta, 1.0, 2.0))
