@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from harmclass import model, series
-from harmclass.factory import budget_weights, sample_certified_h
+from harmclass.factory import budget_weights, certify, sample_certified_h
 from harmclass.model import ClassParams, dilatation_coeffs, dilatation_modulus, moebius_dilatation
 from harmclass.series import TruncatedSeries, differentiate, evaluate_polar
 from harmclass.verify import default_polar_grid, run_member_suite
@@ -227,6 +227,17 @@ def test_returned_arrays_are_writable_and_leave_the_next_call_unchanged():
         assert first.flags.writeable
         first[...] = np.nan
         assert_same_bits(call(), kept)
+
+
+def test_budget_weights_is_a_fresh_array_that_certify_does_not_read():
+    params = ClassParams(0.3, 0.6, 1.0)
+    h = sample_certified_h(params, 16, 0.9, 4)
+    budget = certify(h, params).budget_sum
+    weights = budget_weights(params, 16)
+    assert weights is not budget_weights(params, 16)
+    weights[:] = 1e300
+    assert_same_bits(budget_weights(params, 16), _inline_weights(params, 16))
+    assert certify(h, params).budget_sum == budget
 
 
 def _lattice_reports(points):
