@@ -5,7 +5,8 @@ z**n.  All operations are pure; the coefficient buffer is frozen after
 construction so instances can be shared freely across threads.  The powers
 of the radii that ``evaluate_polar`` reads, r^j and (r^M)^q, are kept
 read-only in one bounded process-wide cache (``_ring_powers``, one entry
-per ring set and angle count), which changes no value.
+per ring set, angle count and row count, complete when stored and never
+replaced), which changes no value.
 """
 
 from __future__ import annotations
@@ -112,10 +113,11 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     is scaled by r^j and one inverse FFT per ring sums over j.  Only the
     first min(M, N+1) columns are scaled: the others hold exact zeros.
 
-    V comes from the ring cache, one row per power of t by a cumulative
-    product.  The product runs on at most ``_ROWS_PER_PRODUCT`` rows at a
-    time, added in order: a BLAS splits a longer inner dimension into blocks
-    that can depend on its thread count, and so would the last bits.
+    r^j and V come from one ring cache entry, V one row per power of t by a
+    cumulative product.  The product runs on at most ``_ROWS_PER_PRODUCT``
+    rows at a time, added in order: a BLAS splits a longer inner dimension
+    into blocks that can depend on its thread count, and so would the last
+    bits.
     """
     radii = np.asarray(radii, dtype=float)
     m = int(n_angles)
@@ -126,12 +128,12 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     block[: s.coeffs.size] = s.coeffs
     block = block.reshape(rows, m)
     k = min(m, s.coeffs.size)
-    powers, row_powers = _ring_powers(radii.tobytes(), m)
+    powers, v = _ring_powers(radii.tobytes(), m, rows)
     if rows == 1:
         val = np.empty((radii.size, m), dtype=complex)
         val[:] = block[0]
     else:
-        v, b, n = _grown(row_powers, rows), block.view(float), _ROWS_PER_PRODUCT
+        b, n = block.view(float), _ROWS_PER_PRODUCT
         val = v[:n].T @ b[:n]
         for q in range(n, rows, n):
             val += v[q : q + n].T @ b[q : q + n]
@@ -145,31 +147,19 @@ _ROWS_PER_PRODUCT = 128
 
 
 @lru_cache(maxsize=64)
-def _ring_powers(radii: bytes, m: int) -> tuple:
+def _ring_powers(radii: bytes, m: int, rows: int) -> tuple:
     """Read-only r^j, j < m, as a (rings, m) array for the float64 radii
-    packed in ``radii``, and a one-item list holding the read-only row
-    powers (r^m)^q, q < 2, as a (2, rings) array, which ``_grown`` extends;
+    packed in ``radii``, and the read-only row powers t^q = (r^m)^q, q < rows,
+    as a (rows, rings) array, each row the one before times t (a cumulative
+    product, so its rows have the bits of the first rows of any longer one);
     the 64 most recently used (the grid, the covering circle, area rings)."""
     r = np.frombuffer(radii)
-    powers, row_powers = r[:, None] ** np.arange(m), np.vstack((np.ones_like(r), r**m))
+    powers, row_powers = r[:, None] ** np.arange(m), np.empty((rows, r.size))
+    row_powers[0], row_powers[1:] = 1.0, r**m
+    np.multiply.accumulate(row_powers, axis=0, out=row_powers)
     powers.setflags(write=False)
     row_powers.setflags(write=False)
-    return powers, [row_powers]
-
-
-def _grown(row_powers: list, rows: int) -> np.ndarray:
-    """The first ``rows`` row powers t^q of a ``_ring_powers`` entry, whose
-    table is first replaced by a longer one if needed.  Each row is the one
-    before times t, by a cumulative product, so a longer table keeps every
-    bit of a fresh one."""
-    held = row_powers[0]
-    n = held.shape[0]
-    if n < rows:
-        grown = np.concatenate((held, np.repeat(held[1:2], rows - n, axis=0)))
-        np.multiply.accumulate(grown[n - 1 :], axis=0, out=grown[n - 1 :])
-        grown.setflags(write=False)
-        row_powers[0] = held = grown
-    return held[:rows]
+    return powers, row_powers
 
 
 def lincomb(weights, series_list) -> TruncatedSeries:

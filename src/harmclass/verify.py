@@ -43,7 +43,8 @@ builds one grid per argument tuple per process, shared by every table on it.
 Every evaluation of a member on a ring |z| = r at uniform angles (the grid,
 the covering circle, the area rings) goes through ``series.evaluate_polar``:
 coefficients folded modulo the angle count, a matrix product over the
-folded rows with the powers of r^M cached per ring set, one FFT per ring.
+folded rows with the powers of r^M cached per ring set and row count, one
+FFT per ring.
 Every ring reads every row of g, whose order drops at most 2^-60 on the
 covering circle (``model.harmonic_map``).
 The area is an adaptive radial quadrature

@@ -1,6 +1,8 @@
 """The factors of ring evaluation, memoised or formed per call: every value
 equals the inline formula, bit for bit, whatever the state of the caches."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -137,25 +139,77 @@ def test_evaluate_polar_after_eviction():
     assert_same_bits(evaluate_polar(s, radii, n_angles), expected)
     assert series._ring_powers.cache_info().misses == misses + 1  # it was evicted
     assert series._ring_powers.cache_info().currsize <= capacity
-    # one entry per (radii, n_angles) serves a series of any order
+    # one entry per (radii, n_angles, rows) serves every series of that many rows
     head = TruncatedSeries(s.coeffs[:2])
     expected = _inline_evaluate_polar(head, radii, n_angles)
     assert_same_bits(evaluate_polar(head, radii, n_angles), expected)
     assert series._ring_powers.cache_info().misses == misses + 1
 
 
-def test_one_member_reads_one_ring_entry_on_the_grid():
-    # h', h and g have 16, 17 and 366 coefficients; g folds into 3 rows
+def test_a_member_reads_two_ring_entries_on_the_grid():
+    # h', h and g have 16, 17 and 366 coefficients: h' and h fold into 1 row, g into 3
     grid = default_polar_grid()
     params = ClassParams(0.3, 0.9, 1.0)
-    h = sample_certified_h(params, 16, 0.8, 3)
-    member = model.harmonic_map(h, moebius_dilatation(0.9, 1.0, 2.5))
-    assert -(-member.g.coeffs.size // grid.n_angles) == 3
     series._ring_powers.cache_clear()
-    for s in (differentiate(member.h), member.h, member.g):
-        evaluate_polar(s, grid.radii, grid.n_angles)
-    info = series._ring_powers.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
+    for seed in (3, 4):
+        h = sample_certified_h(params, 16, 0.8, seed)
+        member = model.harmonic_map(h, moebius_dilatation(0.9, 1.0, 2.5))
+        assert -(-member.g.coeffs.size // grid.n_angles) == 3
+        for s in (differentiate(member.h), member.h, member.g):
+            evaluate_polar(s, grid.radii, grid.n_angles)
+        info = series._ring_powers.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)  # the second member adds none
+
+
+def test_threads_sharing_ring_entries_get_fresh_values_and_replace_none():
+    rings = [
+        (default_polar_grid().radii, default_polar_grid().n_angles),
+        (np.array([model.COVERING_CIRCLE_RADIUS]), 256),
+    ]
+    keys = [(radii, n_angles, rows) for radii, n_angles in rings for rows in (1, 3, 25)]
+    calls = [
+        (_random_series(rows * n_angles - 1, rows), radii, n_angles)
+        for radii, n_angles, rows in keys
+    ]
+    expected = []
+    for call in calls:
+        series._ring_powers.cache_clear()
+        expected.append(evaluate_polar(*call).tobytes())
+    series._ring_powers.cache_clear()
+    got = [[None] * len(calls) for _ in range(2 * len(calls))]
+    start = threading.Barrier(len(got))
+
+    def work(i):
+        start.wait()
+        for k in range(len(calls)):  # each thread starts at another call
+            j = (i + k) % len(calls)
+            got[i][j] = evaluate_polar(*calls[j]).tobytes()
+
+    def run_threads():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(row == expected for row in got)
+
+    def entries():
+        return [
+            series._ring_powers(radii.tobytes(), n_angles, rows) for radii, n_angles, rows in keys
+        ]
+
+    run_threads()
+    assert series._ring_powers.cache_info().currsize == len(calls)
+    stored = entries()
+    run_threads()
+    for held, entry in zip(stored, entries()):
+        assert all(a is b for a, b in zip(held, entry))
 
 
 #: More phi than the cache holds; each signed zero also comes first once.
@@ -204,8 +258,7 @@ def test_budget_weights_and_sampler_match_inline_factors():
 def test_cached_arrays_are_read_only():
     grid = default_polar_grid()
     arrays = [
-        series._ring_powers(grid.radii.tobytes(), grid.n_angles)[0],
-        series._grown(series._ring_powers(grid.radii.tobytes(), grid.n_angles)[1], 5),
+        *series._ring_powers(grid.radii.tobytes(), grid.n_angles, 5),
         model._half_angle_cos2(0.25, 128),
     ]
     for a in arrays:

@@ -236,18 +236,17 @@ def test_row_powers_extend_by_their_cumulative_product():
     grid = default_polar_grid()
     for radii, m in ((grid.radii, grid.n_angles), (np.array([0.999]), 256)):
         series._ring_powers.cache_clear()
-        powers, row_powers = series._ring_powers(radii.tobytes(), m)
-        assert powers.shape == (radii.size, m) and not powers.flags.writeable
-        fresh = np.empty((25, radii.size))
-        fresh[0], fresh[1:] = 1.0, radii**m
-        np.multiply.accumulate(fresh, axis=0, out=fresh)
-        first = series._grown(row_powers, 3).copy()
-        for rows in (25, 3, 25, 2):
-            got = series._grown(row_powers, rows)
-            assert got.tobytes() == fresh[:rows].tobytes()
-            assert not got.flags.writeable
-        assert first.tobytes() == fresh[:3].tobytes()
-        assert series._ring_powers(radii.tobytes(), m)[1][0].shape == (25, radii.size)
+        fresh = [np.ones_like(radii)]
+        for _ in range(24):
+            fresh.append(fresh[-1] * radii**m)
+        fresh = np.array(fresh)
+        entries = {rows: series._ring_powers(radii.tobytes(), m, rows) for rows in (25, 3, 2)}
+        for rows, (powers, row_powers) in entries.items():
+            assert powers.shape == (radii.size, m) and not powers.flags.writeable
+            assert row_powers.tobytes() == fresh[:rows].tobytes()
+            assert not row_powers.flags.writeable
+        for shorter, longer in ((2, 3), (3, 25)):
+            assert entries[longer][1][:shorter].tobytes() == entries[shorter][1].tobytes()
 
 
 @pytest.mark.parametrize("radii, n_angles", [([[0.5]], 8), (0.5, 8), ([0.5], 0)])
