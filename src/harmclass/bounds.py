@@ -10,11 +10,14 @@ compute its moments once; the cache never changes a value.
 
 The Bloch critical radius is the unique root in (0, 1) of a quartic whose
 own coefficient signs and endpoint values certify that root (Descartes'
-rule of signs, see ``bloch_bound``); bisection then narrows it.  The
-quartic, the coefficients of its derivative profile (``bloch_L_coeffs``) and
-the closed g-growth forms scale with 2^delta; above delta = 1000 they are
-evaluated divided by an exact power of two, so they stay finite up to
-delta = 1024 (``_scaled_power_of_two``).
+rule of signs, see ``bloch_bound``); bisection then narrows it, by Horner's
+rule on Python floats.  The quartic, the coefficients of its derivative
+profile (``bloch_L_coeffs``) and the closed g-growth forms scale with
+2^delta; above delta = 1000 they are evaluated divided by an exact power of
+two, so they stay finite up to delta = 1024 (``_scaled_power_of_two``).
+
+The coefficient bounds for n = 2..N are one running sum (``bn_bounds``);
+``bn_bound`` computes only its own entry, with the bits of that sum.
 
 Two growth quantities carry a stated/derived split.  The closed lower form
 for |g| (via the expression F below) and the lower growth integrand for |f|
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import RootCountError
 from .model import ClassParams
-from .numerics import Polynomial, bisect_bracket, digamma, sign_variations
+from .numerics import bisect_bracket, digamma, sign_variations
 
 __all__ = [
     "BoundEnvelope",
@@ -308,12 +311,36 @@ def _b2_bound(params: ClassParams) -> float:
     return (1.0 - alpha) * beta / (2.0**delta * (2.0 - alpha)) + (1.0 - beta * beta) / 2.0
 
 
+def _check_coeff_index(n) -> None:
+    if not (2 <= n <= MAX_COEFF_INDEX and float(n).is_integer()):
+        raise ValueError(f"coefficient index must be an integer in [2, {MAX_COEFF_INDEX}], got {n}")
+
+
+def _bn_from_sum(params: ClassParams, n, partial, scale):
+    """Entry n >= 3 of ``bn_bounds`` from its partial sum and scale = n^delta;
+    a float n or a column of indices."""
+    alpha, beta = params.alpha, params.beta
+    head = (1.0 - alpha) * (1.0 - beta * beta) / n * partial
+    return head + (1.0 - alpha) * beta / (scale * (n - alpha))
+
+
 def bn_bound(params: ClassParams, n: int) -> float:
-    """Upper bound for |b_n|, n >= 2: entry n of ``bn_bounds``, bit for bit."""
+    """Upper bound for |b_n|, n >= 2: entry n of ``bn_bounds``, bit for bit.
+    Its powers are taken as ``bn_bounds`` takes them, an array to a float
+    exponent (numpy's power need not round as ``**`` does), and its terms
+    are summed in Python floats in the order of the running sum."""
+    params.require_nonnegative_delta()
     if n == 2:
-        params.require_nonnegative_delta()
         return _b2_bound(params)
-    return float(bn_bounds(params, n)[-1])
+    _check_coeff_index(n)
+    bases = np.arange(1.0, n + 1.0)
+    with np.errstate(over="ignore"):
+        powers = bases[:-1] ** (1.0 - params.delta)
+        scale = (bases[-1:] ** params.delta).item()
+    partial = 0.0
+    for k, power in zip(bases[:-1].tolist(), powers.tolist()):
+        partial += power / (k - params.alpha)
+    return _bn_from_sum(params, float(n), partial, scale)
 
 
 def bn_bounds(params: ClassParams, n_top: int) -> np.ndarray:
@@ -330,21 +357,15 @@ def bn_bounds(params: ClassParams, n_top: int) -> np.ndarray:
     ``ValueError``.
     """
     params.require_nonnegative_delta()
-    if not (2 <= n_top <= MAX_COEFF_INDEX and float(n_top).is_integer()):
-        raise ValueError(
-            f"coefficient index must be an integer in [2, {MAX_COEFF_INDEX}], got {n_top}"
-        )
-    alpha, beta, delta = params.alpha, params.beta, params.delta
+    _check_coeff_index(n_top)
+    alpha, delta = params.alpha, params.delta
     k = np.arange(1, n_top, dtype=float)
     partial = np.cumsum(k ** (1.0 - delta) / (k - alpha))[1:]
     n = k[1:] + 1.0
     # n^delta, or n^delta (n - alpha), overflows from delta ~ 645 (n = 3): inf
     # sends the last term to its limit 0, so the overflow is not worth a warning
     with np.errstate(over="ignore"):
-        scale = n**delta
-        rest = (1.0 - alpha) * (1.0 - beta * beta) / n * partial + (1.0 - alpha) * beta / (
-            scale * (n - alpha)
-        )
+        rest = _bn_from_sum(params, n, partial, n**delta)
     return np.concatenate(([_b2_bound(params)], rest))
 
 
@@ -617,10 +638,14 @@ def bloch_bound(params: ClassParams) -> BlochResult:
     and the prefactor stays a normal float (unscaled, it is subnormal from
     delta ~ 1022 on).
     """
-    params.require_nonnegative_delta()
-    h_coeffs = bloch_H_poly(params)
-    H = Polynomial(h_coeffs)
-    count = sign_variations(H)
+    h_coeffs = bloch_H_poly(params).tolist()  # requires 0 <= delta < 1024
+    count = sign_variations(h_coeffs)
+    # Horner's rule on Python floats; a zero leading coefficient adds exact zeros
+    c0, c1, c2, c3, c4 = h_coeffs + [0.0] * (5 - len(h_coeffs))
+
+    def H(x: float) -> float:
+        return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+
     h_at_zero, h_at_one = H(0.0), H(1.0)
     if not (count == 1 and h_at_one < 0.0 < h_at_zero):
         raise RootCountError(
@@ -632,4 +657,4 @@ def bloch_bound(params: ClassParams) -> BlochResult:
     d2, a1, power = _bloch_scales(params)
     prefactor = (1.0 + params.beta) / ((2.0 - params.alpha) * power)
     bound = prefactor * _bloch_profile(d2, a1, params.beta, r0)
-    return BlochResult(r0=r0, bound=bound, H_coeffs=tuple(h_coeffs.tolist()), bracket=bracket)
+    return BlochResult(r0=r0, bound=bound, H_coeffs=tuple(h_coeffs), bracket=bracket)

@@ -95,14 +95,17 @@ def extremal_h(n: int, theta: float, params: ClassParams) -> TruncatedSeries:
 def sample_certified_h(
     params: ClassParams, max_degree: int, fill: float, rng_seed: int
 ) -> TruncatedSeries:
-    """Draw a random analytic part whose budget equals ``fill`` exactly.
+    """Draw a random analytic part whose budget equals ``fill``.
 
     Magnitudes follow the decaying envelope n^(-delta-2) before rescaling, so
     the implied infinite-series tail beyond max_degree is negligible and the
     certificate stays honest under truncation.  Deterministic per seed.
 
-    A delta at which a weight overflows, or the envelope leaves the normal
-    float range, for some n <= max_degree raises ``ValueError``.
+    Where a weight overflows, or the envelope leaves the normal float range,
+    for some n <= max_degree, the magnitudes and the rescale are formed from
+    their logarithms.  A coefficient that would fall below the normal float
+    range is then an exact zero, and the others take the whole budget; above
+    delta = 1021 none is left, and h = z.
     """
     if params.delta < 0:
         raise ValueError("sampler requires delta >= 0")
@@ -110,24 +113,30 @@ def sample_certified_h(
         raise ValueError("max_degree must be >= 2")
     if not 0.0 <= fill <= 1.0:
         raise ValueError("fill must be in [0, 1]")
+    n, tiny = np.arange(2, max_degree + 1, dtype=float), np.finfo(float).tiny
     weights = budget_weights(params, max_degree)
-    envelope = np.arange(2, max_degree + 1, dtype=float) ** (-params.delta - 2.0)
-    if not (np.isfinite(weights[-1]) and envelope[-1] >= np.finfo(float).tiny):
-        bits = math.log2(max_degree)
-        top = math.log2((max_degree - params.alpha) / (1.0 - params.alpha))
-        largest = min((1024.0 - top) / bits, 1022.0 / bits - 2.0)
-        raise ValueError(
-            f"delta = {params.delta} is too large for the sampler: at max_degree "
-            f"{max_degree} it supports delta up to about {largest:.4g}"
-        )
+    envelope = n ** (-params.delta - 2.0)
     rng = np.random.default_rng(rng_seed)
-    mags = rng.uniform(0.0, 1.0, size=envelope.size) * envelope
+    draws = rng.uniform(0.0, 1.0, size=envelope.size)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=envelope.size)
     coeffs = np.zeros(max_degree + 1, dtype=complex)
     coeffs[1] = 1.0
-    raw_budget = float(np.sum(weights * mags))
-    if fill > 0.0 and raw_budget > 0.0:
-        coeffs[2:] = (fill / raw_budget) * mags * np.exp(1j * phases)
+    if np.isfinite(weights[-1]) and envelope[-1] >= tiny:
+        mags = draws * envelope
+        raw_budget = float(np.sum(weights * mags))
+        if fill > 0.0 and raw_budget > 0.0:
+            coeffs[2:] = (fill / raw_budget) * mags * np.exp(1j * phases)
+        return TruncatedSeries(coeffs)
+    with np.errstate(divide="ignore"):  # a zero draw is an exact zero
+        log_mags = np.log(draws) - (params.delta + 2.0) * np.log(n)
+    # a weight times the envelope is (n - alpha)/((1 - alpha) n^2); rescaling
+    # by the budget of the coefficients that stay normal floats enlarges them
+    terms = draws * (n - params.alpha) / ((1.0 - params.alpha) * n * n)
+    if fill > 0.0 and terms.any():
+        kept = np.exp(math.log(fill / terms.sum()) + log_mags) >= tiny
+        if kept.any():
+            log_scale = math.log(fill / terms[kept].sum())
+            coeffs[2:][kept] = np.exp(log_scale + log_mags[kept]) * np.exp(1j * phases[kept])
     return TruncatedSeries(coeffs)
 
 

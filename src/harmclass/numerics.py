@@ -1,5 +1,5 @@
-"""Numerical kernels: adaptive quadrature of array integrands, digamma, real
-polynomials, Descartes sign variation and bisection.
+"""Numerical kernels: adaptive quadrature of array integrands, digamma,
+Descartes sign variation of a coefficient sequence, and bisection.
 
 Everything here is deliberately dependency-free and testable in isolation;
 the higher-level bound evaluators treat these as trusted primitives.
@@ -8,7 +8,6 @@ the higher-level bound evaluators treat these as trusted primitives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import QuadratureError
 
 __all__ = [
-    "Polynomial",
     "adaptive_quadrature",
     "digamma",
     "sign_variations",
@@ -209,51 +207,16 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x + tail
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial with ascending coefficients.
-
-    Trailing zero coefficients are tolerated on input (degenerate storage);
-    ``degree`` is the index of the last exactly-nonzero entry (0 for the zero
-    polynomial).  Both it and the Horner coefficients, highest degree first
-    as Python floats, are fixed at construction.
-    """
-
-    coeffs: np.ndarray
-    degree: int = field(init=False)
-    _horner: tuple = field(init=False, repr=False, compare=False)
-
-    def __init__(self, coeffs) -> None:
-        arr = np.asarray(coeffs, dtype=float).copy()
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-d sequence")
-        arr.setflags(write=False)
-        nz = np.nonzero(arr)[0]
-        degree = int(nz[-1]) if nz.size else 0
-        object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_horner", tuple(arr[degree::-1].tolist()))
-
-    def __call__(self, x: float) -> float:
-        """p(x) by Horner's rule in plain floats.  The trailing zeros are left
-        out: at a finite x they would add exact zeros only."""
-        coeffs = iter(self._horner)
-        val = next(coeffs)
-        for c in coeffs:
-            val = val * x + c
-        return val
-
-
 def _require_finite(values, what: str) -> None:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} must be finite, got {list(values)}")
 
 
-def sign_variations(p: Polynomial | Sequence[float]) -> int:
+def sign_variations(coeffs: Sequence[float]) -> int:
     """Strict sign changes in the sequence of nonzero coefficients, which must
     all be finite (ValueError otherwise).  By Descartes' rule of signs the
     count bounds the number of positive roots and matches it modulo 2."""
-    coeffs = p.coeffs.tolist() if isinstance(p, Polynomial) else [float(c) for c in p]
+    coeffs = [float(c) for c in coeffs]
     _require_finite(coeffs, "coefficients")
     positive = [c > 0.0 for c in coeffs if c != 0.0]
     return sum(s != t for s, t in zip(positive, positive[1:]))

@@ -10,10 +10,11 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 import harmclass as hc
 from harmclass.bounds import bloch_L_coeffs, g_growth_crosscheck
-from harmclass.numerics import Polynomial, sign_variations
+from harmclass.numerics import sign_variations
 
 
 @contextmanager
@@ -74,14 +75,15 @@ def test_criterion_4_bloch_computation():
         assert abs(result.r0 - 0.44300) < 1e-4
         assert abs(result.bound - 1.4167) < 1e-3
         # one positive root (Descartes); the endpoint signs above put it in (0, 1)
-        assert sign_variations(poly) == 1
+        assert sign_variations(coeffs) == 1
 
         for alpha in np.linspace(0.0, 0.9, 5):
             for beta in np.linspace(0.0, 0.9, 5):
                 for delta in (0.0, 1.0, 2.0):
                     p = hc.ClassParams(alpha, beta, delta)
-                    grid_poly = Polynomial(hc.bloch_H_poly(p))
-                    assert sign_variations(grid_poly) == 1
+                    grid_coeffs = hc.bloch_H_poly(p)
+                    assert sign_variations(grid_coeffs) == 1
+                    grid_poly = Polynomial(grid_coeffs)
                     assert grid_poly(1.0) < 0 < grid_poly(0.0)
                     res = hc.bloch_bound(p)  # raises unless exactly one root isolated
                     assert 0.0 < res.r0 < 1.0

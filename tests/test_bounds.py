@@ -111,13 +111,32 @@ def test_bn_bounds_at_large_delta_take_the_limit_without_a_warning(delta):
 # every index up to 64, then a spread of indices up to 3000
 _BN_INDICES = [*range(2, 65), *range(65, 3000, 37), 3000]
 
+# 1 - delta = 0.5 and -0.5, and delta past 645, where 3^delta overflows
+_BN_PARAMS = [
+    *PARAM_GRID,
+    *(ClassParams(0.3, 0.5, delta) for delta in (0.5, 1.5, 645.5, 700.0, 1023.5)),
+]
 
-@pytest.mark.parametrize("params", PARAM_GRID, ids=str)
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", _BN_PARAMS, ids=str)
 def test_bn_bound_is_an_entry_of_bn_bounds(params):
     table = bn_bounds(params, 3000)
     for n in _BN_INDICES:
         assert np.float64(bn_bound(params, n)).tobytes() == table[n - 2].tobytes(), n
         assert bn_bound(params, n) == bn_bounds(params, n)[-1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_bn_bound_is_an_entry_of_bn_bounds_at_seeded_fractional_delta():
+    """Numpy's power and Python's ** round differently for some fractional
+    exponents; 2000 seeded points catch a term formed with the wrong one."""
+    rng = np.random.default_rng(20180914)
+    for alpha, beta, delta in rng.uniform(0.0, 1.0, (2000, 3)).tolist():
+        params = ClassParams(alpha, beta, 3.0 * delta)
+        table = bn_bounds(params, 12)
+        for n in range(3, 13):
+            assert np.float64(bn_bound(params, n)).tobytes() == table[n - 2].tobytes(), (params, n)
 
 
 def _bn_fsum(params, n):
@@ -694,21 +713,45 @@ def test_bloch_bracket_brackets_the_root():
     assert abs(poly(result.r0)) < 1e-12
 
 
-def test_bloch_root_is_bisection_on_numpy_horner():
-    """On a seeded 6 x 6 x 6 lattice, r0 and the bracket equal exactly the
-    bisection of the quartic evaluated by ``np.polynomial.polynomial.polyval``,
-    which runs the same Horner order as ``Polynomial``."""
+def _loop_horner(coeffs):
+    """x -> the polynomial with ascending ``coeffs`` by Horner's rule, over
+    every coefficient."""
+
+    def value(x):
+        val = 0.0
+        for c in reversed(coeffs):
+            val = val * x + c
+        return val
+
+    return value
+
+
+def _bloch_reference_points():
+    """A seeded 6 x 6 x 6 lattice, seeded points at beta = 0 (a zero leading
+    coefficient) and at delta in (1000, 1024), and the 84-point lattice."""
     rng = np.random.default_rng(2018)
     axes = (rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 3.0, 6))
-    for alpha, beta, delta in itertools.product(*axes):
-        params = ClassParams(float(alpha), float(beta), float(delta))
-        coeffs = bloch_H_poly(params)
-        lo, hi = bisect_bracket(
-            lambda x: np.polynomial.polynomial.polyval(x, coeffs), 0.0, 1.0, _BLOCH_BRACKET_WIDTH
-        )
+    points = [ClassParams(*map(float, point)) for point in itertools.product(*axes)]
+    for i, (alpha, delta) in enumerate(rng.uniform(0.0, 1.0, (40, 2)).tolist()):
+        points.append(ClassParams(alpha, 0.0, delta * (1024.0 if i % 2 else 3.0)))
+    for alpha, beta, delta in rng.uniform(0.0, 1.0, (40, 3)).tolist():
+        points.append(ClassParams(alpha, beta, 1000.0 + 24.0 * delta))
+    return points + _ORACLE_LATTICE
+
+
+def test_bloch_root_is_bisection_on_a_loop_horner():
+    """r0, the bracket and the coefficients equal exactly the bisection of
+    ``bloch_H_poly`` evaluated by Horner's rule over all five coefficients,
+    also where the leading one is 0."""
+    points = _bloch_reference_points()
+    assert sum(bloch_H_poly(params)[4] == 0.0 for params in points) >= 40
+    for params in points:
+        coeffs = bloch_H_poly(params).tolist()
+        lo, hi = bisect_bracket(_loop_horner(coeffs), 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
         result = bloch_bound(params)
-        assert result.bracket == (lo, hi)
-        assert result.r0 == 0.5 * (lo + hi)
+        assert result.bracket == (lo, hi), params
+        assert result.r0 == 0.5 * (lo + hi), params
+        assert result.H_coeffs == tuple(coeffs), params
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)

@@ -139,21 +139,53 @@ def test_sampler_preconditions():
         sample_certified_h(P011, 8, 1.5, 1)
 
 
+def _inline_sample(params, max_degree, fill, rng_seed):
+    """The sampler's magnitudes and rescale formed directly, where the
+    envelope and the weights stay in the float range."""
+    n = np.arange(2, max_degree + 1, dtype=float)
+    rng = np.random.default_rng(rng_seed)
+    mags = rng.uniform(0.0, 1.0, n.size) * n ** (-params.delta - 2.0)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n.size)
+    weights = n**params.delta * (n - params.alpha) / (1.0 - params.alpha)
+    coeffs = np.zeros(max_degree + 1, dtype=complex)
+    coeffs[1] = 1.0
+    coeffs[2:] = (fill / float(np.sum(weights * mags))) * mags * np.exp(1j * phases)
+    return coeffs
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("delta", [254.0, 300.0])
-def test_sampler_rejects_delta_beyond_the_float_range(delta):
+def test_sampler_in_the_float_range_forms_its_magnitudes_directly():
+    rng = np.random.default_rng(2535)
+    for seed in range(200):
+        alpha, beta, fill = rng.uniform(0.0, 1.0, 3).tolist()
+        delta = float(rng.uniform(0.0, 253.5 if seed % 2 else 3.0))
+        params = ClassParams(alpha, beta, delta)
+        h = sample_certified_h(params, 16, fill, seed)
+        assert h.coeffs.tobytes() == _inline_sample(params, 16, fill, seed).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [254.0, 300.0, 645.5, 1000.0, 1015.0])
+@pytest.mark.parametrize("fill", [0.5, 1.0])
+def test_sampler_beyond_the_float_range_hits_the_budget_in_log_space(delta, fill):
     """At max_degree 16 the envelope 16^(-delta-2) is subnormal from delta >
-    253.5, and the weight 16^delta overflows from delta ~ 255: both raise
-    instead of a NaN budget."""
-    with pytest.raises(ValueError, match=rf"delta = {delta} .* up to about 253\.5"):
-        sample_certified_h(ClassParams(0.3, 0.5, delta), 16, 0.5, 1)
+    253.5 and the weight 16^delta overflows from delta ~ 255; the coefficients
+    that stay normal floats carry the whole budget, and the others are 0."""
+    params = ClassParams(0.3, 0.5, delta)
+    for seed in range(20):
+        h = sample_certified_h(params, 16, fill, seed)
+        mags = np.abs(h.coeffs[2:])
+        assert mags[0] > 0.0 and np.all((mags == 0.0) | (mags >= np.finfo(float).tiny))
+        cert = certify(h, params)
+        assert cert.ok and cert.budget_sum == pytest.approx(fill, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
-def test_sampler_accepts_delta_up_to_the_float_range():
-    params = ClassParams(0.3, 0.5, 253.5)
-    h = sample_certified_h(params, 16, 0.5, 1)
-    assert certify(h, params).budget_sum == pytest.approx(0.5, abs=1e-12)
+def test_sampler_gives_the_identity_where_no_coefficient_is_a_normal_float():
+    """|a_2| <= (1 - alpha)/(2^delta (2 - alpha)) is below 2^-1022 above delta = 1021."""
+    for delta in (1022.5, 1024.0 - 2.0**-43, 2000.0):
+        h = sample_certified_h(ClassParams(0.3, 0.5, delta), 16, 1.0, 7)
+        assert h.coeffs.tolist() == [0.0, 1.0] + [0.0] * 15
 
 
 def test_build_member_rotation_gives_half_square():
