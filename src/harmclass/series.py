@@ -6,7 +6,7 @@ construction so instances can be shared freely across threads.  The powers
 of the radii that ``evaluate_polar`` reads, r^j and (r^M)^q, are kept
 read-only in one bounded process-wide cache (``_ring_powers``, one entry
 per ring set, angle count and row count, complete when stored and never
-replaced, sharing r^j across row counts), which changes no value.
+replaced), which changes no value.
 """
 
 from __future__ import annotations
@@ -152,11 +152,9 @@ def _ring_powers(radii: bytes, m: int, rows: int) -> tuple:
     packed in ``radii``, and the read-only row powers t^q = (r^m)^q, q < rows,
     as a (rows, rings) array, each row the one before times t (a cumulative
     product, so its rows have the bits of the first rows of any longer one);
-    the 64 most recently used (the grid, the covering circle, area rings);
-    an entry of more rows holds the r^j array of the one-row entry."""
+    the 64 most recently used (the grid, the covering circle, area rings)."""
     r = np.frombuffer(radii)
-    powers = _ring_powers(radii, m, 1)[0] if rows > 1 else r[:, None] ** np.arange(m)
-    row_powers = np.empty((rows, r.size))
+    powers, row_powers = r[:, None] ** np.arange(m), np.empty((rows, r.size))
     row_powers[0], row_powers[1:] = 1.0, r**m
     np.multiply.accumulate(row_powers, axis=0, out=row_powers)
     powers.setflags(write=False)

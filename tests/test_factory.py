@@ -162,6 +162,18 @@ def test_sampler_in_the_float_range_forms_its_magnitudes_directly():
         params = ClassParams(alpha, beta, delta)
         h = sample_certified_h(params, 16, fill, seed)
         assert h.coeffs.tobytes() == _inline_sample(params, 16, fill, seed).tobytes()
+    # 16^(-255.5) is the smallest normal float: the last delta formed directly
+    params = ClassParams(0.3, 0.5, 253.5)
+    for seed in range(20):
+        h = sample_certified_h(params, 16, 0.5, seed)
+        assert h.coeffs.tobytes() == _inline_sample(params, 16, 0.5, seed).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampler_accepts_delta_up_to_the_float_range():
+    params = ClassParams(0.3, 0.5, 253.5)
+    h = sample_certified_h(params, 16, 0.5, 1)
+    assert certify(h, params).budget_sum == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

@@ -146,23 +146,6 @@ def test_evaluate_polar_after_eviction():
     assert series._ring_powers.cache_info().misses == misses + 1
 
 
-@pytest.mark.parametrize("rings", range(2))
-def test_entries_of_one_ring_set_share_one_power_table(rings):
-    """The r^j table of an entry of 3 or 25 rows is the table of the one-row
-    entry of the same rings and angle count, whichever row count is asked
-    for first, and every value equals the inline formula."""
-    radii, n_angles = RING_SETS[rings]
-    for first in (25, 3, 1):
-        series._ring_powers.cache_clear()
-        for rows in (first, 1, 3, 25):
-            s = _random_series(rows * n_angles - 1, rows)
-            expected = _inline_evaluate_polar(s, radii, n_angles)
-            assert_same_bits(evaluate_polar(s, radii, n_angles), expected)
-        tables = [series._ring_powers(radii.tobytes(), n_angles, rows)[0] for rows in (1, 3, 25)]
-        assert tables[1] is tables[0] and tables[2] is tables[0]
-        assert series._ring_powers.cache_info().currsize == 3
-
-
 def test_a_member_reads_two_ring_entries_on_the_grid():
     # h', h and g have 16, 17 and 366 coefficients: h' and h fold into 1 row, g into 3
     grid = default_polar_grid()
