@@ -2,19 +2,22 @@
 envelopes, area, normality constant, covering radius and the Bloch bound.
 
 The radial integrals behind the growth, normality, covering and area bounds
-have rational integrands, so each is evaluated exactly (``_kernel_integral``).
-Their moment sequences are kept in one bounded process-wide cache
+have rational integrands, so each is evaluated exactly (``_kernel_integral``):
+the growth, normality and covering integrands have two linear factors,
+applied to the moments as one written-out expression, the area's five by a
+loop.  Their moment sequences are kept in one bounded process-wide cache
 (``_moments``: the 256 most recently used), so calls that share a kernel
 argument, such as ``f_growth`` and ``g_growth_crosscheck`` at one radius,
 compute its moments once; the cache never changes a value.
 
 The Bloch critical radius is the unique root in (0, 1) of a quartic whose
 own coefficient signs and endpoint values certify that root (Descartes'
-rule of signs, see ``bloch_bound``); bisection then narrows it, by Horner's
-rule on Python floats.  The quartic, the coefficients of its derivative
-profile (``bloch_L_coeffs``) and the closed g-growth forms scale with
-2^delta; above delta = 1000 they are evaluated divided by an exact power of
-two, so they stay finite up to delta = 1024 (``_scaled_power_of_two``).
+rule of signs, see ``bloch_bound``); ``bloch_bound`` then bisects it in
+place, by Horner's rule on the quartic's five Python floats.  The quartic,
+the coefficients of its derivative profile (``bloch_L_coeffs``) and the
+closed g-growth forms scale with 2^delta; above delta = 1000 they are
+evaluated divided by an exact power of two, so they stay finite up to
+delta = 1024 (``_scaled_power_of_two``).
 
 The coefficient bounds for n = 2..N are one running sum (``bn_bounds``);
 ``bn_bound`` computes only its own entry, with the bits of that sum.
@@ -47,7 +50,7 @@ import numpy as np
 
 from .errors import RootCountError
 from .model import ClassParams
-from .numerics import bisect_bracket, digamma, sign_variations
+from .numerics import digamma, sign_variations
 
 __all__ = [
     "BoundEnvelope",
@@ -264,6 +267,11 @@ def _kernel_integral(factors, t: float, squared: bool = False) -> float:
         t = -t / scale
         scale = scale * scale if squared else scale
     moments = _moments(float(t), len(factors) + 1, squared)
+    if len(factors) == 2:
+        # the loop below for two factors, written out in its order of operations
+        (a, b), (p, q) = factors
+        m0, m1, m2 = moments
+        return (p * (a * m0 + b * m1) + q * (a * m1 + b * m2)) / scale
     for a, b in factors:
         # an explicit loop: a list comprehension over zip costs twice as much here
         rest, applied = iter(moments), []
@@ -286,11 +294,14 @@ def _gprime_lower_integral(params: ClassParams, r: float) -> float:
     A the integral of the signed integrand, A(r) up to the kink at beta and
     2 A(beta) - A(r) past it."""
     beta, c = params.beta, distortion_slope(params)
+    if r <= beta:
+        return _gprime_signed_integral(beta, c, r)
+    return 2.0 * _gprime_signed_integral(beta, c, beta) - _gprime_signed_integral(beta, c, r)
 
-    def signed(x: float) -> float:
-        return x * _kernel_integral(((beta, -x), (1.0, -c * x)), -beta * x)
 
-    return signed(r) if r <= beta else 2.0 * signed(beta) - signed(r)
+def _gprime_signed_integral(beta: float, c: float, x: float) -> float:
+    """A(x) = int_0^x (beta - xi)(1 - c xi)/(1 - beta xi) d xi."""
+    return x * _kernel_integral(((beta, -x), (1.0, -c * x)), -beta * x)
 
 
 def _f_lower_integral(params: ClassParams, r: float, sign: float) -> float:
@@ -468,8 +479,12 @@ def g_growth_crosscheck(
     Below the beta switch of ``g_growth_bounds`` both sides are the one
     exact integral.  ``tol`` is ignored: the values are exact.
     """
-    closed = g_growth_bounds(params, r)
-    quad = closed if params.beta < _G_GROWTH_BETA_SWITCH else g_growth_quadrature(params, r)
+    quad = g_growth_quadrature(params, r)
+    if params.beta < _G_GROWTH_BETA_SWITCH:
+        closed = quad
+    else:
+        lo, up = _g_growth_closed(params, r)
+        closed = BoundEnvelope(lower=lo, upper=up)
     lower_diff = abs(closed.lower - quad.lower)
     upper_diff = abs(closed.upper - quad.upper)
     return GrowthFormCheck(
@@ -582,18 +597,21 @@ def bloch_H_poly(params: ClassParams) -> np.ndarray:
     coefficients stay finite for every delta below 1024.
     """
     params.require_nonnegative_delta()
-    beta = params.beta
     d2, a1, _ = _bloch_scales(params)
-    coeffs = np.array(
-        [
-            d2 * (1.0 - beta) + a1,
-            -2.0 * (d2 - a1),
-            -(d2 * (3.0 + beta) + a1 * (3.0 - beta)),
-            -(2.0 * d2 * beta + a1 * (4.0 + 2.0 * beta)),
-            -3.0 * a1 * beta,
-        ]
+    return np.array(_bloch_quartic(params.beta, d2, a1))
+
+
+def _bloch_quartic(beta: float, d2: float, a1: float) -> tuple:
+    """The coefficients of ``bloch_H_poly`` as five Python floats, from the
+    scales of ``_bloch_scales``.  Only c1 (d2 = a1 at alpha = delta = 0) and
+    c4 (beta = 0) can be zero; ``+ 0.0`` turns their -0.0 into 0.0."""
+    return (
+        d2 * (1.0 - beta) + a1,
+        -2.0 * (d2 - a1) + 0.0,
+        -(d2 * (3.0 + beta) + a1 * (3.0 - beta)),
+        -(2.0 * d2 * beta + a1 * (4.0 + 2.0 * beta)),
+        -3.0 * a1 * beta + 0.0,
     )
-    return coeffs + 0.0  # normalize any -0.0 entries
 
 
 def bloch_L_coeffs(params: ClassParams, r: float) -> tuple[float, float]:
@@ -640,23 +658,36 @@ def bloch_bound(params: ClassParams) -> BlochResult:
     and the prefactor stays a normal float (unscaled, it is subnormal from
     delta ~ 1022 on).
     """
-    h_coeffs = bloch_H_poly(params).tolist()  # requires 0 <= delta < 1024
+    params.require_nonnegative_delta()
+    d2, a1, power = _bloch_scales(params)
+    h_coeffs = _bloch_quartic(params.beta, d2, a1)
     count = sign_variations(h_coeffs)
-    # Horner's rule on Python floats; a zero leading coefficient adds exact zeros
-    c0, c1, c2, c3, c4 = h_coeffs + [0.0] * (5 - len(h_coeffs))
-
-    def H(x: float) -> float:
-        return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-
-    h_at_zero, h_at_one = H(0.0), H(1.0)
+    c0, c1, c2, c3, c4 = h_coeffs
+    # H(0) and H(1) as Horner's rule gives them, bit for bit: a signed zero
+    # added to c0 (nonzero unless substituted) leaves it, and x * 1.0 is x
+    h_at_zero, h_at_one = c0, c4 + c3 + c2 + c1 + c0
     if not (count == 1 and h_at_one < 0.0 < h_at_zero):
         raise RootCountError(
             "expected exactly one critical radius in (0, 1), variation count is "
             f"{count}, H(0) = {h_at_zero!r}, H(1) = {h_at_one!r}"
         )
-    bracket = bisect_bracket(H, 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
-    r0 = 0.5 * (bracket[0] + bracket[1])
-    d2, a1, power = _bloch_scales(params)
+    # bisection of [0, 1] to width _BLOCH_BRACKET_WIDTH, H by Horner's rule on
+    # Python floats; it stops where the midpoint is no longer inside the
+    # bracket, and at a midpoint where H is 0
+    lo, hi = 0.0, 1.0
+    while hi - lo > _BLOCH_BRACKET_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        h_mid = (((c4 * mid + c3) * mid + c2) * mid + c1) * mid + c0
+        if h_mid == 0.0:
+            lo = hi = mid
+            break
+        if h_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    r0 = 0.5 * (lo + hi)
     prefactor = (1.0 + params.beta) / ((2.0 - params.alpha) * power)
     bound = prefactor * _bloch_profile(d2, a1, params.beta, r0)
-    return BlochResult(r0=r0, bound=bound, H_coeffs=tuple(h_coeffs), bracket=bracket)
+    return BlochResult(r0=r0, bound=bound, H_coeffs=h_coeffs, bracket=(lo, hi))

@@ -1,5 +1,5 @@
-"""Numerical kernels: adaptive quadrature of array integrands, digamma,
-Descartes sign variation of a coefficient sequence, and bisection.
+"""Numerical kernels: adaptive quadrature of array integrands, digamma and
+Descartes sign variation of a coefficient sequence.
 
 Everything here is deliberately dependency-free and testable in isolation;
 the higher-level bound evaluators treat these as trusted primitives.
@@ -18,7 +18,6 @@ __all__ = [
     "adaptive_quadrature",
     "digamma",
     "sign_variations",
-    "bisect_bracket",
 ]
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
@@ -207,56 +206,17 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x + tail
 
 
-def _require_finite(values, what: str) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{what} must be finite, got {list(values)}")
-
-
 def sign_variations(coeffs: Sequence[float]) -> int:
     """Strict sign changes in the sequence of nonzero coefficients, which must
-    all be finite (ValueError otherwise).  By Descartes' rule of signs the
-    count bounds the number of positive roots and matches it modulo 2."""
-    coeffs = [float(c) for c in coeffs]
-    _require_finite(coeffs, "coefficients")
-    positive = [c > 0.0 for c in coeffs if c != 0.0]
-    return sum(s != t for s, t in zip(positive, positive[1:]))
-
-
-def bisect_bracket(
-    p: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float]:
-    """Bisect a sign-changing bracket down to width <= tol.
-
-    Returns the final bracket.  Stops early if the midpoint is no longer
-    representable strictly between the endpoints, so tol = 0 drives the
-    bracket to floating-point resolution.  A non-finite endpoint, a NaN
-    value at an endpoint or a tol that is not >= 0 raises ValueError: none
-    of them can be narrowed to a finite bracket.
-    """
-    _require_finite((a, b), "bracket endpoints")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    fa = p(a)
-    fb = p(b)
-    if math.isnan(fa) or math.isnan(fb):
-        raise ValueError(f"p is NaN at an endpoint: p({a}) = {fa}, p({b}) = {fb}")
-    if fa == 0.0:
-        return (a, a)
-    if fb == 0.0:
-        return (b, b)
-    positive_at_a = fa > 0
-    if positive_at_a == (fb > 0):
-        raise ValueError(f"endpoints do not bracket a root: p({a}) and p({b}) share a sign")
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = p(mid)
-        if fm == 0.0:
-            return (mid, mid)
-        if (fm > 0) == positive_at_a:
-            a = mid
-        else:
-            b = mid
-    return (a, b)
-
+    all be finite (ValueError otherwise), counted in one pass.  By Descartes'
+    rule of signs the count bounds the number of positive roots and matches
+    it modulo 2."""
+    count, last = 0, 0
+    for c in map(float, coeffs):
+        if not math.isfinite(c):
+            raise ValueError(f"coefficients must be finite, got {[float(c) for c in coeffs]}")
+        sign = (c > 0.0) - (c < 0.0)
+        if sign:
+            count += sign == -last
+            last = sign
+    return count

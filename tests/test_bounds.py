@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from harmclass.bounds import (
     normality_constant,
 )
 import harmclass.bounds as bounds_mod
+import oracle_decimal
 from harmclass import cli
 from harmclass.bounds import _BLOCH_BRACKET_WIDTH, MAX_COEFF_INDEX, _bloch_profile
 from harmclass.errors import RootCountError
 from harmclass.model import ClassParams
-from harmclass.numerics import adaptive_quadrature, bisect_bracket
+from harmclass.numerics import adaptive_quadrature
 from harmclass.verify import _EnvelopeTable, default_polar_grid
 
 P011 = ClassParams(0, 0, 1)
@@ -575,6 +577,78 @@ def test_envelope_table_columns_equal_the_point_bounds():
         assert table.bloch_bound == bloch_bound(params).bound
 
 
+# ----------------------------------------------------------- decimal oracle
+
+#: Largest relative error of each bound against ``oracle_decimal`` on
+#: ``_decimal_oracle_points()``: the measured maximum, rounded up with room
+#: for another libm.  bloch_r0 is the one above 1e-14 (the README names it):
+#: bisection stops at the absolute width 1e-14, and r0 tends to 0 as
+#: beta -> 1 with delta large or alpha -> 1; its absolute error is bounded by
+#: ``_BLOCH_R0_ABSOLUTE_ERROR``.
+_DECIMAL_ORACLE_BOUNDS = {
+    "g_upper": 1e-15,
+    "g_lower": 2e-15,
+    "f_lower": 1e-15,
+    "f_floor": 1e-15,
+    "normality": 5e-16,
+    "covering": 1e-15,
+    "covering_floor": 1e-15,
+    "bloch_r0": 2e-13,
+    "bloch_bound": 1e-15,
+}
+
+#: Half the final bracket of the Bloch bisection, 2^-48 ~ 3.55e-15, and room
+#: for the rounding of the quartic's coefficients.
+_BLOCH_R0_ABSOLUTE_ERROR = 4e-15
+
+
+def _decimal_oracle_points():
+    """The 84-point lattice, 40 seeded points with alpha up to 0.99 and beta
+    up to 0.9999 (every other one close to 1), and 16 past delta = 1000."""
+    rng = np.random.default_rng(9999)
+    points = list(_ORACLE_LATTICE)
+    for i in range(40):
+        alpha, delta = float(rng.uniform(0.0, 0.99)), float(rng.uniform(0.0, 3.0))
+        beta = float(rng.uniform(0.0, 0.9999)) if i % 2 else 1.0 - 10.0 ** float(rng.uniform(-4, -1))
+        points.append(ClassParams(alpha, beta, delta))
+    for alpha, beta, delta in rng.uniform(0.0, 1.0, (16, 3)).tolist():
+        points.append(ClassParams(0.99 * alpha, 0.9999 * beta, 1000.0 + 24.0 * delta))
+    return points
+
+
+def test_bounds_match_the_decimal_oracle():
+    """Each exact bound is within its recorded relative error of the 50-digit
+    oracle, at the radii of the quadrature oracle and beta; only bloch_r0's
+    bound is above 1e-14, and its absolute error is within half its bracket."""
+    worst = dict.fromkeys(_DECIMAL_ORACLE_BOUNDS, 0.0)
+    r0_error = 0.0
+
+    def record(name, got, exact):
+        worst[name] = max(worst[name], float(abs(Decimal(got) - exact) / abs(exact)))
+
+    od = oracle_decimal
+    for params in _decimal_oracle_points():
+        for r in (0.05, 0.25, 0.5, 0.75, 0.995, params.beta):
+            if r == 0.0:
+                continue
+            exact = g_growth_quadrature(params, r)
+            record("g_upper", exact.upper, od.g_upper(params, r))
+            record("g_lower", exact.lower, od.g_lower(params, r))
+            record("f_lower", f_growth(params, r).lower, od.f_lower(params, r, 1))
+            record("f_floor", f_growth_floor(params, r), od.f_lower(params, r, -1))
+        record("normality", normality_constant(params), od.normality(params))
+        record("covering", covering_radius(params), od.f_lower(params, 1.0, 1))
+        record("covering_floor", covering_radius_floor(params), od.f_lower(params, 1.0, -1))
+        result = bloch_bound(params)
+        r0 = od.bloch_root(params)
+        record("bloch_r0", result.r0, r0)
+        r0_error = max(r0_error, float(abs(Decimal(result.r0) - r0)))
+        record("bloch_bound", result.bound, od.bloch(params))
+    assert all(worst[name] <= bound for name, bound in _DECIMAL_ORACLE_BOUNDS.items()), worst
+    assert r0_error <= _BLOCH_R0_ABSOLUTE_ERROR
+    assert [name for name, bound in _DECIMAL_ORACLE_BOUNDS.items() if bound > 1e-14] == ["bloch_r0"]
+
+
 # ------------------------------------------------------------ moment cache
 
 _REFERENCE_RECIPROCALS = tuple(1.0 / (k + 1) for k in range(256))
@@ -638,6 +712,37 @@ def test_kernel_integral_matches_the_uncached_loop_bit_for_bit():
         assert got == expected[::order]
         assert all(type(v) is float for v in got)
     assert bounds_mod._moments.cache_info().hits > 0
+
+
+def test_two_factor_kernel_integral_is_the_factor_loop_bit_for_bit():
+    """The written-out form that every growth, normality and covering
+    integral takes equals the factor loop, bit for bit: seeded factors (and
+    factors shaped as the callers build them), unsquared and squared kernels,
+    arguments in the series range and in both transformed ranges, t = 0 and
+    the range edges -0.8, -0.5 and 0.5."""
+    rng = np.random.default_rng(2030)
+    arguments = [
+        0.0, -0.0, -0.8, -0.5, 0.5,
+        *rng.uniform(-0.5, 0.5, 40).tolist(),
+        *rng.uniform(0.5, 0.9999, 40).tolist(),
+        *rng.uniform(-0.8, -0.5, 40).tolist(),
+        *rng.uniform(-0.9999, -0.8, 40).tolist(),
+    ]
+    transformed = {False: 0, True: 0}
+    for t in arguments:
+        for squared in (False, True):
+            transformed[squared] += not (-0.8 if squared else -0.5) <= t <= 0.5
+            beta, c, r = rng.uniform(0.0, 1.0, 3).tolist()
+            cases = [
+                tuple(map(tuple, rng.uniform(-2.0, 2.0, (2, 2)).tolist())),
+                ((beta, r), (1.0, c * r)),
+                ((beta, -r), (1.0, -c * r)),
+                ((1.0, -c * r), (1.0, -r)),
+            ]
+            for factors in cases:
+                got = bounds_mod._kernel_integral(factors, t, squared)
+                assert got == _reference_kernel_integral(factors, t, squared), (factors, t, squared)
+    assert transformed[False] >= 80 and transformed[True] >= 40
 
 
 def test_moment_cache_keeps_no_numpy_scalars():
@@ -726,6 +831,33 @@ def _loop_horner(coeffs):
     return value
 
 
+def _reference_bisection(p, a, b, tol):
+    """The bracket of the sign change of ``p`` on [a, b], bisected to width
+    <= tol: cut short where the midpoint is no longer inside the bracket,
+    and at a midpoint (or endpoint) where ``p`` is 0, whose bracket is that
+    point twice.  The generic bisection the Bloch root was taken with before
+    ``bloch_bound`` bisected its quartic itself."""
+    fa, fb = p(a), p(b)
+    if fa == 0.0:
+        return (a, a)
+    if fb == 0.0:
+        return (b, b)
+    positive_at_a = fa > 0
+    assert positive_at_a != (fb > 0)
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        fm = p(mid)
+        if fm == 0.0:
+            return (mid, mid)
+        if (fm > 0) == positive_at_a:
+            a = mid
+        else:
+            b = mid
+    return (a, b)
+
+
 def _bloch_reference_points():
     """A seeded 6 x 6 x 6 lattice, seeded points at beta = 0 (a zero leading
     coefficient) and at delta in (1000, 1024), and the 84-point lattice."""
@@ -747,7 +879,7 @@ def test_bloch_root_is_bisection_on_a_loop_horner():
     assert sum(bloch_H_poly(params)[4] == 0.0 for params in points) >= 40
     for params in points:
         coeffs = bloch_H_poly(params).tolist()
-        lo, hi = bisect_bracket(_loop_horner(coeffs), 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
+        lo, hi = _reference_bisection(_loop_horner(coeffs), 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
         result = bloch_bound(params)
         assert result.bracket == (lo, hi), params
         assert result.r0 == 0.5 * (lo + hi), params
@@ -831,31 +963,67 @@ def test_bloch_L_coefficients_stay_finite_and_negative_up_to_delta_1024(delta):
             assert math.isfinite(a1) and a1 < 0
 
 
+class _UnbisectedCoefficient(float):
+    """A coefficient of a substituted quartic that fails the test when
+    bisection evaluates H at a midpoint: Horner's rule there starts with
+    c4 * mid, and the certificate before it only adds coefficients."""
+
+    def __mul__(self, other):
+        pytest.fail("bisected")
+
+    __rmul__ = __mul__
+
+
+def _substitute_quartic(monkeypatch, coeffs):
+    """Make ``bloch_bound`` read the ascending ``coeffs`` as its quartic."""
+    fake = tuple(map(_UnbisectedCoefficient, coeffs))
+    monkeypatch.setattr(bounds_mod, "_bloch_quartic", lambda beta, d2, a1: fake)
+
+
 def test_bloch_raises_on_unexpected_root_count(monkeypatch):
+    # the substitute coefficients see bisection: the true quartic of P011 reaches it
+    _substitute_quartic(monkeypatch, [3.0, -2.0, -9.0, -4.0, 0.0])
+    with pytest.raises(pytest.fail.Exception, match="bisected"):
+        bounds_mod.bloch_bound(P011)
     # (x^2 - 0.04)(x^2 - 0.64): two roots inside (0, 1)
-    fake = np.array([0.0256, 0.0, -0.68, 0.0, 1.0])
-    monkeypatch.setattr(bounds_mod, "bloch_H_poly", lambda params: fake)
-    monkeypatch.setattr(bounds_mod, "bisect_bracket", lambda *args: pytest.fail("bisected"))
+    _substitute_quartic(monkeypatch, [0.0256, 0.0, -0.68, 0.0, 1.0])
     with pytest.raises(RootCountError, match="variation count is 2"):
         bounds_mod.bloch_bound(P011)
 
 
 @pytest.mark.parametrize(
     "fake, values",
-    [([1.0, -0.5], r"H\(0\) = 1.0, H\(1\) = 0.5"), ([-1.0, 0.5], r"H\(0\) = -1.0, H\(1\) = -0.5")],
+    [
+        ([1.0, -0.5, 0.0, 0.0, 0.0], r"H\(0\) = 1.0, H\(1\) = 0.5"),
+        ([-1.0, 0.5, 0.0, 0.0, 0.0], r"H\(0\) = -1.0, H\(1\) = -0.5"),
+    ],
     ids=["H(1) > 0", "H(0) < 0"],
 )
 def test_bloch_raises_on_one_root_outside_the_unit_interval(monkeypatch, capsys, fake, values):
     """One sign variation, but the root is at 2: the endpoint signs reject it
     before bisection, and ``hcl bloch`` exits 3."""
-    monkeypatch.setattr(bounds_mod, "bloch_H_poly", lambda params: np.array(fake))
-    monkeypatch.setattr(bounds_mod, "bisect_bracket", lambda *args: pytest.fail("bisected"))
+    _substitute_quartic(monkeypatch, fake)
     with pytest.raises(RootCountError, match="variation count is 1, " + values):
         bounds_mod.bloch_bound(P011)
     assert cli.main(["bloch", "--alpha", "0", "--beta", "0", "--delta", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("root isolation failed: expected exactly one critical radius")
+
+
+def test_bloch_bisection_stops_where_the_midpoint_leaves_the_bracket(monkeypatch):
+    """At width 0 the bisection runs until no float lies strictly inside the
+    bracket, or to a midpoint where H rounds to 0 (at (0, 0, 0) the root is
+    1/2, at (0.3, 0.5, 1) H rounds to 0 next to its root), and stops where
+    the reference does."""
+    monkeypatch.setattr(bounds_mod, "_BLOCH_BRACKET_WIDTH", 0.0)
+    brackets = []
+    for params in PARAM_GRID:
+        coeffs = bloch_H_poly(params).tolist()
+        brackets.append(_reference_bisection(_loop_horner(coeffs), 0.0, 1.0, 0.0))
+        assert bloch_bound(params).bracket == brackets[-1]
+    assert [hi == lo for lo, hi in brackets] == [True, False, True, False, False]
+    assert all(hi in (lo, math.nextafter(lo, 1.0)) for lo, hi in brackets)
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,12 +9,7 @@ from harmclass import numerics
 from harmclass.bounds import bloch_H_poly
 from harmclass.errors import QuadratureError
 from harmclass.model import ClassParams
-from harmclass.numerics import (
-    adaptive_quadrature,
-    bisect_bracket,
-    digamma,
-    sign_variations,
-)
+from harmclass.numerics import adaptive_quadrature, digamma, sign_variations
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -333,7 +328,10 @@ def test_sign_variations_ignores_zeros():
     assert sign_variations([1, 0, 0, -1]) == 1
 
 
-@pytest.mark.parametrize("coeffs", [[1, 0, 1], [-1, 0, 0, -1], [0, 0]])
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1, 0, 1], [-1, 0, 0, -1], [0, 0], [1, -0.0, 1], [-5e-324, -0.0, 0, -1], [5e-324, 0.0, 1e307], [-0.0]],
+)
 def test_sign_variations_zeros_between_equal_signs_change_nothing(coeffs):
     assert sign_variations(np.array(coeffs, dtype=float)) == 0
     assert sign_variations(coeffs) == 0
@@ -381,53 +379,47 @@ def test_sign_variations_rejects_nan():
         sign_variations([1.0, math.nan, 1.0])
 
 
-# ----------------------------------------------------------------- bisection
-
-def bracket_midpoint(p, a, b, tol):
-    """Midpoint of the final bisection bracket, as bloch_bound takes it."""
-    lo, hi = bisect_bracket(p, a, b, tol)
-    return 0.5 * (lo + hi)
-
-
-def test_isolate_root_quartic():
-    # frozen from the eigenvalue companion-matrix oracle (np.polynomial roots)
-    root = bracket_midpoint(QUARTIC, 0.0, 1.0, 1e-12)
-    assert root == pytest.approx(0.4430004681646913, abs=1e-6)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_sign_variations_rejects_non_finite_coefficients(bad, where):
+    """Wherever a non-finite coefficient stands, after zeros, -0.0 and
+    subnormals or before them, in a list, an array or a tuple."""
+    coeffs = [1.0, -0.0, -1.0, 5e-324, 2.0]
+    coeffs[where] = bad
+    for seq in (coeffs, np.array(coeffs), tuple(coeffs)):
+        with pytest.raises(ValueError, match="finite"):
+            sign_variations(seq)
 
 
-def test_isolate_root_eigen_oracle_agreement():
-    eig_roots = QUARTIC.roots()
-    real_root = [z.real for z in eig_roots if abs(z.imag) < 1e-12 and 0 < z.real < 1][0]
-    assert bracket_midpoint(QUARTIC, 0.0, 1.0, 1e-13) == pytest.approx(real_root, abs=1e-10)
+def _pairwise_variations(coeffs):
+    """The definition: neighbouring nonzero coefficients of opposite sign."""
+    nonzero = [c for c in coeffs if c != 0.0]
+    return sum((s > 0.0) != (t > 0.0) for s, t in zip(nonzero, nonzero[1:]))
 
 
-def test_isolate_root_half():
-    assert bracket_midpoint(Polynomial([-0.25, 0, 1]), 0.0, 1.0, 1e-12) == pytest.approx(0.5)
+def _seeded_sequences():
+    """600 seeded sequences of up to 12 entries drawn from zeros, -0.0, the
+    smallest and largest subnormals and normals of both signs."""
+    tiny, subnormal_max = 5e-324, math.nextafter(2.2250738585072014e-308, 0.0)
+    pool = [0.0, -0.0, tiny, -tiny, subnormal_max, -subnormal_max, 1.0, -1.0, 1e307, -2.5e-300]
+    rng = np.random.default_rng(1637)
+    sequences = []
+    for _ in range(600):
+        picks = rng.integers(0, len(pool), int(rng.integers(0, 13)))
+        seq = [pool[i] for i in picks.tolist()]
+        if rng.uniform() < 0.3:
+            seq = [c * float(rng.uniform(0.5, 2.0)) for c in seq]
+        sequences.append(seq)
+    return sequences
 
 
-def test_isolate_root_quartic_unit():
-    assert bracket_midpoint(Polynomial([-1, 0, 0, 0, 1]), 0.0, 1.5, 1e-12) == pytest.approx(1.0)
-
-
-def test_isolate_root_rejects_non_bracketing():
-    with pytest.raises(ValueError):
-        bracket_midpoint(Polynomial([1, 0, 1]), 0.0, 1.0, 1e-10)
-
-
-def test_bisect_rejects_infinite_endpoint():
-    with pytest.raises(ValueError, match="finite"):
-        bisect_bracket(Polynomial([-0.25, 0, 1]), 0.0, math.inf, 1e-12)
-
-
-def test_bisect_rejects_nan_value_and_nan_tol():
-    with pytest.raises(ValueError, match="NaN"):
-        bisect_bracket(lambda x: math.nan, 0.0, 1.0, 1e-12)
-    with pytest.raises(ValueError, match="tol"):
-        bisect_bracket(Polynomial([-0.25, 0, 1]), 0.0, 1.0, math.nan)
-
-
-def test_isolate_root_residual_scale():
-    tol = 1e-10
-    root = bracket_midpoint(QUARTIC, 0.0, 1.0, tol)
-    slope = abs(-2 - 18 * root - 12 * root**2)
-    assert abs(QUARTIC(root)) <= slope * tol * 10
+def test_sign_variations_match_the_pairwise_definition_on_seeded_sequences():
+    """Zeros and -0.0 are skipped, subnormals count with their sign, as
+    lists, tuples and float arrays."""
+    sequences = _seeded_sequences()
+    counts = [_pairwise_variations(seq) for seq in sequences]
+    assert max(counts) >= 6 and sum(any(c == 0.0 for c in seq) for seq in sequences) >= 400
+    for seq, expected in zip(sequences, counts):
+        assert sign_variations(seq) == expected, seq
+        assert sign_variations(tuple(seq)) == expected, seq
+        assert sign_variations(np.array(seq, dtype=float)) == expected, seq
