@@ -13,11 +13,11 @@ compute its moments once; the cache never changes a value.
 The Bloch critical radius is the unique root in (0, 1) of a quartic whose
 own coefficient signs and endpoint values certify that root (Descartes'
 rule of signs, see ``bloch_bound``); ``bloch_bound`` then bisects it in
-place, by Horner's rule on the quartic's five Python floats.  The quartic,
-the coefficients of its derivative profile (``bloch_L_coeffs``) and the
-closed g-growth forms scale with 2^delta; above delta = 1000 they are
-evaluated divided by an exact power of two, so they stay finite up to
-delta = 1024 (``_scaled_power_of_two``).
+place to two adjacent floats, by Horner's rule on the quartic's five Python
+floats.  The quartic, the coefficients of its derivative profile
+(``bloch_L_coeffs``) and the closed g-growth forms scale with 2^delta; above
+delta = 1000 they are evaluated divided by an exact power of two, so they
+stay finite up to delta = 1024 (``_scaled_power_of_two``).
 
 The coefficient bounds for n = 2..N are one running sum (``bn_bounds``);
 ``bn_bound`` computes only its own entry, with the bits of that sum.
@@ -83,9 +83,6 @@ DEFAULT_QUAD_TOL = 1e-10
 
 #: Largest coefficient index ``bn_bounds`` takes (its running sum has one float per index).
 MAX_COEFF_INDEX = 10**6
-
-#: Width to which bisection narrows the bracket of the Bloch critical radius.
-_BLOCH_BRACKET_WIDTH = 1e-14
 
 #: beta below which the closed g-growth forms (which divide by beta^3) are
 #: abandoned for the exact integrals of the envelope.
@@ -319,7 +316,7 @@ def _check_radius(r: float) -> None:
 def _b2_bound(params: ClassParams) -> float:
     """Entry n = 2 of ``bn_bounds``, as one scalar expression."""
     alpha, beta, delta = params.alpha, params.beta, params.delta
-    return (1.0 - alpha) * beta / (2.0**delta * (2.0 - alpha)) + (1.0 - beta * beta) / 2.0
+    return (1.0 - alpha) * beta / (2.0**delta * (2.0 - alpha)) + (1.0 - beta) * (1.0 + beta) / 2.0
 
 
 def _check_coeff_index(n) -> None:
@@ -331,7 +328,7 @@ def _bn_from_sum(params: ClassParams, n, partial, scale):
     """Entry n >= 3 of ``bn_bounds`` from its partial sum and scale = n^delta;
     a float n or a column of indices."""
     alpha, beta = params.alpha, params.beta
-    head = (1.0 - alpha) * (1.0 - beta * beta) / n * partial
+    head = (1.0 - alpha) * ((1.0 - beta) * (1.0 + beta)) / n * partial
     return head + (1.0 - alpha) * beta / (scale * (n - alpha))
 
 
@@ -653,9 +650,11 @@ def bloch_bound(params: ClassParams) -> BlochResult:
     The count is read off the coefficients themselves, so no rounding can
     change it.  A variation count other than one, H(0) <= 0 or H(1) >= 0
     contradicts that argument and raises RootCountError rather than being
-    masked.  H, G and the prefactor carry the scale 2^k of ``_bloch_scales``,
-    which cancels exactly in the bound, so they stay finite up to delta = 1024
-    and the prefactor stays a normal float (unscaled, it is subnormal from
+    masked.  Bisection narrows [0, 1], one step per bit of r0, to a
+    ``bracket`` of two adjacent floats, or twice a midpoint where H is 0.
+    H, G and the prefactor carry the scale 2^k of ``_bloch_scales``, which
+    cancels exactly in the bound, so they stay finite up to delta = 1024 and
+    the prefactor stays a normal float (unscaled, it is subnormal from
     delta ~ 1022 on).
     """
     params.require_nonnegative_delta()
@@ -671,23 +670,17 @@ def bloch_bound(params: ClassParams) -> BlochResult:
             "expected exactly one critical radius in (0, 1), variation count is "
             f"{count}, H(0) = {h_at_zero!r}, H(1) = {h_at_one!r}"
         )
-    # bisection of [0, 1] to width _BLOCH_BRACKET_WIDTH, H by Horner's rule on
-    # Python floats; it stops where the midpoint is no longer inside the
-    # bracket, and at a midpoint where H is 0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BLOCH_BRACKET_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
+    lo, mid, hi = 0.0, 0.5, 1.0
+    while lo < mid < hi:
         h_mid = (((c4 * mid + c3) * mid + c2) * mid + c1) * mid + c0
         if h_mid == 0.0:
             lo = hi = mid
-            break
-        if h_mid > 0.0:
+        elif h_mid > 0.0:
             lo = mid
         else:
             hi = mid
-    r0 = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    r0 = mid
     prefactor = (1.0 + params.beta) / ((2.0 - params.alpha) * power)
     bound = prefactor * _bloch_profile(d2, a1, params.beta, r0)
     return BlochResult(r0=r0, bound=bound, H_coeffs=h_coeffs, bracket=(lo, hi))

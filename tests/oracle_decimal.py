@@ -1,14 +1,16 @@
 """A 50-digit oracle for the bounds of ``harmclass.bounds``, in Python's
-``decimal``, written from the integrands and the profile rather than from
-the package's formulas.
+``decimal``, written from the integrands, the envelopes, the coefficient
+estimate and the profile rather than from the package's formulas.
 
-Every radial integral is int_0^r P(x)/(1 + t x) dx for a polynomial P,
-which x = r y turns into r sum_j p_j r^j mu_j(t r), with the moments
-mu_j(s) = int_0^1 y^j/(1 + s y) dy: the power series in s for |s| <= 1/2,
-else upward from mu_0 = ln(1 + s)/s by mu_(j+1) = (1/(j+1) - mu_j)/s.  The
-Bloch critical radius is the bisection, down to 1e-45, of the numerator
+Every radial integral is int_0^r P(x)/(1 + t x)^m dx for a polynomial P and
+m = 1 or 2, which x = r y turns into r sum_j p_j r^j mu_j(t r), with the
+moments mu_j(s) = int_0^1 y^j/(1 + s y)^m dy: the power series in s for
+|s| <= 1/2, else upward from mu_0 = ln(1 + s)/s (m = 1) or 1/(1 + s)
+(m = 2).  The area's integrand is expanded into P by polynomial products.
+The Bloch critical radius is the bisection, down to 1e-45, of the numerator
 N'(r)(1 + beta r) - beta N(r) of the derivative of the profile
-G = N/(1 + beta r).  Each function takes floats and returns a ``Decimal``.
+G = N/(1 + beta r).  Each function takes floats and returns a ``Decimal``,
+``bn`` a tuple of them and ``envelopes`` a dict of (lower, upper) pairs.
 """
 
 from __future__ import annotations
@@ -32,29 +34,104 @@ def _decimals(params):
 
 
 @lru_cache(maxsize=None)
-def _moments(s: Decimal, n: int) -> tuple:
-    """mu_j(s), j = 0..n-1."""
+def _moments(s: Decimal, n: int, m: int = 1) -> tuple:
+    """mu_j(s) = int_0^1 y^j/(1 + s y)^m dy, j = 0..n-1, m = 1 or 2.  The
+    series: 1/(1 + s y)^m = sum_i c_i (-s y)^i, c_i = 1 for m = 1 and i + 1
+    for m = 2.  Upward: y/(1 + s y)^m = (1/(1 + s y)^(m-1) - 1/(1 + s y)^m)/s."""
     if abs(s) <= _HALF:
         sums = [Decimal(0)] * n
-        power, j = _ONE, 0
-        while abs(power) > _SERIES_CUTOFF:
-            for k in range(n):
-                sums[k] += power / (j + k + 1)
-            power, j = -power * s, j + 1
+        power, i = _ONE, 0
+        while abs(power) * (i + 1) > _SERIES_CUTOFF:
+            term = power * (i + 1 if m == 2 else 1)
+            for j in range(n):
+                sums[j] += term / (i + j + 1)
+            power, i = -power * s, i + 1
         return tuple(sums)
-    mu = [(1 + s).ln() / s]
+    if m == 1:
+        mu = [(1 + s).ln() / s]
+        for j in range(n - 1):
+            mu.append((_ONE / (j + 1) - mu[j]) / s)
+        return tuple(mu)
+    lower = _moments(s, n, 1)
+    mu = [1 / (1 + s)]
     for j in range(n - 1):
-        mu.append((_ONE / (j + 1) - mu[j]) / s)
+        mu.append((lower[j] - mu[j]) / s)
     return tuple(mu)
 
 
-def _integral(poly, t: Decimal, r: Decimal) -> Decimal:
-    """int_0^r P(x)/(1 + t x) dx, P with the ascending coefficients ``poly``."""
+def _integral(poly, t: Decimal, r: Decimal, m: int = 1) -> Decimal:
+    """int_0^r P(x)/(1 + t x)^m dx, P with the ascending coefficients ``poly``."""
     total, power = Decimal(0), r
-    for p, m in zip(poly, _moments(t * r, len(poly))):
-        total += p * power * m
+    for p, mu in zip(poly, _moments(t * r, len(poly), m)):
+        total += p * power * mu
         power *= r
     return total
+
+
+def _times(p, q):
+    """The ascending coefficients of the product of two polynomials."""
+    out = [Decimal(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def bn(params, n_top: int) -> tuple:
+    """The |b_n| bounds n = 2..n_top: (1 - beta^2)/2 + (1-alpha) beta/(2^delta
+    (2-alpha)) at n = 2, and for n >= 3 the convolution estimate
+    (1-alpha)(1-beta^2)/n sum_{k<n} k^(1-delta)/(k-alpha)
+    + (1-alpha) beta/(n^delta (n-alpha))."""
+    with localcontext(_CONTEXT):
+        alpha, beta, _ = _decimals(params)
+        delta = Decimal(params.delta)
+        out = [(1 - beta * beta) / 2 + (1 - alpha) * beta / (_TWO**delta * (2 - alpha))]
+        terms = [Decimal(k) ** (1 - delta) / (k - alpha) for k in range(1, n_top)]
+        for n in range(3, n_top + 1):
+            last = (1 - alpha) * beta / (Decimal(n) ** delta * (n - alpha))
+            out.append((1 - alpha) * (1 - beta * beta) / n * sum(terms[: n - 1]) + last)
+        return tuple(out)
+
+
+def envelopes(params, r: float) -> dict:
+    """The (lower, upper) sides at radius r of |h'| (1 -+ c r), of |w|
+    (|beta - r|/(1 - beta r), (beta + r)/(1 + beta r)) and of |g'|, the
+    product of the matching sides."""
+    with localcontext(_CONTEXT):
+        _, beta, c = _decimals(params)
+        r = Decimal(r)
+        h = (1 - c * r, 1 + c * r)
+        w = (abs(beta - r) / (1 - beta * r), (beta + r) / (1 + beta * r))
+        return {"hprime": h, "w": w, "gprime": (w[0] * h[0], w[1] * h[1])}
+
+
+def area(params, sign: int) -> Decimal:
+    """2 pi int_0^1 r (1 + sign c r)^2 (1 - ((beta - sign r)/(1 - sign beta r))^2) dr,
+    the numerator of 1 - (.)^2 over (1 - sign beta r)^2 expanded:
+    sign = -1 the lower side, +1 the upper."""
+    with localcontext(_CONTEXT):
+        _, beta, c = _decimals(params)
+        den = (_ONE, -sign * beta)
+        num = (beta, -sign * _ONE)
+        jac = [a - b for a, b in zip(_times(den, den), _times(num, num))]
+        stretch = _times((_ONE, sign * c), (_ONE, sign * c))
+        poly = _times(_times((Decimal(0), _ONE), stretch), jac)
+        return 2 * _pi() * _integral(poly, -sign * beta, _ONE, 2)
+
+
+@lru_cache(maxsize=None)
+def _pi() -> Decimal:
+    """pi to 50 digits, by Machin's formula."""
+
+    def arctan_inverse(x):
+        total, power, k = Decimal(0), _ONE / x, 0
+        while power > _SERIES_CUTOFF:
+            total += (-1) ** k * power / (2 * k + 1)
+            power, k = power / (x * x), k + 1
+        return total
+
+    with localcontext(_CONTEXT):
+        return 4 * (4 * arctan_inverse(5) - arctan_inverse(239))
 
 
 def g_upper(params, r: float) -> Decimal:
@@ -73,6 +150,15 @@ def g_lower(params, r: float) -> Decimal:
         if r <= beta:
             return _integral(poly, -beta, r)
         return 2 * _integral(poly, -beta, beta) - _integral(poly, -beta, r)
+
+
+def f_upper(params, r: float) -> Decimal:
+    """int_0^r of the |h'| upper side plus the |g'| upper side,
+    (1 + c x)(1 + (beta + x)/(1 + beta x)) = (1 + c x)(1 + beta)(1 + x)/(1 + beta x)."""
+    with localcontext(_CONTEXT):
+        _, beta, c = _decimals(params)
+        poly = _times((_ONE, c), ((1 + beta), (1 + beta)))
+        return _integral(poly, beta, Decimal(r))
 
 
 def f_lower(params, r: float, sign: int) -> Decimal:

@@ -31,7 +31,7 @@ from harmclass.bounds import (
 import harmclass.bounds as bounds_mod
 import oracle_decimal
 from harmclass import cli
-from harmclass.bounds import _BLOCH_BRACKET_WIDTH, MAX_COEFF_INDEX, _bloch_profile
+from harmclass.bounds import MAX_COEFF_INDEX, _bloch_profile
 from harmclass.errors import RootCountError
 from harmclass.model import ClassParams
 from harmclass.numerics import adaptive_quadrature
@@ -581,25 +581,31 @@ def test_envelope_table_columns_equal_the_point_bounds():
 
 #: Largest relative error of each bound against ``oracle_decimal`` on
 #: ``_decimal_oracle_points()``: the measured maximum, rounded up with room
-#: for another libm.  bloch_r0 is the one above 1e-14 (the README names it):
-#: bisection stops at the absolute width 1e-14, and r0 tends to 0 as
-#: beta -> 1 with delta large or alpha -> 1; its absolute error is bounded by
-#: ``_BLOCH_R0_ABSOLUTE_ERROR``.
+#: for another libm.  "bn" is ``bn_bounds`` for n = 2..12; the envelope sides
+#: are taken at the radii of the quadrature oracle and beta.  The |w| lower
+#: side, and with it the |g'| lower side, reach 9.1e-15 at beta = 0.9995,
+#: r = 0.995, where 1 - beta r cancels.
 _DECIMAL_ORACLE_BOUNDS = {
+    "bn": 1e-15,
+    "hprime_lower": 1e-15,
+    "hprime_upper": 5e-16,
+    "w_lower": 1e-14,
+    "w_upper": 5e-16,
+    "gprime_lower": 1e-14,
+    "gprime_upper": 5e-16,
     "g_upper": 1e-15,
     "g_lower": 2e-15,
+    "f_upper": 5e-16,
     "f_lower": 1e-15,
     "f_floor": 1e-15,
+    "area_lower": 5e-15,
+    "area_upper": 2e-15,
     "normality": 5e-16,
     "covering": 1e-15,
     "covering_floor": 1e-15,
-    "bloch_r0": 2e-13,
+    "bloch_r0": 5e-16,
     "bloch_bound": 1e-15,
 }
-
-#: Half the final bracket of the Bloch bisection, 2^-48 ~ 3.55e-15, and room
-#: for the rounding of the quartic's coefficients.
-_BLOCH_R0_ABSOLUTE_ERROR = 4e-15
 
 
 def _decimal_oracle_points():
@@ -616,37 +622,54 @@ def _decimal_oracle_points():
     return points
 
 
+def _relative_error(got, exact):
+    """|got - exact|/|exact|, and 0 where both are exactly 0."""
+    error = abs(Decimal(got) - exact)
+    return float(error / abs(exact)) if exact else float(error)
+
+
 def test_bounds_match_the_decimal_oracle():
     """Each exact bound is within its recorded relative error of the 50-digit
-    oracle, at the radii of the quadrature oracle and beta; only bloch_r0's
-    bound is above 1e-14, and its absolute error is within half its bracket."""
+    oracle, at the radii of the quadrature oracle and beta, and no recorded
+    bound is above 1e-14."""
     worst = dict.fromkeys(_DECIMAL_ORACLE_BOUNDS, 0.0)
-    r0_error = 0.0
 
     def record(name, got, exact):
-        worst[name] = max(worst[name], float(abs(Decimal(got) - exact) / abs(exact)))
+        worst[name] = max(worst[name], _relative_error(got, exact))
 
     od = oracle_decimal
     for params in _decimal_oracle_points():
+        for got, exact in zip(bn_bounds(params, 12).tolist(), od.bn(params, 12)):
+            record("bn", got, exact)
         for r in (0.05, 0.25, 0.5, 0.75, 0.995, params.beta):
+            sides = od.envelopes(params, r)
+            for name, env in (
+                ("hprime", hprime_envelope(params, r)),
+                ("w", dilatation_envelope(params.beta, r)),
+                ("gprime", gprime_envelope(params, r)),
+            ):
+                record(name + "_lower", env.lower, sides[name][0])
+                record(name + "_upper", env.upper, sides[name][1])
             if r == 0.0:
                 continue
             exact = g_growth_quadrature(params, r)
             record("g_upper", exact.upper, od.g_upper(params, r))
             record("g_lower", exact.lower, od.g_lower(params, r))
-            record("f_lower", f_growth(params, r).lower, od.f_lower(params, r, 1))
+            growth = f_growth(params, r)
+            record("f_upper", growth.upper, od.f_upper(params, r))
+            record("f_lower", growth.lower, od.f_lower(params, r, 1))
             record("f_floor", f_growth_floor(params, r), od.f_lower(params, r, -1))
+        area = area_envelope(params)
+        record("area_lower", area.lower, od.area(params, -1))
+        record("area_upper", area.upper, od.area(params, 1))
         record("normality", normality_constant(params), od.normality(params))
         record("covering", covering_radius(params), od.f_lower(params, 1.0, 1))
         record("covering_floor", covering_radius_floor(params), od.f_lower(params, 1.0, -1))
         result = bloch_bound(params)
-        r0 = od.bloch_root(params)
-        record("bloch_r0", result.r0, r0)
-        r0_error = max(r0_error, float(abs(Decimal(result.r0) - r0)))
+        record("bloch_r0", result.r0, od.bloch_root(params))
         record("bloch_bound", result.bound, od.bloch(params))
     assert all(worst[name] <= bound for name, bound in _DECIMAL_ORACLE_BOUNDS.items()), worst
-    assert r0_error <= _BLOCH_R0_ABSOLUTE_ERROR
-    assert [name for name, bound in _DECIMAL_ORACLE_BOUNDS.items() if bound > 1e-14] == ["bloch_r0"]
+    assert max(_DECIMAL_ORACLE_BOUNDS.values()) <= 1e-14
 
 
 # ------------------------------------------------------------ moment cache
@@ -831,12 +854,12 @@ def _loop_horner(coeffs):
     return value
 
 
-def _reference_bisection(p, a, b, tol):
-    """The bracket of the sign change of ``p`` on [a, b], bisected to width
-    <= tol: cut short where the midpoint is no longer inside the bracket,
-    and at a midpoint (or endpoint) where ``p`` is 0, whose bracket is that
-    point twice.  The generic bisection the Bloch root was taken with before
-    ``bloch_bound`` bisected its quartic itself."""
+def _reference_bisection(p, a, b):
+    """The bracket of the sign change of ``p`` on [a, b], bisected until the
+    midpoint is no longer inside the bracket, or to a midpoint (or endpoint)
+    where ``p`` is 0, whose bracket is that point twice.  The generic
+    bisection that took the Bloch root before ``bloch_bound`` bisected its
+    quartic itself, without the width it used to stop at."""
     fa, fb = p(a), p(b)
     if fa == 0.0:
         return (a, a)
@@ -844,7 +867,7 @@ def _reference_bisection(p, a, b, tol):
         return (b, b)
     positive_at_a = fa > 0
     assert positive_at_a != (fb > 0)
-    while b - a > tol:
+    while a < b:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -879,7 +902,7 @@ def test_bloch_root_is_bisection_on_a_loop_horner():
     assert sum(bloch_H_poly(params)[4] == 0.0 for params in points) >= 40
     for params in points:
         coeffs = bloch_H_poly(params).tolist()
-        lo, hi = _reference_bisection(_loop_horner(coeffs), 0.0, 1.0, _BLOCH_BRACKET_WIDTH)
+        lo, hi = _reference_bisection(_loop_horner(coeffs), 0.0, 1.0)
         result = bloch_bound(params)
         assert result.bracket == (lo, hi), params
         assert result.r0 == 0.5 * (lo + hi), params
@@ -1011,19 +1034,34 @@ def test_bloch_raises_on_one_root_outside_the_unit_interval(monkeypatch, capsys,
     assert captured.err.startswith("root isolation failed: expected exactly one critical radius")
 
 
-def test_bloch_bisection_stops_where_the_midpoint_leaves_the_bracket(monkeypatch):
-    """At width 0 the bisection runs until no float lies strictly inside the
-    bracket, or to a midpoint where H rounds to 0 (at (0, 0, 0) the root is
-    1/2, at (0.3, 0.5, 1) H rounds to 0 next to its root), and stops where
-    the reference does."""
-    monkeypatch.setattr(bounds_mod, "_BLOCH_BRACKET_WIDTH", 0.0)
+def test_bloch_bisection_stops_where_the_midpoint_leaves_the_bracket():
+    """The bisection runs until no float lies strictly inside the bracket,
+    or to a midpoint where H rounds to 0 (at (0, 0, 0) the root is 1/2, at
+    (0.3, 0.5, 1) H rounds to 0 next to its root), and stops where the
+    reference does."""
     brackets = []
     for params in PARAM_GRID:
         coeffs = bloch_H_poly(params).tolist()
-        brackets.append(_reference_bisection(_loop_horner(coeffs), 0.0, 1.0, 0.0))
+        brackets.append(_reference_bisection(_loop_horner(coeffs), 0.0, 1.0))
         assert bloch_bound(params).bracket == brackets[-1]
     assert [hi == lo for lo, hi in brackets] == [True, False, True, False, False]
     assert all(hi in (lo, math.nextafter(lo, 1.0)) for lo, hi in brackets)
+
+
+def test_bloch_bracket_is_two_adjacent_floats_or_an_exact_zero():
+    """On every decimal-oracle point, 16 of them past delta = 1000, and where
+    r0 is small (about 5e-5 at (0.3, 0.9999, 20) and (0.3, 0.9999, 1010),
+    1.3e-3 at (0.99, 0.9999, 3), where the bisection to the absolute width
+    1e-14 left it off by 6.4e-11, 6.7e-11 and 2.2e-12 relative), no float
+    lies strictly inside the bracket, and r0, one of its ends, is within
+    5e-16 relative of the 50-digit root."""
+    small_r0 = [(0.3, 0.9999, 20.0), (0.3, 0.9999, 1010.0), (0.99, 0.9999, 3.0)]
+    for params in _decimal_oracle_points() + [ClassParams(*point) for point in small_r0]:
+        result = bloch_bound(params)
+        lo, hi = result.bracket
+        assert hi in (lo, math.nextafter(lo, 1.0)), params
+        assert result.r0 in (lo, hi), params
+        assert _relative_error(result.r0, oracle_decimal.bloch_root(params)) <= 5e-16, params
 
 
 @pytest.mark.filterwarnings("error")

@@ -459,15 +459,17 @@ def test_kink_radius_keeps_previous_numbers():
     got = [(r.worst_margin, r.witness) for r in verify_member(member, params, grid=grid)]
     # Margins re-frozen after the grid moved from Horner to series.evaluate_polar,
     # the Bloch margin again after |w| moved from the complex closed form to
-    # model.dilatation_modulus, and the f-growth margin after the table's
-    # integrals moved from quadrature to closed forms; the witnesses are
-    # unchanged and the earlier values lie within 1e-14.
+    # model.dilatation_modulus, the f-growth margin after the table's
+    # integrals moved from quadrature to closed forms, and the Bloch margin
+    # once more after the Bloch root was bisected to adjacent floats instead
+    # of to the width 1e-14; the witnesses are unchanged and the earlier
+    # values lie within 1e-14.
     expected = {
         1: (0.16347889581230735, "|h'| lower at r=0.4975, theta=5.39961"),
         2: (0.04505901298512738, "|g| upper at r=0.4975, theta=2.74889"),
         4: (0.00953997866213373, "|f| floor at r=0.4975, theta=1.37445"),
         6: (
-            0.5225574172124516,
+            0.5225574172124512,
             "measured 1.54899102864 at r=0.4975, theta=2.69981 vs bound 2.07154844585",
         ),
     }
@@ -480,6 +482,7 @@ def test_kink_radius_keeps_previous_numbers():
         },
         "complex |w|": {6: 0.5225574172124512},
         "quadrature": {4: 0.009539978662133729},
+        "bloch width 1e-14": {6: 0.5225574172124516},
     }
     for index, frozen in expected.items():
         assert got[index] == frozen
