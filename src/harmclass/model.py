@@ -150,7 +150,9 @@ def dilatation_coeffs(w: DilatationSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
+def dilatation_modulus(
+    w: DilatationSpec, radii, n_angles: int, out=None, scratch=None
+) -> np.ndarray:
     """|w| on polar rings: ``out[i, k] = |w(radii[i] * exp(2j*pi*k/n_angles))|``,
     the layout of ``series.evaluate_polar``.
 
@@ -167,17 +169,27 @@ def dilatation_modulus(w: DilatationSpec, radii, n_angles: int) -> np.ndarray:
     |(u + beta) / (1 + beta u)|, u = e^{i phi} z, errs by up to 1.2e-14 at
     beta = 0.99.  At beta = 0 it returns r exactly.  The constant kind is
     beta everywhere.
+
+    The values are written into ``out``, a float (rings, M) array, which is
+    returned; the Moebius kind forms its denominator in ``scratch``, an array
+    of the same shape.  Either is allocated when not given.
     """
     radii = np.asarray(radii, dtype=float)
     m = int(n_angles)
     if radii.ndim != 1 or m < 1:
         raise ValueError("need a 1-d array of radii and n_angles >= 1")
+    if out is None:
+        out = np.empty((radii.size, m))
+    elif out.shape != (radii.size, m) or out.dtype != float:
+        raise ValueError("out must be a float array of shape (rings, n_angles)")
     if w.kind == "constant":
-        return np.full((radii.size, m), w.beta)
+        out.fill(w.beta)
+        return out
     beta, r = w.beta, radii[:, None]
-    q = (4.0 * beta) * r * _half_angle_cos2(float(w.phi), m)
-    out = (r - beta) ** 2 + q
-    out /= ((1.0 - beta) + beta * (1.0 - r)) ** 2 + q
+    q = np.multiply((4.0 * beta) * r, _half_angle_cos2(float(w.phi), m), out=scratch)
+    np.add((r - beta) ** 2, q, out=out)
+    q += ((1.0 - beta) + beta * (1.0 - r)) ** 2
+    out /= q
     return np.sqrt(out, out=out)
 
 

@@ -1,12 +1,13 @@
 """Truncated complex power series on the unit disk.
 
 A series is a finite coefficient vector: index n holds the coefficient of
-z**n.  All operations are pure; the coefficient buffer is frozen after
-construction so instances can be shared freely across threads.  The powers
-of the radii that ``evaluate_polar`` reads, r^j and (r^M)^q, are kept
-read-only in one bounded process-wide cache (``_ring_powers``, one entry
-per ring set, angle count and row count, complete when stored and never
-replaced), which changes no value.
+z**n.  All operations are pure, except that ``evaluate_polar`` writes its
+values into an ``out`` array when it is given one; the coefficient buffer is
+frozen after construction so instances can be shared freely across threads.
+The powers of the radii that ``evaluate_polar`` reads, r^j and (r^M)^q, are
+kept read-only in one bounded process-wide cache (``_ring_powers``, one
+entry per ring set, angle count and row count, complete when stored and
+never replaced), which changes no value.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def evaluate(s: TruncatedSeries, z):
     return val
 
 
-def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
+def evaluate_polar(s: TruncatedSeries, radii, n_angles: int, out=None) -> np.ndarray:
     """Values on polar rings: ``out[i, k] = s(radii[i] * exp(2j*pi*k/n_angles))``.
 
     Writing n = q*M + j with M = ``n_angles``, s(r w^k) = sum_j w^(jk) r^j P_j(r^M)
@@ -118,11 +119,19 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     rows at a time, added in order: a BLAS splits a longer inner dimension
     into blocks that can depend on its thread count, and so would the last
     bits.
+
+    The values are written into ``out``, a C-contiguous complex (rings, M)
+    array, which is returned; without it one is allocated.  The product and
+    the FFT write into it in place, with the bits of a fresh array.
     """
     radii = np.asarray(radii, dtype=float)
     m = int(n_angles)
     if radii.ndim != 1 or m < 1:
         raise ValueError("need a 1-d array of radii and n_angles >= 1")
+    if out is None:
+        out = np.empty((radii.size, m), dtype=complex)
+    elif out.shape != (radii.size, m) or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous complex array of shape (rings, n_angles)")
     rows = -(-s.coeffs.size // m)
     block = np.zeros(rows * m, dtype=complex)
     block[: s.coeffs.size] = s.coeffs
@@ -130,16 +139,14 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int) -> np.ndarray:
     k = min(m, s.coeffs.size)
     powers, v = _ring_powers(radii.tobytes(), m, rows)
     if rows == 1:
-        val = np.empty((radii.size, m), dtype=complex)
-        val[:] = block[0]
+        out[:] = block[0]
     else:
-        b, n = block.view(float), _ROWS_PER_PRODUCT
-        val = v[:n].T @ b[:n]
+        b, n, acc = block.view(float), _ROWS_PER_PRODUCT, out.view(float)
+        np.matmul(v[:n].T, b[:n], out=acc)
         for q in range(n, rows, n):
-            val += v[q : q + n].T @ b[q : q + n]
-        val = val.view(complex)
-    val[:, :k] *= powers[:, :k]
-    return np.fft.ifft(val, axis=1, norm="forward")
+            acc += v[q : q + n].T @ b[q : q + n]
+    out[:, :k] *= powers[:, :k]
+    return np.fft.ifft(out, axis=1, norm="forward", out=out)
 
 
 #: Rows of the folded block summed by one matrix product in ``evaluate_polar``.

@@ -29,6 +29,17 @@ same reports as a fresh one.  Sample fields are computed when a check first
 reads them, so a standalone check evaluates only the member values it reads.
 The covering check reads |f| from a sample on the covering circle, so
 f = h + conj(g) is formed in one place.
+A sample writes every grid-sized value into a workspace owned by its grid:
+the complex h', h and g values, the float |h'|, |w|, |g| and |f|, and one
+float scratch array (the |w| denominator, then |g'| or the Bloch product).
+Each grid keeps a free list of workspaces.  ``_verify_member``, ``_run``
+and the covering check take one when their sample is made, or build one
+when the list is empty, and give it back when the ``with`` block that
+holds the sample ends, so two samples alive at once, in one thread or in
+two, never share one.  Every value is fully overwritten before it is read,
+by the same operations on the same operands as in a fresh array, so a
+workspace changes no value, bit for bit; it spares a member the fresh
+128 KiB arrays that the allocator would otherwise map and page-fault anew.
 A grid check reduces each of its sides over the angles first: the least
 margin of a side at a radius is its envelope against the row maximum (upper
 side) or minimum (lower side) of the values, exactly, because rounding is
@@ -137,12 +148,14 @@ class PolarGrid:
 
     The grid keeps a read-only float copy of the radii, so it cannot change
     after validation; its angles are computed with it, also read-only.  Grids
-    compare and hash by identity.
+    compare and hash by identity.  ``_workspaces`` is the free list of the
+    grid-sized arrays that ``_GridSample`` takes and gives back.
     """
 
     radii: np.ndarray
     n_angles: int
     angles: np.ndarray = field(init=False, repr=False)
+    _workspaces: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         r = np.array(self.radii, dtype=float)
@@ -157,6 +170,7 @@ class PolarGrid:
         for name, value in (("radii", r), ("angles", angles)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_workspaces", [])
 
 
 #: Where the covering proxy samples |f|: 256 points on |z| = ``model.COVERING_CIRCLE_RADIUS``.
@@ -200,16 +214,43 @@ def report_to_dict(report: VerificationReport, **extra) -> dict:
     return {**vars(report), **extra}
 
 
+class _Workspace:
+    """The grid-sized arrays of one sample: the complex h', h and g values,
+    the float |h'|, |w|, |g| and |f|, and one float scratch array."""
+
+    def __init__(self, grid: PolarGrid) -> None:
+        shape = (grid.radii.size, grid.n_angles)
+        self.hprime_values, self.h_values, self.g_values = (
+            np.empty(shape, dtype=complex) for _ in range(3)
+        )
+        self.hprime, self.w, self.g, self.f, self.scratch = (np.empty(shape) for _ in range(5))
+
+
 class _GridSample:
     """One member on a grid (the check grid or the covering circle): |h'|, |w|,
-    |g| and |f|, each evaluated once, when a check first reads it."""
+    |g| and |f|, each evaluated once, when a check first reads it.
+
+    Every value is written into a workspace taken from the grid's free list,
+    or built when the list is empty, and given back when the ``with`` block
+    that holds the sample ends.  The workspace's scratch array serves one use
+    at a time: the |w| denominator, then |g'| or the Bloch product."""
 
     def __init__(self, f: HarmonicMapSpec, grid: PolarGrid) -> None:
         self.member = f
         self.grid = grid
+        try:
+            self.workspace = grid._workspaces.pop()
+        except IndexError:
+            self.workspace = _Workspace(grid)
 
-    def _polar(self, s: TruncatedSeries) -> np.ndarray:
-        return evaluate_polar(s, self.grid.radii, self.grid.n_angles)
+    def __enter__(self) -> _GridSample:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.grid._workspaces.append(self.workspace)
+
+    def _polar(self, s: TruncatedSeries, out: np.ndarray) -> np.ndarray:
+        return evaluate_polar(s, self.grid.radii, self.grid.n_angles, out)
 
     @cached_property
     def hprime_series(self) -> TruncatedSeries:
@@ -217,26 +258,28 @@ class _GridSample:
 
     @cached_property
     def hprime(self) -> np.ndarray:
-        return np.abs(self._polar(self.hprime_series))
+        ws = self.workspace
+        return np.abs(self._polar(self.hprime_series, ws.hprime_values), out=ws.hprime)
 
     @cached_property
     def w(self) -> np.ndarray:
-        return dilatation_modulus(self.member.w, self.grid.radii, self.grid.n_angles)
+        grid, ws = self.grid, self.workspace
+        return dilatation_modulus(self.member.w, grid.radii, grid.n_angles, ws.w, ws.scratch)
 
     @cached_property
     def g_values(self) -> np.ndarray:
-        return self._polar(self.member.g)
+        return self._polar(self.member.g, self.workspace.g_values)
 
     @cached_property
     def g(self) -> np.ndarray:
-        return np.abs(self.g_values)
+        return np.abs(self.g_values, out=self.workspace.g)
 
     @cached_property
     def f(self) -> np.ndarray:
-        f = self._polar(self.member.h)  # h + conj(g), formed in place
+        f = self._polar(self.member.h, self.workspace.h_values)  # h + conj(g), formed in place
         f.real += self.g_values.real
         f.imag -= self.g_values.imag
-        return np.abs(f)
+        return np.abs(f, out=self.workspace.f)
 
 
 class _EnvelopeTable:
@@ -343,7 +386,7 @@ def _coefficients(sample: _GridSample, table: _EnvelopeTable) -> VerificationRep
 
 
 def _distortion(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    hp, gp = sample.hprime, sample.hprime * sample.w
+    hp, gp = sample.hprime, np.multiply(sample.hprime, sample.w, out=sample.workspace.scratch)
     sides = (
         ("|h'| lower", hp, table.hprime_lower, False),
         ("|h'| upper", hp, table.hprime_upper, True),
@@ -423,19 +466,21 @@ def _f_growth(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
 
 
 def _covering(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
-    fm, floor = _GridSample(sample.member, _COVERING_CIRCLE).f[0], table.covering_floor
-    idx = int(np.argmin(fm))
-    worst = float(fm[idx] - floor)
-    witness = (
-        f"proxy min |f| {fm[idx]:.12g} at theta={_COVERING_CIRCLE.angles[idx]:.6g} "
-        f"vs floor {floor:.12g}"
-    )
+    with _GridSample(sample.member, _COVERING_CIRCLE) as circle:
+        fm, floor = circle.f[0], table.covering_floor
+        idx = int(np.argmin(fm))
+        worst = float(fm[idx] - floor)
+        witness = (
+            f"proxy min |f| {fm[idx]:.12g} at theta={_COVERING_CIRCLE.angles[idx]:.6g} "
+            f"vs floor {floor:.12g}"
+        )
     return _report("covering", worst, witness)
 
 
 def _bloch(sample: _GridSample, table: _EnvelopeTable) -> VerificationReport:
     grid = table.grid
-    weighted = 1.0 + sample.w  # (1 - r^2) |h'| (1 + |w|), in one array
+    # (1 - r^2) |h'| (1 + |w|), in the scratch array
+    weighted = np.add(1.0, sample.w, out=sample.workspace.scratch)
     weighted *= sample.hprime
     weighted *= table.bloch_weight
     bound = table.bloch_bound
@@ -453,12 +498,13 @@ _CHECKS = (_coefficients, _distortion, _g_growth, _area, _f_growth, _covering, _
 
 
 def _verify_member(f: HarmonicMapSpec, table: _EnvelopeTable) -> list[VerificationReport]:
-    sample = _GridSample(f, table.grid)
-    return [check(sample, table) for check in _CHECKS]
+    with _GridSample(f, table.grid) as sample:
+        return [check(sample, table) for check in _CHECKS]
 
 
 def _run(check, f: HarmonicMapSpec, table: _EnvelopeTable) -> VerificationReport:
-    return check(_GridSample(f, table.grid), table)
+    with _GridSample(f, table.grid) as sample:
+        return check(sample, table)
 
 
 def verify_coefficients(f: HarmonicMapSpec, params: ClassParams, n_max: int) -> VerificationReport:

@@ -361,6 +361,36 @@ def test_dilatation_modulus_rejects_bad_rings(radii, n_angles):
         dilatation_modulus(moebius_dilatation(0.5), radii, n_angles)
 
 
+@pytest.mark.parametrize(
+    "w",
+    [
+        moebius_dilatation(0.99, 0.3, 2.0),
+        rotation_dilatation(0.4, 1.0),
+        constant_dilatation(0.6, 1.1),
+    ],
+    ids=["moebius", "rotation", "constant"],
+)
+def test_dilatation_modulus_into_out_has_the_bits_of_a_fresh_call(w):
+    grid = default_polar_grid()
+    args, shape = (w, grid.radii, grid.n_angles), (grid.radii.size, grid.n_angles)
+    expected = dilatation_modulus(*args).tobytes()
+    out, scratch = np.full(shape, np.nan), np.full(shape, np.nan)
+    assert dilatation_modulus(*args, out, scratch) is out
+    assert out.tobytes() == expected
+    out = np.full(shape, np.nan)
+    assert dilatation_modulus(*args, out=out) is out
+    assert out.tobytes() == expected
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty((2, 8)), np.empty((1, 8), complex)], ids=["shape", "dtype"]
+)
+def test_dilatation_modulus_rejects_a_bad_out(out):
+    for w in (moebius_dilatation(0.5), constant_dilatation(0.5)):
+        with pytest.raises(ValueError):
+            dilatation_modulus(w, [0.5], 8, out)
+
+
 # ---------------------------------------------------------- co-analytic part
 
 def test_co_analytic_identity_with_moebius():

@@ -255,6 +255,28 @@ def test_evaluate_polar_rejects_bad_shapes(radii, n_angles):
         evaluate_polar(TruncatedSeries([0, 1]), radii, n_angles)
 
 
+@pytest.mark.parametrize("order", [20, 300, 20000])  # 1, 3 and 157 folded rows
+def test_evaluate_polar_into_out_has_the_bits_of_a_fresh_call(order):
+    rng = np.random.default_rng(order)
+    c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    c[3] = complex(-0.0, 0.0)
+    s, radii = TruncatedSeries(c), np.linspace(0.05, 0.995, 16)
+    out = np.full((radii.size, 128), complex(np.nan, 1.0))  # what it held is overwritten
+    got = evaluate_polar(s, radii, 128, out)
+    assert got is out
+    assert got.tobytes() == evaluate_polar(s, radii, 128).tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((2, 8), complex), np.empty((1, 8)), np.empty((1, 16), complex)[:, ::2]],
+    ids=["shape", "dtype", "strided"],
+)
+def test_evaluate_polar_rejects_a_bad_out(out):
+    with pytest.raises(ValueError):
+        evaluate_polar(TruncatedSeries([0, 1]), [0.5], 8, out)
+
+
 def test_cauchy_product_squares_binomial():
     one_plus_z = TruncatedSeries([1, 1])
     out = cauchy_product(one_plus_z, one_plus_z, order=2)

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,9 +393,9 @@ def test_extremal_member_touches_g_growth_lower_envelope():
     member = extremal_member()
     assert verify_g_growth(member, P011).passed
     table = verify._table(P011)
-    sample = _GridSample(member, table.grid)
-    lower = (("|g| lower", sample.g, table.g_lower_scored, False),)
-    rep = verify._grid_report("g_growth", lower, table.grid)
+    with _GridSample(member, table.grid) as sample:
+        lower = (("|g| lower", sample.g, table.g_lower_scored, False),)
+        rep = verify._grid_report("g_growth", lower, table.grid)
     assert rep.passed
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -406,16 +407,16 @@ def test_nan_at_an_unscored_radius_fails_g_growth():
     radii, angles = table.grid.radii, table.grid.angles
     unscored = int(np.argmax(radii > params.beta))
     assert table.g_lower_scored[unscored, 0] == -np.inf
-    sample = _GridSample(member, table.grid)
-    assert verify._g_growth(sample, table).passed
-    sample.g = sample.g.copy()
-    sample.g[unscored, 3] = np.nan
-    rep = verify._g_growth(sample, table)
-    assert not rep.passed and math.isnan(rep.worst_margin)
-    # the upper side comes first at that radius; the lower side alone fails too
-    assert rep.witness == f"|g| upper at r={radii[unscored]:.6g}, theta={angles[3]:.6g}"
-    lower = (("|g| lower", sample.g, table.g_lower_scored, False),)
-    rep = verify._grid_report("g_growth", lower, table.grid)
+    with _GridSample(member, table.grid) as sample:
+        assert verify._g_growth(sample, table).passed
+        sample.g = sample.g.copy()
+        sample.g[unscored, 3] = np.nan
+        rep = verify._g_growth(sample, table)
+        assert not rep.passed and math.isnan(rep.worst_margin)
+        # the upper side comes first at that radius; the lower side alone fails too
+        assert rep.witness == f"|g| upper at r={radii[unscored]:.6g}, theta={angles[3]:.6g}"
+        lower = (("|g| lower", sample.g, table.g_lower_scored, False),)
+        rep = verify._grid_report("g_growth", lower, table.grid)
     assert not rep.passed and math.isnan(rep.worst_margin)
     assert rep.witness == f"|g| lower at r={radii[unscored]:.6g}, theta={angles[3]:.6g}"
 
@@ -645,15 +646,69 @@ def test_grid_sample_matches_horner(beta):
     member = run_member_suite(params, members=1, seed=11)[0][1]
     grid = default_polar_grid()
     z = grid.radii[:, None] * np.exp(1j * grid.angles)
-    sample = _GridSample(member, grid)
     g = evaluate(member.g, z)
     horner = {
         "hprime": np.abs(evaluate(differentiate(member.h), z)),
         "g": np.abs(g),
         "f": np.abs(evaluate(member.h, z) + np.conj(g)),
     }
-    for name, values in horner.items():
-        assert np.max(np.abs(getattr(sample, name) - values)) <= 1e-13, name
+    with _GridSample(member, grid) as sample:
+        for name, values in horner.items():
+            assert np.max(np.abs(getattr(sample, name) - values)) <= 1e-13, name
+
+
+def test_a_member_verified_again_after_another_gets_the_same_reports():
+    # A, B, A on one grid: the second A reuses the workspace that B wrote into
+    grid = PolarGrid(default_polar_grid().radii, 128)
+    a_params, b_params = ClassParams(0.3, 0.9, 1), ClassParams(0.6, 0.0, 0)
+    a = run_member_suite(a_params, members=1, seed=13)[0][1]
+    b = build_member(extremal_h(2, 0.0, b_params), rotation_dilatation(), b_params)
+    first = verify_member(a, a_params, grid)
+    (workspace,) = grid._workspaces
+    verify_member(b, b_params, grid)
+    again = verify_member(a, a_params, grid)
+    assert grid._workspaces == [workspace]
+    assert repr(again) == repr(first)
+
+
+def test_samples_alive_on_one_grid_get_distinct_workspaces():
+    grid = PolarGrid([0.2, 0.5, 0.9], 16)
+    params = ClassParams(0.3, 0.6, 1)
+    a, b = (member for _, member, _ in run_member_suite(params, members=2, seed=17))
+    with _GridSample(a, grid) as first, _GridSample(b, grid) as second:
+        assert first.workspace is not second.workspace
+        f_a, f_b = first.f.copy(), second.f.copy()
+    assert len(grid._workspaces) == 2
+    assert grid._workspaces[0] is not grid._workspaces[1]
+    for member, f in ((a, f_a), (b, f_b)):
+        with _GridSample(member, grid) as sample:
+            assert sample.f.tobytes() == f.tobytes()
+    assert len(grid._workspaces) == 2
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.6, 0.9, 0.99])
+def test_a_warm_sample_allocates_no_grid_arrays(beta):
+    # a warm sample and the six checks besides the area allocate at most half
+    # of what they did with fresh grid arrays per member (about 581 KiB);
+    # measured 131-281 KiB, mostly numpy's cast buffer for the float r^j
+    params = ClassParams(0.3, beta, 1)
+    table = verify._table(params)
+    member = run_member_suite(params, members=1, seed=5)[0][1]
+    checks = [check for check in verify._CHECKS if check is not verify._area]
+
+    def verify_once():
+        with _GridSample(member, table.grid) as sample:
+            return [check(sample, table) for check in checks]
+
+    expected = verify_once()
+    tracemalloc.start()
+    try:
+        got = verify_once()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak <= 290 * 1024
 
 
 _TABLE_ARRAYS = (
@@ -773,15 +828,17 @@ def test_negative_zero_params_share_the_zero_entry():
 
 
 def test_threads_filling_one_shared_table_get_fresh_table_reports():
+    # each thread verifies its member three times through the one default grid,
+    # so the threads also pass its workspaces between them
     params = ClassParams(0.3, 0.6, 1)
     members = [member for _, member, _ in run_member_suite(params, members=8, seed=21)]
     fresh = _EnvelopeTable(params, default_polar_grid())
-    expected = [verify._verify_member(member, fresh) for member in members]
+    expected = [[verify._verify_member(member, fresh)] * 3 for member in members]
     verify._tables.cache_clear()
     got = [None] * len(members)
 
     def work(i):
-        got[i] = verify_member(members[i], params)
+        got[i] = [verify_member(members[i], params) for _ in range(3)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -795,6 +852,8 @@ def test_threads_filling_one_shared_table_get_fresh_table_reports():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == expected
+    workspaces = default_polar_grid()._workspaces
+    assert len({id(workspace) for workspace in workspaces}) == len(workspaces)
 
 
 def test_shared_tables_are_bounded():
