@@ -180,8 +180,10 @@ def distortion_slope(params: ClassParams) -> float:
 
 
 def _dilatation_sides(beta: float, r):
-    """|beta - r|/(1 - beta r) and (beta + r)/(1 + beta r), the |w| sides."""
-    return abs(beta - r) / (1.0 - beta * r), (beta + r) / (1.0 + beta * r)
+    """|beta - r|/(1 - beta r) and (beta + r)/(1 + beta r), the |w| sides;
+    1 - beta r is summed as (1 - beta) + beta (1 - r), which does not cancel
+    as beta r -> 1."""
+    return abs(beta - r) / ((1.0 - beta) + beta * (1.0 - r)), (beta + r) / (1.0 + beta * r)
 
 
 def _distortion_sides(params: ClassParams, r) -> tuple:

@@ -582,16 +582,16 @@ def test_envelope_table_columns_equal_the_point_bounds():
 #: Largest relative error of each bound against ``oracle_decimal`` on
 #: ``_decimal_oracle_points()``: the measured maximum, rounded up with room
 #: for another libm.  "bn" is ``bn_bounds`` for n = 2..12; the envelope sides
-#: are taken at the radii of the quadrature oracle and beta.  The |w| lower
-#: side, and with it the |g'| lower side, reach 9.1e-15 at beta = 0.9995,
-#: r = 0.995, where 1 - beta r cancels.
+#: are taken at the radii of the quadrature oracle and beta.  The |w| and |g'|
+#: lower sides read 2.7e-16 and 5.4e-16: their 1 - beta r is summed as
+#: (1 - beta) + beta (1 - r), which does not cancel near beta r = 1.
 _DECIMAL_ORACLE_BOUNDS = {
     "bn": 1e-15,
     "hprime_lower": 1e-15,
     "hprime_upper": 5e-16,
-    "w_lower": 1e-14,
+    "w_lower": 5e-16,
     "w_upper": 5e-16,
-    "gprime_lower": 1e-14,
+    "gprime_lower": 1e-15,
     "gprime_upper": 5e-16,
     "g_upper": 1e-15,
     "g_lower": 2e-15,
