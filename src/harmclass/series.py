@@ -155,13 +155,17 @@ _ROWS_PER_PRODUCT = 128
 
 @lru_cache(maxsize=64)
 def _ring_powers(radii: bytes, m: int, rows: int) -> tuple:
-    """Read-only r^j, j < m, as a (rings, m) array for the float64 radii
-    packed in ``radii``, and the read-only row powers t^q = (r^m)^q, q < rows,
-    as a (rows, rings) array, each row the one before times t (a cumulative
-    product, so its rows have the bits of the first rows of any longer one);
-    the 64 most recently used (the grid, the covering circle, area rings)."""
+    """Read-only r^j, j < m, as a complex (rings, m) array for the float64
+    radii packed in ``radii``, and the read-only row powers t^q = (r^m)^q,
+    q < rows, as a (rows, rings) array, each row the one before times t (a
+    cumulative product, so its rows have the bits of the first rows of any
+    longer one); the 64 most recently used (the grid, the covering circle,
+    area rings).  r^j is stored as r^j + 0j, the operand numpy would cast it
+    to when ``evaluate_polar`` scales its complex values, so the scaling
+    gives the same bits without a cast buffer per call."""
     r = np.frombuffer(radii)
-    powers, row_powers = r[:, None] ** np.arange(m), np.empty((rows, r.size))
+    powers = (r[:, None] ** np.arange(m)).astype(complex)
+    row_powers = np.empty((rows, r.size))
     row_powers[0], row_powers[1:] = 1.0, r**m
     np.multiply.accumulate(row_powers, axis=0, out=row_powers)
     powers.setflags(write=False)

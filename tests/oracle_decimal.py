@@ -7,10 +7,12 @@ m = 1 or 2, which x = r y turns into r sum_j p_j r^j mu_j(t r), with the
 moments mu_j(s) = int_0^1 y^j/(1 + s y)^m dy: the power series in s for
 |s| <= 1/2, else upward from mu_0 = ln(1 + s)/s (m = 1) or 1/(1 + s)
 (m = 2).  The area's integrand is expanded into P by polynomial products.
+A member's area is its coefficient sum pi sum n (|a_n|^2 - |b_n|^2).
 The Bloch critical radius is the bisection, down to 1e-45, of the numerator
 N'(r)(1 + beta r) - beta N(r) of the derivative of the profile
-G = N/(1 + beta r).  Each function takes floats and returns a ``Decimal``,
-``bn`` a tuple of them and ``envelopes`` a dict of (lower, upper) pairs.
+G = N/(1 + beta r).  Each function takes floats (``coefficient_area`` two
+sequences of complex coefficients) and returns a ``Decimal``, ``bn`` a
+tuple of them and ``envelopes`` a dict of (lower, upper) pairs.
 """
 
 from __future__ import annotations
@@ -117,6 +119,18 @@ def area(params, sign: int) -> Decimal:
         stretch = _times((_ONE, sign * c), (_ONE, sign * c))
         poly = _times(_times((Decimal(0), _ONE), stretch), jac)
         return 2 * _pi() * _integral(poly, -sign * beta, _ONE, 2)
+
+
+def coefficient_area(h, g) -> Decimal:
+    """pi sum_n n (|a_n|^2 - |b_n|^2), the Jacobian integral of h + conj(g)
+    over the disk, from the complex coefficients a_n of ``h`` and b_n of ``g``
+    (sequences indexed by n), each taken exactly from its float parts."""
+    with localcontext(_CONTEXT):
+        total = Decimal(0)
+        for sign, coeffs in ((1, h), (-1, g)):
+            for n, c in enumerate(coeffs):
+                total += sign * n * (Decimal(c.real) ** 2 + Decimal(c.imag) ** 2)
+        return _pi() * total
 
 
 @lru_cache(maxsize=None)

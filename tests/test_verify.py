@@ -4,11 +4,13 @@ import math
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from harmclass.bounds import bloch_bound, bn_bound, distortion_slope
+import oracle_decimal
+from harmclass.bounds import area_envelope, bloch_bound, bn_bound, distortion_slope
 from harmclass.factory import build_member, extremal_h, sample_certified_h
 from harmclass.model import (
     ClassParams,
@@ -562,10 +564,90 @@ def _areas(members, tol=1e-8):
 
 def test_area_breakpoints_halve_the_panel_next_to_the_pole():
     dyadic = lambda j: tuple(1.0 - 2.0**-i for i in range(1, j + 1))
-    expected = {0.0: 0, 0.6: 0, 0.75: 0, 0.79: 0, 0.85: 1, 0.9: 2, 0.99: 5, 0.999: 8, 0.9999: 12}
+    # the float 0.8 lies just above 4/5, where the first breakpoint appears
+    expected = {
+        0.0: 0, 0.6: 0, 0.75: 0, 0.79: 0, math.nextafter(0.8, 0.0): 0, 0.8: 1, 0.85: 1, 0.9: 2,
+        0.99: 5, 0.999: 8, 0.9999: 12,
+    }
     for beta, j in expected.items():
         assert verify._area_breakpoints(moebius_dilatation(beta, 1.0, 2.0)) == dyadic(j)
         assert verify._area_breakpoints(constant_dilatation(beta, 1.0)) == ()
+
+
+def _area_cases():
+    """Five suite members at each beta whose area is the identity (0 to just
+    below 0.8) and at 0.8, the first float that takes the quadrature, and
+    five seeded h with a constant w at beta 0.5 and 0.99."""
+    cases = {}
+    for beta in (0.0, 0.3, 0.6, 0.75, math.nextafter(0.8, 0.0), 0.8):
+        cases[f"moebius {beta!r}"] = (ClassParams(0.3, beta, 1.0), _suite_members(beta, members=5))
+    for beta in (0.5, 0.99):
+        params = ClassParams(0.3, beta, 1.0)
+        w = constant_dilatation(beta, 1.0)
+        members = [harmonic_map(sample_certified_h(params, 16, 0.9, s), w) for s in range(5)]
+        cases[f"constant {beta!r}"] = (params, members)
+    return cases
+
+
+def _exact_area(member):
+    return oracle_decimal.coefficient_area(member.h.coeffs.tolist(), member.g.coeffs.tolist())
+
+
+#: Largest relative error, against the 50-digit identity, of the area
+#: report's margin and of ``_measure_area`` over ``_area_cases``, rounded up
+#: from the measured maxima: 3.4e-16 for the Moebius identity, 3.6e-15 for
+#: a constant w (at beta 0.99, where 1 - beta^2 amplifies the rounding of
+#: the terms 50-fold), 2.7e-15 for the report at 0.8, and 3.8e-15 for the
+#: quadrature over every case.
+_AREA_ORACLE_BOUNDS = {"identity": 4e-16, "constant": 4e-15, "quadrature": 4e-15}
+
+
+def test_area_reports_match_the_decimal_identity():
+    """The area report's margin is the margin of the exact coefficient sum
+    pi sum n (|a_n|^2 - |b_n|^2) of the member, to within rounding."""
+    worst = dict.fromkeys(_AREA_ORACLE_BOUNDS, 0.0)
+    for name, (params, members) in _area_cases().items():
+        kind = "constant" if name.startswith("constant") else "identity"
+        kind = "quadrature" if params.beta == 0.8 else kind
+        env = area_envelope(params)
+        for member in members:
+            exact = _exact_area(member)
+            margin = min(exact - Decimal(env.lower), Decimal(env.upper) - exact)
+            got = Decimal(verify_area(member, params).worst_margin)
+            worst[kind] = max(worst[kind], float(abs(got - margin) / exact))
+    assert all(worst[kind] <= bound for kind, bound in _AREA_ORACLE_BOUNDS.items()), worst
+
+
+def test_area_quadrature_matches_the_decimal_identity():
+    worst = 0.0
+    for params, members in _area_cases().values():
+        for member in members:
+            exact = _exact_area(member)
+            area = verify._measure_area(differentiate(member.h), member.w, 1e-8)
+            worst = max(worst, float(abs(Decimal(area) - exact) / exact))
+    assert worst <= _AREA_ORACLE_BOUNDS["quadrature"], worst
+
+
+@pytest.mark.parametrize(
+    "w, identity",
+    [
+        (moebius_dilatation(math.nextafter(0.8, 0.0), 1.0, 2.0), True),
+        (constant_dilatation(0.99, 1.0), True),
+        (moebius_dilatation(0.8, 1.0, 2.0), False),
+        (moebius_dilatation(math.nextafter(0.8, 1.0), 1.0, 2.0), False),
+        (moebius_dilatation(0.9, 1.0, 2.0), False),
+    ],
+    ids=["moebius below 0.8", "constant 0.99", "moebius 0.8", "moebius above 0.8", "moebius 0.9"],
+)
+def test_area_takes_the_identity_exactly_where_the_quadrature_needs_no_breakpoints(
+    monkeypatch, w, identity
+):
+    params = ClassParams(0.3, w.beta, 1.0)
+    member = build_member(sample_certified_h(params, 16, 0.7, 3), w, params)
+    identities = _counting(monkeypatch, verify, "_coefficient_area")
+    quadratures = _counting(monkeypatch, verify, "_measure_area")
+    verify_area(member, params)
+    assert (len(identities), len(quadratures)) == ((1, 0) if identity else (0, 1))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.75])
@@ -689,8 +771,12 @@ def test_samples_alive_on_one_grid_get_distinct_workspaces():
 @pytest.mark.parametrize("beta", [0.0, 0.6, 0.9, 0.99])
 def test_a_warm_sample_allocates_no_grid_arrays(beta):
     # a warm sample and the six checks besides the area allocate at most half
-    # of what they did with fresh grid arrays per member (about 581 KiB);
-    # measured 131-281 KiB, mostly numpy's cast buffer for the float r^j
+    # of what they did with fresh grid arrays per member (about 581 KiB).
+    # Measured 131 KiB, or 281 KiB at beta 0.6: numpy's iterator buffers the
+    # strided operands of dilatation_modulus's broadcast product and, where g
+    # has fewer than 128 coefficients, of evaluate_polar's r^j scaling.  A
+    # float r^j in the ring cache would add a cast buffer there (peaks of 135
+    # and 179 KiB at beta 0.9 and 0.99).
     params = ClassParams(0.3, beta, 1)
     table = verify._table(params)
     member = run_member_suite(params, members=1, seed=5)[0][1]
@@ -708,7 +794,7 @@ def test_a_warm_sample_allocates_no_grid_arrays(beta):
     finally:
         tracemalloc.stop()
     assert got == expected
-    assert peak <= 290 * 1024
+    assert peak <= {0.0: 132, 0.6: 282, 0.9: 132, 0.99: 132}[beta] * 1024
 
 
 _TABLE_ARRAYS = (
@@ -768,9 +854,8 @@ def test_second_call_reuses_the_shared_table(monkeypatch, call):
     quadratures = _counting(monkeypatch, verify, "adaptive_quadrature")
     assert call(member) == first
     assert counted == {name: [] for name in counted}
-    # the area measurement over [0, 1] is the only quadrature; at beta 0.6 it
-    # starts from [0, 1] whole
-    assert all((a, b, edges) == (0.0, 1.0, ()) for _, a, b, _, edges in quadratures)
+    # at beta 0.6 the area is the coefficient identity: no quadrature runs
+    assert quadratures == []
 
 
 _LATTICE = [
