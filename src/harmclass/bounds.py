@@ -14,23 +14,23 @@ The Bloch critical radius is the unique root in (0, 1) of a quartic whose
 own coefficient signs and endpoint values certify that root (Descartes'
 rule of signs, see ``bloch_bound``); ``bloch_bound`` then bisects it in
 place to two adjacent floats, by Horner's rule on the quartic's five Python
-floats.  The quartic, the coefficients of its derivative profile
-(``bloch_L_coeffs``) and the closed g-growth forms scale with 2^delta; above
-delta = 1000 they are evaluated divided by an exact power of two, so they
-stay finite up to delta = 1024 (``_scaled_power_of_two``).
+floats.  The quartic and the coefficients of its derivative profile
+(``bloch_L_coeffs``) scale with 2^delta; above delta = 1000 they are
+evaluated divided by an exact power of two, so they stay finite up to
+delta = 1024 (``_scaled_power_of_two``).
 
 The coefficient bounds for n = 2..N are one running sum (``bn_bounds``);
 ``bn_bound`` computes only its own entry, with the bits of that sum.
 
-Two growth quantities carry a stated/derived split.  The closed lower form
-for |g| (via the expression F below) and the lower growth integrand for |f|
-are evaluated exactly as stated, but each has a companion used for member
-verification:
+Two growth quantities carry a stated/derived split.  The stated lower form
+for |g| (|A(r)|, see ``g_growth_bounds``) and the lower growth integrand
+for |f| are evaluated exactly as stated, but each has a companion used for
+member verification:
 
   * ``g_growth_quadrature`` is the exact integral of the |g'| envelope, with
     the kink at xi = beta honored (the name is that of the quadrature it
-    replaced); it disagrees with |F| once r > beta, and it is the one trusted
-    when checking concrete maps.
+    replaced); it disagrees with |A(r)| once r > beta, and it is the one
+    trusted when checking concrete maps.
   * ``f_growth_floor`` replaces the h'-upper factor of the stated lower
     integrand by the h'-lower factor.  The stated form is not attainable
     (the degree-2 extremal map crosses below it), while the floor is matched
@@ -83,10 +83,6 @@ DEFAULT_QUAD_TOL = 1e-10
 
 #: Largest coefficient index ``bn_bounds`` takes (its running sum has one float per index).
 MAX_COEFF_INDEX = 10**6
-
-#: beta below which the closed g-growth forms (which divide by beta^3) are
-#: abandoned for the exact integrals of the envelope.
-_G_GROWTH_BETA_SWITCH = 1e-3
 
 #: agreement threshold for stated-vs-derived growth forms.
 _CROSSCHECK_TOL = 1e-8
@@ -159,12 +155,12 @@ class GrowthFormCheck:
 def _scaled_power_of_two(x: float) -> tuple[float, int]:
     """2^x / 2^k and k, the least integer k >= 0 with x - k <= 1000.
 
-    The Bloch quartic and profile, the coefficients of its derivative profile
-    and the closed g-growth forms are homogeneous of degree one in 2^delta
-    and 1 - alpha, and from delta ~ 1022 on their sums overflow.  Dividing
-    both by 2^k leaves the root and the ratios as they are; ``math.ldexp``
-    divides exactly, so a value that was a normal float unscaled keeps its
-    bits, and k = 0 up to x = 1000.
+    The Bloch quartic and profile and the coefficients of its derivative
+    profile are homogeneous of degree one in 2^delta and 1 - alpha, and from
+    delta ~ 1022 on their sums overflow.  Dividing both by 2^k leaves the
+    root and the signs as they are; ``math.ldexp`` divides exactly, so a
+    value that was a normal float unscaled keeps its bits, and k = 0 up to
+    x = 1000.
     """
     k = max(0, math.ceil(x - _SCALE_EXPONENT_CAP))
     return math.ldexp(2.0**x, -k), k
@@ -206,7 +202,9 @@ def _f_upper(params: ClassParams, r, g_upper):
 def _moments(t: float, n: int, squared: bool) -> tuple:
     """The moments int_0^1 y^k / (1 + t y)^m dy, k = 0..n-1, m = 2 if
     ``squared`` else 1, for -4/5 <= t <= 1/2 (unsquared: -1/2 <= t <= 1/2)
-    and for t > 1, in plain floats.
+    and for t > 1, in plain floats.  ``_kernel_integral`` takes the squared
+    ones above 1/2 only for t > 4; between 1 and 4 they lose up to 8e-15
+    relative at n = 6.
 
     The moments phi_k, psi_k of 1/(1 + t y) and 1/(1 + t y)^2 satisfy
     phi_k = 1/(k+1) - t phi_{k+1} and psi_k = phi_k - t psi_{k+1}.  For
@@ -422,39 +420,17 @@ def gprime_envelope(params: ClassParams, r: float) -> BoundEnvelope:
     return BoundEnvelope(lower=lower, upper=upper)
 
 
-def _g_growth_closed(params: ClassParams, r: float) -> tuple[float, float]:
-    """The stated closed forms (|F|, E) / (2^delta (2-alpha) beta^3), with
-    numerator and denominator divided by 2^k (``_scaled_power_of_two``)."""
-    alpha, beta = params.alpha, params.beta
-    power, k = _scaled_power_of_two(params.delta)
-    d = power * (2.0 - alpha)
-    a1, a2 = math.ldexp(1.0 - alpha, -k), math.ldexp(2.0 - 2.0 * alpha, -k)
-    log_p = math.log1p(r * beta)
-    log_m = math.log1p(-r * beta)
-    e_val = r * beta * (d * beta - a1 * (2.0 - (r + 2.0 * beta) * beta)) + (
-        a2 - d * beta
-    ) * (1.0 - beta * beta) * log_p
-    f_val = r * beta * (-d * beta + a1 * (2.0 + (r - 2.0 * beta) * beta)) + (
-        a2 - d * beta
-    ) * (1.0 - beta * beta) * log_m
-    scale = d * beta**3
-    return abs(f_val) / scale, e_val / scale
-
-
 def g_growth_bounds(params: ClassParams, r: float) -> BoundEnvelope:
-    """Growth envelope for |g(z)| at |z| = r.
-
-    For beta >= 1e-3 the stated closed forms are evaluated; both scale like
-    beta^3, so below that threshold the division is ill-conditioned and the
-    exact integrals of the envelope (``g_growth_quadrature``, the beta -> 0
-    limit of the closed forms) are returned instead.
-    """
-    if params.beta < _G_GROWTH_BETA_SWITCH:
-        return g_growth_quadrature(params, r)
+    """Stated growth envelope (|F|, E) / (2^delta (2-alpha) beta^3) for |g(z)|
+    at |z| = r, evaluated as the integrals it equals, with no division by
+    beta^3: |A(r)|, A(r) = int_0^r (beta - xi)(1 - c xi)/(1 - beta xi) d xi,
+    and the integral of the |g'| upper envelope.  The upper side is
+    ``g_growth_quadrature``'s bit for bit, and so is the lower one where
+    r <= beta or beta = 0."""
     params.require_nonnegative_delta()
     _check_radius(r)
-    lo, up = _g_growth_closed(params, r)
-    return BoundEnvelope(lower=lo, upper=up)
+    lower = abs(_gprime_signed_integral(params.beta, distortion_slope(params), r))
+    return BoundEnvelope(lower=lower, upper=_gprime_upper_integral(params, r))
 
 
 def g_growth_quadrature(params: ClassParams, r: float) -> BoundEnvelope:
@@ -470,20 +446,18 @@ def g_growth_quadrature(params: ClassParams, r: float) -> BoundEnvelope:
 def g_growth_crosscheck(
     params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
 ) -> GrowthFormCheck:
-    """Compare the stated closed g-growth forms against the exact integrals.
+    """Compare the stated g-growth forms (``g_growth_bounds``) against the
+    exact integrals of the envelope.
 
-    The upper sides agree identically; the lower sides separate once
-    r > beta, where the signed antiderivative behind F no longer equals the
-    integral of |beta - xi|.  Disagreements are reported, not asserted away.
-    Below the beta switch of ``g_growth_bounds`` both sides are the one
-    exact integral.  ``tol`` is ignored: the values are exact.
+    The upper sides are one integral.  The lower sides agree bit for bit up
+    to r = beta and at beta = 0, and separate past r = beta, where the
+    signed integral A no longer equals the integral of |beta - xi|.
+    Disagreements are reported, not asserted away.  ``tol`` is ignored: the
+    values are exact.
     """
     quad = g_growth_quadrature(params, r)
-    if params.beta < _G_GROWTH_BETA_SWITCH:
-        closed = quad
-    else:
-        lo, up = _g_growth_closed(params, r)
-        closed = BoundEnvelope(lower=lo, upper=up)
+    lower = abs(_gprime_signed_integral(params.beta, distortion_slope(params), r))
+    closed = BoundEnvelope(lower=lower, upper=quad.upper)
     lower_diff = abs(closed.lower - quad.lower)
     upper_diff = abs(closed.upper - quad.upper)
     return GrowthFormCheck(

@@ -8,9 +8,11 @@ moments mu_j(s) = int_0^1 y^j/(1 + s y)^m dy: the power series in s for
 |s| <= 1/2, else upward from mu_0 = ln(1 + s)/s (m = 1) or 1/(1 + s)
 (m = 2).  The area's integrand is expanded into P by polynomial products.
 A member's area is its coefficient sum pi sum n (|a_n|^2 - |b_n|^2).
-The Bloch critical radius is the bisection, down to 1e-45, of the numerator
-N'(r)(1 + beta r) - beta N(r) of the derivative of the profile
-G = N/(1 + beta r).  Each function takes floats (``coefficient_area`` two
+The stated lower form of |g| is the paper's closed expression |F| over
+2^delta (2-alpha) beta^3, at twice the precision: the terms of F, of order
+r beta, cancel down to beta^3 times the form.  The Bloch critical radius is
+the bisection, down to 1e-45, of the numerator N'(r)(1 + beta r) - beta N(r)
+of the derivative of the profile G = N/(1 + beta r).  Each function takes floats (``coefficient_area`` two
 sequences of complex coefficients) and returns a ``Decimal``, ``bn`` a
 tuple of them and ``envelopes`` a dict of (lower, upper) pairs.
 """
@@ -59,6 +61,12 @@ def _moments(s: Decimal, n: int, m: int = 1) -> tuple:
     for j in range(n - 1):
         mu.append((lower[j] - mu[j]) / s)
     return tuple(mu)
+
+
+def moments(t: float, n: int, squared: bool) -> tuple:
+    """int_0^1 y^k/(1 + t y)^m dy, k = 0..n-1, m = 2 if ``squared`` else 1."""
+    with localcontext(_CONTEXT):
+        return _moments(Decimal(t), n, 2 if squared else 1)
 
 
 def _integral(poly, t: Decimal, r: Decimal, m: int = 1) -> Decimal:
@@ -164,6 +172,25 @@ def g_lower(params, r: float) -> Decimal:
         if r <= beta:
             return _integral(poly, -beta, r)
         return 2 * _integral(poly, -beta, beta) - _integral(poly, -beta, r)
+
+
+def g_stated_lower(params, r: float) -> Decimal:
+    """The stated |g| lower form |F| / (2^delta (2-alpha) beta^3), with
+    F = r beta ((1-alpha)(2 + (r - 2 beta) beta) - D beta)
+        + (2 (1-alpha) - D beta)(1 - beta^2) ln(1 - r beta),
+    D = 2^delta (2-alpha); at beta = 0 its limit r^2/2 - c r^3/3."""
+    with localcontext(Context(prec=2 * PRECISION)):
+        alpha, beta, c = _decimals(params)
+        r = Decimal(r)
+        if beta == 0:
+            return r * r / 2 - c * r**3 / 3
+        d = _TWO ** Decimal(params.delta) * (2 - alpha)
+        a1 = 1 - alpha
+        log = (1 - r * beta).ln()
+        f = r * beta * (a1 * (2 + (r - 2 * beta) * beta) - d * beta) + (2 * a1 - d * beta) * (
+            1 - beta * beta
+        ) * log
+        return abs(f) / (d * beta**3)
 
 
 def f_upper(params, r: float) -> Decimal:
