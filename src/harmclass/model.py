@@ -6,10 +6,13 @@ h'(0) = 1) and co-analytic part g determined by the dilatation w through
 g' = w * h'.  The first co-analytic coefficient satisfies |b1| = |w(0)|.
 ``harmonic_map`` truncates g for the largest ring any check reads it on.
 The half-angle factor of ``dilatation_modulus``, which depends only on
-(phi, angle count), is kept read-only in a small LRU cache, which changes no
-value: without it the ``high_beta`` benchmark verifies 3.5 % fewer members
-per second (``BENCH_caches.json``).  The Moebius coefficients are formed on
-each call.
+(phi, angle count), and two of its radial factors, which depend only on
+(beta, radii, angle count), are kept read-only in two small LRU caches,
+which change no value: without the first the ``high_beta`` benchmark
+verifies 3.5 % fewer members per second (``BENCH_caches.json``), and
+without the second the ``sweep`` benchmark 5.6 % fewer, as each grid call
+then takes a 129 KiB numpy iterator buffer (``BENCH_grid_passes.json``).
+The Moebius coefficients are formed on each call.
 """
 
 from __future__ import annotations
@@ -170,6 +173,12 @@ def dilatation_modulus(
     beta = 0.99.  At beta = 0 it returns r exactly.  The constant kind is
     beta everywhere.
 
+    The radial factors 4 beta r and ((1 - beta) + beta (1 - r))^2 are read
+    as full (rings, M) arrays from ``_ring_factors``; the half-angle row is
+    copied into ``scratch`` and the column (r - beta)^2 into ``out``.  Every
+    product and sum then runs in place on contiguous operands of one shape,
+    so numpy needs no iterator buffer (a broadcast copy needs none either),
+    and the bits are those of the broadcast form.
     The values are written into ``out``, a float (rings, M) array, which is
     returned; the Moebius kind forms its denominator in ``scratch``, an array
     of the same shape.  Either is allocated when not given.
@@ -186,11 +195,32 @@ def dilatation_modulus(
         out.fill(w.beta)
         return out
     beta, r = w.beta, radii[:, None]
-    q = np.multiply((4.0 * beta) * r, _half_angle_cos2(float(w.phi), m), out=scratch)
-    np.add((r - beta) ** 2, q, out=out)
-    q += ((1.0 - beta) + beta * (1.0 - r)) ** 2
+    scale, denominator = _ring_factors(beta, radii.tobytes(), m)
+    q = np.empty_like(out) if scratch is None else scratch
+    q[:] = _half_angle_cos2(float(w.phi), m)
+    q *= scale
+    out[:] = (r - beta) ** 2
+    out += q
+    q += denominator
     out /= q
     return np.sqrt(out, out=out)
+
+
+@lru_cache(maxsize=4)
+def _ring_factors(beta: float, radii: bytes, m: int) -> tuple:
+    """Read-only 4 beta r and ((1 - beta) + beta (1 - r))^2 for the float64
+    radii packed in ``radii``, each repeated along the rows of a full
+    (rings, m) array, for the 4 most recently used (beta, rings, m): the grid
+    of a member, and its area rings from beta 0.8 on (128 KiB on the default
+    grid)."""
+    r = np.frombuffer(radii)[:, None]
+    factors = tuple(
+        np.repeat(column, m, axis=1)
+        for column in ((4.0 * beta) * r, ((1.0 - beta) + beta * (1.0 - r)) ** 2)
+    )
+    for factor in factors:
+        factor.setflags(write=False)
+    return factors
 
 
 @lru_cache(maxsize=8)

@@ -111,8 +111,11 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int, out=None) -> np.nda
     every ring, and a longer one is summed over its rows as a real matrix
     product, sum_q t_i^q B[q, :] = (V @ B)[i] with V[i, q] = t_i^q, so every
     ring reads every row (a NaN in any row reaches every ring).  The result
-    is scaled by r^j and one inverse FFT per ring sums over j.  Only the
-    first min(M, N+1) columns are scaled: the others hold exact zeros.
+    is scaled by r^j and one inverse FFT per ring sums over j.  All M
+    columns are scaled in one contiguous in-place product; the columns past
+    the order hold +0 and keep it, as every r^j is a finite r^j + 0j with
+    r^j >= +0.  So the radii must lie in [0, 1], and -0.0 is not taken:
+    ValueError otherwise (the check runs when a ring cache entry is built).
 
     r^j and V come from one ring cache entry, V one row per power of t by a
     cumulative product.  The product runs on at most ``_ROWS_PER_PRODUCT``
@@ -136,7 +139,6 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int, out=None) -> np.nda
     block = np.zeros(rows * m, dtype=complex)
     block[: s.coeffs.size] = s.coeffs
     block = block.reshape(rows, m)
-    k = min(m, s.coeffs.size)
     powers, v = _ring_powers(radii.tobytes(), m, rows)
     if rows == 1:
         out[:] = block[0]
@@ -145,7 +147,7 @@ def evaluate_polar(s: TruncatedSeries, radii, n_angles: int, out=None) -> np.nda
         np.matmul(v[:n].T, b[:n], out=acc)
         for q in range(n, rows, n):
             acc += v[q : q + n].T @ b[q : q + n]
-    out[:, :k] *= powers[:, :k]
+    out *= powers
     return np.fft.ifft(out, axis=1, norm="forward", out=out)
 
 
@@ -162,8 +164,11 @@ def _ring_powers(radii: bytes, m: int, rows: int) -> tuple:
     longer one); the 64 most recently used (the grid, the covering circle,
     area rings).  r^j is stored as r^j + 0j, the operand numpy would cast it
     to when ``evaluate_polar`` scales its complex values, so the scaling
-    gives the same bits without a cast buffer per call."""
+    gives the same bits without a cast buffer per call.  Radii outside
+    [0, 1], or -0.0, raise ValueError before an entry is stored."""
     r = np.frombuffer(radii)
+    if not np.all((r >= 0.0) & (r <= 1.0) & ~np.signbit(r)):
+        raise ValueError("ring radii must lie in [0, 1] (and not be -0.0)")
     powers = (r[:, None] ** np.arange(m)).astype(complex)
     row_powers = np.empty((rows, r.size))
     row_powers[0], row_powers[1:] = 1.0, r**m

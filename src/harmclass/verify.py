@@ -40,6 +40,12 @@ two, never share one.  Every value is fully overwritten before it is read,
 by the same operations on the same operands as in a fresh array, so a
 workspace changes no value, bit for bit; it spares a member the fresh
 128 KiB arrays that the allocator would otherwise map and page-fault anew.
+Each value is formed in contiguous in-place passes over operands of the
+full (radii, angles) shape: the r^j scaling of ``evaluate_polar``, the
+cached radial factors of ``dilatation_modulus``, |f| as the modulus of
+conj(f) = conj(h) + g, and the grid's full-size Bloch weight.  numpy then
+needs no iterator buffer, so a warm sample allocates a few KiB, plus g's
+folded coefficient block.
 A grid check reduces each of its sides over the angles first: the least
 margin of a side at a radius is its envelope against the row maximum (upper
 side) or minimum (lower side) of the values, exactly, because rounding is
@@ -70,7 +76,8 @@ toward r = 1, where 1 - |w|^2 has its pole at r = 1/beta, each with the
 tolerance share bisection would give it, so bisection does not rediscover
 those panels level by level.  The checks read the
 dilatation only through |w|, which ``model.dilatation_modulus`` computes on
-the same rings, from a half-angle factor cached per member.
+the same rings, from a half-angle factor cached per member and radial
+factors cached per (beta, rings).
 For a Moebius w it is a real closed form in the half angle, with no complex
 division and no cancellation near the zero or the pole of w (about an ulp
 from an exact evaluation), so the references the checks compare against
@@ -153,6 +160,7 @@ class PolarGrid:
     after validation; its angles are computed with it, also read-only.  Grids
     compare and hash by identity.  ``_workspaces`` is the free list of the
     grid-sized arrays that ``_GridSample`` takes and gives back.
+    ``bloch_weight`` is formed when a table on the grid first reads it.
     """
 
     radii: np.ndarray
@@ -174,6 +182,15 @@ class PolarGrid:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_workspaces", [])
+
+    @cached_property
+    def bloch_weight(self) -> np.ndarray:
+        """Read-only 1 - r^2 over the full (radii, angles) grid, one array
+        shared by every table on the grid, so the Bloch check scales its
+        product in one contiguous pass."""
+        weight = np.repeat(1.0 - self.radii[:, None] ** 2, self.n_angles, axis=1)
+        weight.setflags(write=False)
+        return weight
 
 
 #: Where the covering proxy samples |f|: 256 points on |z| = ``model.COVERING_CIRCLE_RADIUS``.
@@ -279,9 +296,11 @@ class _GridSample:
 
     @cached_property
     def f(self) -> np.ndarray:
-        f = self._polar(self.member.h, self.workspace.h_values)  # h + conj(g), formed in place
-        f.real += self.g_values.real
-        f.imag -= self.g_values.imag
+        # conj(f) = conj(h) + g, formed in place in two contiguous passes:
+        # |conj(f)| has the bits of |h + conj(g)|, as -(a - b) rounds to -a + b
+        f = self._polar(self.member.h, self.workspace.h_values)
+        np.conjugate(f, out=f)
+        f += self.g_values
         return np.abs(f, out=self.workspace.f)
 
 
@@ -296,6 +315,8 @@ class _EnvelopeTable:
     bit to the point function at each radius: the |h'| and |g'| sides and
     the |f| upper side are the ``bounds`` envelope helpers on the radius
     column, and the radial integrals are its scalar closed forms per radius.
+    ``bloch_weight`` is no column but the grid's full-size 1 - r^2
+    (``PolarGrid.bloch_weight``), one array for every table on the grid.
     These read the moment sequences from the bounded process-wide cache of
     ``bounds._moments``, so ``f_floor`` reuses those of ``g_upper``, and
     the A(beta) that ``g_lower`` reads past the kink computes its moments
@@ -308,7 +329,7 @@ class _EnvelopeTable:
         radii, r = grid.radii.tolist(), grid.radii[:, None]
         sides = bounds._distortion_sides(params, r)
         self.hprime_lower, self.hprime_upper, self.gprime_lower, self.gprime_upper = sides
-        self.bloch_weight = 1.0 - r**2
+        self.bloch_weight = grid.bloch_weight
         self.g_upper = np.array([[bounds._gprime_upper_integral(params, x)] for x in radii])
         self.g_lower = np.array([[bounds._gprime_lower_integral(params, x)] for x in radii])
         # The lower g-growth side is sound at all radii for beta = 0, else up to beta.

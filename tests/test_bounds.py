@@ -310,9 +310,11 @@ def test_g_growth_bounds_take_one_path_for_every_beta(beta):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("delta", [1020.5, 1023.5, 1024.0 - 2.0**-43])
 @pytest.mark.parametrize("alpha, beta", itertools.product((0.0, 0.3, 0.9), (0.01, 0.5, 0.99)))
-def test_g_growth_closed_forms_stay_finite_up_to_delta_1024(alpha, beta, delta):
-    """2^delta (2 - alpha) overflowed from delta ~ 1023 and the closed forms
-    read NaN; scaled by 2^-k they take the delta = 1000 values."""
+def test_g_growth_bounds_stay_finite_up_to_delta_1024(alpha, beta, delta):
+    """2^delta (2 - alpha) overflows from delta ~ 1023, where a closed form
+    divided by it would read NaN; the bounds integrate with the slope
+    c = (1 - alpha)/((2 - alpha) 2^(delta - 1)), which tends to 0 and never
+    overflows, and take the delta = 1000 values."""
     for r in (0.0, 0.3, 0.5, 0.999):
         got = g_growth_bounds(ClassParams(alpha, beta, delta), r)
         reference = g_growth_bounds(ClassParams(alpha, beta, 1000.0), r)

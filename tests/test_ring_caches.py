@@ -8,13 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from harmclass import model, series
+from harmclass import model, series, verify
 from harmclass.factory import budget_weights, certify, sample_certified_h
 from harmclass.model import ClassParams, dilatation_coeffs, dilatation_modulus, moebius_dilatation
 from harmclass.series import TruncatedSeries, differentiate, evaluate_polar
 from harmclass.verify import default_polar_grid, run_member_suite
 
-CACHES = (series._ring_powers, model._half_angle_cos2)
+CACHES = (series._ring_powers, model._half_angle_cos2, model._ring_factors)
 
 ORDERS = (0, 1, 15, 16, 127, 128, 129, 269, 2818)
 
@@ -233,6 +233,65 @@ def test_dilatation_modulus_matches_inline_half_angle(beta):
                     assert_same_bits(out, np.broadcast_to(radii[:, None], out.shape).copy())
 
 
+def _area_ring_sets(beta):
+    """The ring sets that the area quadrature passes to ``dilatation_modulus``
+    for one member at ``beta`` (one per bisection level)."""
+    rings = []
+
+    def spy(w, radii, n_angles, out=None, scratch=None):
+        rings.append((np.array(radii), n_angles))
+        return dilatation_modulus(w, radii, n_angles, out, scratch)
+
+    params = ClassParams(0.3, beta, 1.0)
+    h = sample_certified_h(params, 16, 0.8, 3)
+    original = verify.dilatation_modulus
+    verify.dilatation_modulus = spy
+    try:
+        verify._measure_area(differentiate(h), moebius_dilatation(beta, 0.4, 1.1), 1e-8)
+    finally:
+        verify.dilatation_modulus = original
+    return rings
+
+
+MODULUS_PIN_BETAS = (0.0, 0.3, 0.6, 0.9, 0.99, 0.9999)
+
+
+@pytest.mark.parametrize("beta", MODULUS_PIN_BETAS)
+def test_dilatation_modulus_has_the_bits_of_the_broadcast_form(beta):
+    # two radial factors read as full arrays from their cache, the half-angle
+    # row and the (r - beta)^2 column copied in, every product and sum in
+    # place: the bits of the broadcast expression, on the grid, the covering
+    # circle and area rings
+    grid = default_polar_grid()
+    rings = [(grid.radii, grid.n_angles), (np.array([model.COVERING_CIRCLE_RADIUS]), 256)]
+    rings += _area_ring_sets(0.99)[:2]
+    for phi in (0.0, 2.5, -4.0):
+        w = moebius_dilatation(beta, 0.4, phi)
+        for radii, n_angles in rings:
+            expected = _inline_modulus(w, radii, n_angles)
+            assert_same_bits(dilatation_modulus(w, radii, n_angles), expected)
+            out, scratch = (np.full(expected.shape, np.nan) for _ in range(2))
+            assert dilatation_modulus(w, radii, n_angles, out, scratch) is out
+            assert_same_bits(out, expected)
+
+
+def test_ring_factors_are_read_only_full_rows_in_a_bounded_cache():
+    grid = default_polar_grid()
+    model._ring_factors.cache_clear()
+    r = grid.radii[:, None]
+    for beta in (0.3, 0.99):
+        factors = model._ring_factors(beta, grid.radii.tobytes(), grid.n_angles)
+        columns = ((4.0 * beta) * r, ((1.0 - beta) + beta * (1.0 - r)) ** 2)
+        for factor, column in zip(factors, columns, strict=True):
+            assert factor.shape == (grid.radii.size, grid.n_angles) and factor.flags.c_contiguous
+            assert not factor.flags.writeable
+            assert_same_bits(factor, np.broadcast_to(column, factor.shape).copy())
+        assert model._ring_factors(beta, grid.radii.tobytes(), grid.n_angles) is factors
+    for beta in np.linspace(0.05, 0.95, 12):  # more (beta, rings) than it holds
+        dilatation_modulus(moebius_dilatation(float(beta)), grid.radii, grid.n_angles)
+    assert model._ring_factors.cache_info().currsize == model._ring_factors.cache_info().maxsize == 4
+
+
 def test_dilatation_coeffs_match_inline_factors():
     for beta in (0.0, -0.0, 0.3, 0.6, 0.99):
         for order in (0, 1, 64, 2817):
@@ -310,6 +369,8 @@ def test_member_suite_does_not_depend_on_cache_state():
 
 
 def test_caches_stay_small_after_a_sweep():
+    # about 690 KiB of ring powers and 530 KiB of |w| ring factors (two full
+    # arrays per beta, for the grid and the area rings of beta 0.9 and 0.99)
     for cache in CACHES:
         cache.cache_clear()
     tracemalloc.start()
@@ -323,4 +384,4 @@ def test_caches_stay_small_after_a_sweep():
         held -= tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 0 < held < 2**20
+    assert 0 < held < 3 * 2**19

@@ -249,6 +249,70 @@ def test_row_powers_extend_by_their_cumulative_product():
             assert entries[longer][1][:shorter].tobytes() == entries[shorter][1].tobytes()
 
 
+def _first_columns_scaled(s, radii, m):
+    """The former scaling of a one-row block (order below M - 1): only the
+    first k = N + 1 columns are multiplied by r^j + 0j, and the others keep
+    the +0 of the block.  Returns the values before the FFT and after it."""
+    radii = np.asarray(radii, dtype=float)
+    block = np.zeros(m, dtype=complex)
+    block[: s.coeffs.size] = s.coeffs
+    val = np.empty((radii.size, m), dtype=complex)
+    val[:] = block
+    k = s.coeffs.size
+    val[:, :k] *= (radii[:, None] ** np.arange(m)).astype(complex)[:, :k]
+    return val.copy(), np.fft.ifft(val, axis=1, norm="forward")
+
+
+def _signed_zero_series(order, seed):
+    c = _random_series(order, seed).coeffs.copy()
+    c[1::5] = complex(-0.0, -0.0)
+    c[2::7] = complex(0.0, -0.0)
+    return TruncatedSeries(c)
+
+
+@pytest.mark.parametrize("n_angles", [128, 256])
+@pytest.mark.parametrize("order", [0, 1, 16, 17, 49, 91, 126])
+def test_evaluate_polar_scales_every_column_with_the_bits_of_the_first_k(
+    monkeypatch, n_angles, order
+):
+    # the full-width scale of a (rings, M) block with k = N + 1 < M columns of
+    # coefficients: before the FFT the first k columns have the bits of the
+    # former first-k scaling, and the columns past k stay +0 (no sign bit)
+    from harmclass.verify import default_polar_grid
+
+    radii = np.concatenate(([0.0], default_polar_grid().radii, [0.999, 1.0]))
+    s = _signed_zero_series(order, seed=order)
+    expected_block, expected = _first_columns_scaled(s, radii, n_angles)
+    assert evaluate_polar(s, radii, n_angles).tobytes() == expected.tobytes()
+    monkeypatch.setattr(np.fft, "ifft", lambda a, axis, norm, out: out)
+    block = evaluate_polar(s, radii, n_angles)
+    assert block.tobytes() == expected_block.tobytes()
+    past = block[:, order + 1 :]
+    assert not (past.real.any() or past.imag.any())
+    assert not (np.signbit(past.real).any() or np.signbit(past.imag).any())
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [[-1e-300], [-0.0], [1.0000000000000002], [0.5, 1.5], [267.0], [np.nan], [np.inf], [-np.inf]],
+)
+def test_evaluate_polar_rejects_radii_outside_the_unit_interval(radii):
+    # r^j overflows above r ~ 267 and a full-width scale would turn the zero
+    # columns into NaN; -0.0 has odd powers -0, which would turn them to -0
+    held = series._ring_powers.cache_info().currsize
+    for order in (5, 300):  # one and three folded rows
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            evaluate_polar(_random_series(order, seed=1), radii, 128)
+    assert series._ring_powers.cache_info().currsize == held
+
+
+def test_evaluate_polar_takes_both_ends_of_the_unit_interval():
+    s = _random_series(40, seed=2)
+    got = evaluate_polar(s, [0.0, 1.0], 64)
+    z = np.array([0.0, 1.0])[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert np.max(np.abs(got - evaluate(s, z))) <= 1e-13
+
+
 @pytest.mark.parametrize("radii, n_angles", [([[0.5]], 8), (0.5, 8), ([0.5], 0)])
 def test_evaluate_polar_rejects_bad_shapes(radii, n_angles):
     with pytest.raises(ValueError):

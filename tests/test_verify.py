@@ -772,11 +772,10 @@ def test_samples_alive_on_one_grid_get_distinct_workspaces():
 def test_a_warm_sample_allocates_no_grid_arrays(beta):
     # a warm sample and the six checks besides the area allocate at most half
     # of what they did with fresh grid arrays per member (about 581 KiB).
-    # Measured 131 KiB, or 281 KiB at beta 0.6: numpy's iterator buffers the
-    # strided operands of dilatation_modulus's broadcast product and, where g
-    # has fewer than 128 coefficients, of evaluate_polar's r^j scaling.  A
-    # float r^j in the ring cache would add a cast buffer there (peaks of 135
-    # and 179 KiB at beta 0.9 and 0.99).
+    # Measured 8-12 KiB up to beta 0.9 and 56 KiB at beta 0.99 (g's folded
+    # block); numpy's iterator buffers of the strided and broadcast passes
+    # took 131 KiB, or 281 KiB at beta 0.6, before every pass was made
+    # contiguous (test_a_warm_grid_sample_pays_no_iterator_buffers).
     params = ClassParams(0.3, beta, 1)
     table = verify._table(params)
     member = run_member_suite(params, members=1, seed=5)[0][1]
@@ -795,6 +794,104 @@ def test_a_warm_sample_allocates_no_grid_arrays(beta):
         tracemalloc.stop()
     assert got == expected
     assert peak <= {0.0: 132, 0.6: 282, 0.9: 132, 0.99: 132}[beta] * 1024
+
+
+def _h_plus_conj_g(h, g):
+    """|f| as the former kernel formed it: h + conj(g) in place in h's values."""
+    f = h.copy()
+    f.real += g.real
+    f.imag -= g.imag
+    return np.abs(f)
+
+
+def test_f_has_the_bits_of_h_plus_conj_g_where_they_cancel():
+    # conj(f) = conj(h) + g has the modulus of h + conj(g) bit for bit: rows
+    # where g = -conj(h) (f is exactly 0, with signed zeros on both sides),
+    # where only the real or only the imaginary parts cancel, and random rows
+    grid = PolarGrid([0.2, 0.4, 0.5, 0.6, 0.8, 0.9], 64)
+    rng = np.random.default_rng(36)
+    h = rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))
+    h[0, ::3] = complex(-0.0, 0.0)
+    h[0, 1::3] = complex(0.0, -0.0)
+    g = rng.normal(size=(6, 64)) + 1j * rng.normal(size=(6, 64))
+    g[0] = -np.conj(h[0])
+    g[1] = -np.conj(h[1]) * 1e-300
+    g[2].real = -h[2].real
+    g[3].imag = h[3].imag
+    member = run_member_suite(ClassParams(0.3, 0.6, 1), members=1, seed=3)[0][1]
+    with _GridSample(member, grid) as sample:
+        sample._polar = lambda s, out: np.copyto(out, h) or out
+        sample.g_values = g
+        got = sample.f.copy()
+    assert got.tobytes() == _h_plus_conj_g(h, g).tobytes()
+    assert not got[0].any() and got[2].tobytes() == np.abs(h[2].imag - g[2].imag).tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.9, 0.99])
+def test_f_of_a_member_has_the_bits_of_h_plus_conj_g(beta):
+    params = ClassParams(0.3, beta, 1)
+    member = run_member_suite(params, members=1, seed=8)[0][1]
+    for grid in (default_polar_grid(), verify._COVERING_CIRCLE):
+        h, g = (evaluate_polar(s, grid.radii, grid.n_angles) for s in (member.h, member.g))
+        with _GridSample(member, grid) as sample:
+            assert sample.f.tobytes() == _h_plus_conj_g(h, g).tobytes()
+
+
+#: What a warm grid sample may allocate besides g's folded coefficient block.
+_SAMPLE_ALLOCATION_ALLOWANCE = 16 * 1024
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.6, 0.9, 0.99])
+def test_a_warm_grid_sample_pays_no_iterator_buffers(beta):
+    # every grid-sized value (|h'|, |w|, |g|, |f|) is formed in contiguous
+    # in-place passes over full-size operands, so numpy allocates no iterator
+    # buffer: measured 4-9 KiB up to beta 0.9, where the strided and
+    # broadcast passes took 130-281 KiB.  Above that only g's folded block
+    # (ceil((N + 1)/M) rows of M complex values, 50 KiB at beta 0.99) is
+    # added, while it has at most 128 rows (one matrix product).
+    params = ClassParams(0.3, beta, 1)
+    grid = default_polar_grid()
+    member = run_member_suite(params, members=1, seed=5)[0][1]
+
+    def sample_once():
+        with _GridSample(member, grid) as sample:
+            return [getattr(sample, name).copy() for name in ("hprime", "w", "g", "f")]
+
+    expected = sample_once()
+    tracemalloc.start()
+    try:
+        with _GridSample(member, grid) as sample:
+            sample.hprime, sample.w, sample.g, sample.f
+            peak = tracemalloc.get_traced_memory()[1]
+            got = [getattr(sample, name).copy() for name in ("hprime", "w", "g", "f")]
+    finally:
+        tracemalloc.stop()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+    block = -(-(member.g.order + 1) // grid.n_angles) * grid.n_angles * 16
+    allowance = _SAMPLE_ALLOCATION_ALLOWANCE + (block if beta > 0.9 else 0)
+    assert peak <= allowance
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.6, 0.99])
+def test_the_bloch_check_pays_no_iterator_buffer(beta):
+    # (1 - r^2) |h'| (1 + |w|) is scaled by the grid's full-size weight in
+    # place, with the bits of the broadcast (radii, 1) column; that column
+    # took a 66 KiB iterator buffer per member
+    params = ClassParams(0.3, beta, 1)
+    grid = default_polar_grid()
+    member = run_member_suite(params, members=1, seed=5)[0][1]
+    table = verify._table(params, grid)
+    with _GridSample(member, grid) as sample:
+        expected = (1.0 + sample.w) * sample.hprime * (1.0 - grid.radii[:, None] ** 2)
+        report = verify._bloch(sample, table)
+        tracemalloc.start()
+        try:
+            assert verify._bloch(sample, table) == report
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.workspace.scratch.tobytes() == expected.tobytes()
+    assert peak <= _SAMPLE_ALLOCATION_ALLOWANCE
 
 
 _TABLE_ARRAYS = (
