@@ -28,7 +28,6 @@ from .bounds import (
     f_growth_floor,
     g_growth_bounds,
     g_growth_crosscheck,
-    g_growth_quadrature,
     gprime_envelope,
     hprime_envelope,
     normality_constant,

@@ -27,10 +27,10 @@ for |g| (|A(r)|, see ``g_growth_bounds``) and the lower growth integrand
 for |f| are evaluated exactly as stated, but each has a companion used for
 member verification:
 
-  * ``g_growth_quadrature`` is the exact integral of the |g'| envelope, with
-    the kink at xi = beta honored (the name is that of the quadrature it
-    replaced); it disagrees with |A(r)| once r > beta, and it is the one
-    trusted when checking concrete maps.
+  * the exact integral of the |g'| lower envelope, kink at xi = beta
+    honored, is trusted when checking concrete maps.  ``g_growth_crosscheck``
+    sets it beside |A(r)|: they are equal, bit for bit, exactly where r <= beta
+    or beta = 0, and ``agrees`` is that equality.
   * ``f_growth_floor`` replaces the h'-upper factor of the stated lower
     integrand by the h'-lower factor.  The stated form is not attainable
     (the degree-2 extremal map crosses below it), while the floor is matched
@@ -64,7 +64,6 @@ __all__ = [
     "dilatation_envelope",
     "gprime_envelope",
     "g_growth_bounds",
-    "g_growth_quadrature",
     "g_growth_crosscheck",
     "area_envelope",
     "f_growth",
@@ -83,9 +82,6 @@ DEFAULT_QUAD_TOL = 1e-10
 
 #: Largest coefficient index ``bn_bounds`` takes (its running sum has one float per index).
 MAX_COEFF_INDEX = 10**6
-
-#: agreement threshold for stated-vs-derived growth forms.
-_CROSSCHECK_TOL = 1e-8
 
 #: Largest exponent of the power-of-two scale a bound is evaluated with
 #: (see ``_scaled_power_of_two``).
@@ -117,7 +113,9 @@ class BlochResult:
 
 @dataclass(frozen=True)
 class GrowthFormCheck:
-    """Stated-vs-exact comparison of the |g| growth envelope at one point."""
+    """Stated-vs-exact comparison of the |g| growth envelope at one point:
+    ``closed`` is the stated envelope and ``quadrature`` the exact one, which
+    shares its upper side."""
 
     alpha: float
     beta: float
@@ -125,31 +123,19 @@ class GrowthFormCheck:
     r: float
     closed: BoundEnvelope
     quadrature: BoundEnvelope
-    lower_diff: float
-    upper_diff: float
-    agrees: bool
+
+    @property
+    def agrees(self) -> bool:
+        """Whether the two lower sides are equal, bit for bit."""
+        return self.closed.lower == self.quadrature.lower
 
     def discrepancies(self) -> list[dict]:
-        out = []
-        for side, diff, closed_v, quad_v in (
-            ("lower", self.lower_diff, self.closed.lower, self.quadrature.lower),
-            ("upper", self.upper_diff, self.closed.upper, self.quadrature.upper),
-        ):
-            if diff > _CROSSCHECK_TOL:
-                out.append(
-                    {
-                        "kind": "g_growth_form_discrepancy",
-                        "side": side,
-                        "alpha": self.alpha,
-                        "beta": self.beta,
-                        "delta": self.delta,
-                        "r": self.r,
-                        "closed_form": closed_v,
-                        "quadrature": quad_v,
-                        "abs_diff": diff,
-                    }
-                )
-        return out
+        if self.agrees:
+            return []
+        closed, exact = self.closed.lower, self.quadrature.lower
+        return [{"kind": "g_growth_form_discrepancy", "side": "lower", "alpha": self.alpha,
+                 "beta": self.beta, "delta": self.delta, "r": self.r, "closed_form": closed,
+                 "quadrature": exact, "abs_diff": abs(closed - exact)}]
 
 
 def _scaled_power_of_two(x: float) -> tuple[float, int]:
@@ -309,8 +295,9 @@ def _f_lower_integral(params: ClassParams, r: float, sign: float) -> float:
 
 
 def _check_radius(r: float) -> None:
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must be in [0, 1), got {r}")
+    """Reject r outside [0, 1), and -0.0, whose sign the bounds would carry."""
+    if not (0.0 <= r < 1.0 and math.copysign(1.0, r) > 0.0):
+        raise ValueError(f"radius must be in [0, 1) and not -0.0, got {r}")
 
 
 def _b2_bound(params: ClassParams) -> float:
@@ -424,30 +411,20 @@ def g_growth_bounds(params: ClassParams, r: float) -> BoundEnvelope:
     """Stated growth envelope (|F|, E) / (2^delta (2-alpha) beta^3) for |g(z)|
     at |z| = r, evaluated as the integrals it equals, with no division by
     beta^3: |A(r)|, A(r) = int_0^r (beta - xi)(1 - c xi)/(1 - beta xi) d xi,
-    and the integral of the |g'| upper envelope.  The upper side is
-    ``g_growth_quadrature``'s bit for bit, and so is the lower one where
-    r <= beta or beta = 0."""
+    and the integral of the |g'| upper envelope.  The lower side is the
+    exact integral of the |g'| lower envelope where r <= beta or beta = 0
+    (see ``g_growth_crosscheck``)."""
     params.require_nonnegative_delta()
     _check_radius(r)
     lower = abs(_gprime_signed_integral(params.beta, distortion_slope(params), r))
     return BoundEnvelope(lower=lower, upper=_gprime_upper_integral(params, r))
 
 
-def g_growth_quadrature(params: ClassParams, r: float) -> BoundEnvelope:
-    """Exact radial integrals of the |g'| envelope, split at the xi = beta
-    kink; authoritative for member verification wherever they disagree with
-    the closed forms.  The name is that of the quadrature they replaced."""
-    params.require_nonnegative_delta()
-    _check_radius(r)
-    lower, upper = _gprime_lower_integral(params, r), _gprime_upper_integral(params, r)
-    return BoundEnvelope(lower=lower, upper=upper)
-
-
 def g_growth_crosscheck(
     params: ClassParams, r: float, tol: float = DEFAULT_QUAD_TOL
 ) -> GrowthFormCheck:
-    """Compare the stated g-growth forms (``g_growth_bounds``) against the
-    exact integrals of the envelope.
+    """The stated g-growth envelope (``g_growth_bounds``) beside the exact
+    one, the integrals of the |g'| envelope with the kink at xi = beta.
 
     The upper sides are one integral.  The lower sides agree bit for bit up
     to r = beta and at beta = 0, and separate past r = beta, where the
@@ -455,22 +432,9 @@ def g_growth_crosscheck(
     Disagreements are reported, not asserted away.  ``tol`` is ignored: the
     values are exact.
     """
-    quad = g_growth_quadrature(params, r)
-    lower = abs(_gprime_signed_integral(params.beta, distortion_slope(params), r))
-    closed = BoundEnvelope(lower=lower, upper=quad.upper)
-    lower_diff = abs(closed.lower - quad.lower)
-    upper_diff = abs(closed.upper - quad.upper)
-    return GrowthFormCheck(
-        alpha=params.alpha,
-        beta=params.beta,
-        delta=params.delta,
-        r=r,
-        closed=closed,
-        quadrature=quad,
-        lower_diff=lower_diff,
-        upper_diff=upper_diff,
-        agrees=max(lower_diff, upper_diff) <= _CROSSCHECK_TOL,
-    )
+    closed = g_growth_bounds(params, r)
+    exact = BoundEnvelope(lower=_gprime_lower_integral(params, r), upper=closed.upper)
+    return GrowthFormCheck(params.alpha, params.beta, params.delta, r, closed, exact)
 
 
 def area_envelope(params: ClassParams, tol: float = DEFAULT_QUAD_TOL) -> BoundEnvelope:

@@ -109,7 +109,7 @@ def _cmd_table(args) -> list[dict]:
 
 def _cmd_verify(args) -> list[dict]:
     params = _params(args)
-    results = verify.run_member_suite(params, members=args.members, seed=args.seed)
+    results = verify._member_suite(params, args.members, args.seed)
     return [
         verify.report_to_dict(report, member=index, seed=args.seed, **_param_dict(params))
         for index, _member, reports in results

@@ -648,6 +648,25 @@ def verify_member(
     return _verify_member(f, _table(params, grid))
 
 
+def _member_suite(params: ClassParams, members: int, seed: int):
+    """Yield (index, member, reports) for the members of ``run_member_suite``,
+    sampling and verifying one per step, so a consumer need hold only one."""
+    if members < 1:
+        raise ValueError("members must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    table = _table(params)
+    for index in range(members):
+        fill = float(rng.uniform())
+        sub_seed = int(rng.integers(0, 2**31 - 1))
+        mu = float(rng.uniform(0.0, 2.0 * math.pi))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        h = sample_certified_h(params, 16, fill, sub_seed)
+        member = build_member(h, moebius_dilatation(params.beta, mu, phi), params)
+        yield index, member, _verify_member(member, table)
+
+
 def run_member_suite(
     params: ClassParams, members: int, seed: int
 ) -> list[tuple[int, HarmonicMapSpec, list[VerificationReport]]]:
@@ -656,21 +675,7 @@ def run_member_suite(
 
     Members draw a random certified analytic part of degree 16 (budget fill
     uniform in [0, 1]) and a Moebius dilatation with random rotation phases;
-    the whole stream is determined by ``seed``.
+    the whole stream is determined by ``seed``, and ``hcl verify`` reads
+    it one member at a time (``_member_suite``).
     """
-    if members < 1:
-        raise ValueError("members must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    table = _table(params)
-    out = []
-    for index in range(members):
-        fill = float(rng.uniform())
-        sub_seed = int(rng.integers(0, 2**31 - 1))
-        mu = float(rng.uniform(0.0, 2.0 * math.pi))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        h = sample_certified_h(params, 16, fill, sub_seed)
-        member = build_member(h, moebius_dilatation(params.beta, mu, phi), params)
-        out.append((index, member, _verify_member(member, table)))
-    return out
+    return list(_member_suite(params, members, seed))

@@ -157,8 +157,8 @@ def test_criterion_8_growth_form_crosscheck():
                     for delta in (0.0, 1.0):
                         params = hc.ClassParams(alpha, beta, delta)
                         check = g_growth_crosscheck(params, r, 1e-10)
-                        # the stated upper form is exact: it must always agree
-                        assert check.upper_diff < 1e-8
+                        # the stated upper form is exact: it is the same float
+                        assert check.closed.upper == check.quadrature.upper
                         records = check.discrepancies()
                         if check.agrees:
                             agreements += 1

@@ -23,7 +23,6 @@ from harmclass.bounds import (
     f_growth_floor,
     g_growth_bounds,
     g_growth_crosscheck,
-    g_growth_quadrature,
     gprime_envelope,
     hprime_envelope,
     normality_constant,
@@ -299,7 +298,7 @@ def test_g_growth_bounds_take_one_path_for_every_beta(beta):
     lower side |A(r)| is below the integral of the |g'| lower envelope."""
     params = ClassParams(0.3, beta, 1)
     for r in (0.0, 1e-4, 4e-4, 8e-4, 1e-3, 0.01, 0.3, 0.5, 0.6, 0.95, 0.999, beta):
-        stated, exact = g_growth_bounds(params, r), g_growth_quadrature(params, r)
+        stated, exact = g_growth_bounds(params, r), g_growth_crosscheck(params, r).quadrature
         assert stated.upper == exact.upper, r
         if r <= beta or beta == 0.0:
             assert stated.lower == exact.lower, r
@@ -355,7 +354,7 @@ def test_g_growth_closed_matches_quadrature_inside_beta():
         (ClassParams(0, 0.7, 2), 0.69),
     ]:
         closed = g_growth_bounds(params, r)
-        quad = g_growth_quadrature(params, r)
+        quad = g_growth_crosscheck(params, r).quadrature
         assert closed.lower == pytest.approx(quad.lower, abs=1e-9)
         assert closed.upper == pytest.approx(quad.upper, abs=1e-9)
 
@@ -363,7 +362,7 @@ def test_g_growth_closed_matches_quadrature_inside_beta():
 def test_g_growth_crosscheck_flags_lower_beyond_beta():
     check = g_growth_crosscheck(ClassParams(0, 0.5, 1), 0.8)
     assert not check.agrees
-    assert check.upper_diff < 1e-10
+    assert check.closed.upper == check.quadrature.upper
     recs = check.discrepancies()
     assert len(recs) == 1
     assert recs[0]["side"] == "lower"
@@ -378,31 +377,80 @@ def test_g_growth_crosscheck_clean_inside_beta():
 
 @pytest.mark.parametrize("beta", [0.0, 0.0005, 0.5])
 def test_g_growth_crosscheck_integrates_the_envelope_once(monkeypatch, beta):
-    """The crosscheck evaluates the integrals of one ``g_growth_quadrature``
-    and takes the stated upper side from it, bit for bit; its stated lower
-    side is the one signed integral |A(r)|, which at beta = 0 is the
-    quadrature's lower side too."""
+    """The crosscheck integrates each side of the |g'| envelope once: the
+    stated envelope is ``g_growth_bounds``, whose upper side the exact
+    envelope shares bit for bit, and the exact lower side is the integral of
+    the |g'| lower envelope, which at beta = 0 is the stated one."""
 
     calls = []
     for name in ("_gprime_lower_integral", "_gprime_upper_integral"):
         integral = getattr(bounds_mod, name)
 
-        def counted(params, r, integral=integral):
-            calls.append(r)
+        def counted(params, r, integral=integral, name=name):
+            calls.append(name)
             return integral(params, r)
 
         monkeypatch.setattr(bounds_mod, name, counted)
     params = ClassParams(0.3, beta, 1)
-    quad = g_growth_quadrature(params, 0.6)
-    one_quadrature = len(calls)
-    calls.clear()
     check = g_growth_crosscheck(params, 0.6)
-    assert check.quadrature == quad
-    assert len(calls) == one_quadrature
-    assert check.closed.upper == check.quadrature.upper and check.upper_diff == 0.0
+    assert sorted(calls) == ["_gprime_lower_integral", "_gprime_upper_integral"]
+    exact = BoundEnvelope(
+        lower=bounds_mod._gprime_lower_integral(params, 0.6),
+        upper=bounds_mod._gprime_upper_integral(params, 0.6),
+    )
+    assert check.quadrature == exact
     assert check.closed == g_growth_bounds(params, 0.6)
+    assert check.closed.upper == check.quadrature.upper
     if beta == 0.0:
-        assert check.closed == quad and check.agrees
+        assert check.closed == exact and check.agrees
+
+
+@pytest.mark.parametrize("alpha, delta", [(0.0, 0.0), (0.3, 1.0), (0.9, 3.5)])
+def test_g_growth_crosscheck_agrees_exactly_where_the_stated_form_is_exact(alpha, delta):
+    """``agrees`` is the bit-for-bit equality of the two lower sides, and the
+    upper sides are one float.  The lower sides agree at r <= beta and at
+    beta = 0, and not at r = 0.50001 or 0.8 past beta.  At the float after
+    beta the split, about (r - beta)^2 (1 - c beta)/(1 - beta^2), is far
+    below the last bit, so there the sides are one rounding apart at most,
+    either way."""
+    for beta in (0.0, 5e-5, 0.5, 0.99):
+        params = ClassParams(alpha, beta, delta)
+        for r in (beta, math.nextafter(beta, 1.0), 0.50001, 0.8):
+            check = g_growth_crosscheck(params, r)
+            assert check.agrees == (check.closed.lower == check.quadrature.lower)
+            assert check.closed.upper == check.quadrature.upper, (beta, r)
+            if r <= beta or beta == 0.0:
+                assert check.agrees and check.discrepancies() == [], (beta, r)
+            elif r == math.nextafter(beta, 1.0):
+                diff = abs(check.closed.lower - check.quadrature.lower)
+                assert diff <= 3e-15 * check.quadrature.upper, (beta, r)
+            else:
+                assert not check.agrees, (beta, r)
+                (record,) = check.discrepancies()
+                assert record["side"] == "lower" and record["abs_diff"] > 0.0
+
+
+_RADIUS_FUNCTIONS = {
+    "hprime_envelope": lambda r: hprime_envelope(P011, r),
+    "dilatation_envelope": lambda r: dilatation_envelope(0.5, r),
+    "gprime_envelope": lambda r: gprime_envelope(P011, r),
+    "g_growth_bounds": lambda r: g_growth_bounds(P011, r),
+    "g_growth_crosscheck": lambda r: g_growth_crosscheck(P011, r),
+    "f_growth": lambda r: f_growth(P011, r),
+    "f_growth_floor": lambda r: f_growth_floor(P011, r),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RADIUS_FUNCTIONS))
+def test_radius_functions_reject_negative_zero(name):
+    """-0.0 compares equal to 0.0, but the bounds would carry its sign into
+    the modulus bounds; every public radius function rejects it, as it
+    rejects radii outside [0, 1), and takes +0.0."""
+    call = _RADIUS_FUNCTIONS[name]
+    for r in (-0.0, -1e-300, 1.0, math.nan):
+        with pytest.raises(ValueError, match="radius must be in"):
+            call(r)
+    call(0.0)
 
 
 # ---------------------------------------------------------------------- area
@@ -543,7 +591,7 @@ def test_closed_forms_match_quadrature_oracle(params):
         _assert_close(fg.lower, _oracle(f_lower(1.0), r, beta), ("f lower", r))
         _assert_close(fg.upper, r + 0.5 * c * r * r + upper, ("f upper", r))
         _assert_close(f_growth_floor(params, r), _oracle(f_lower(-1.0), r, beta), ("f floor", r))
-        exact = g_growth_quadrature(params, r)
+        exact = g_growth_crosscheck(params, r).quadrature
         _assert_close(exact.lower, _oracle(g_lower, r, beta), ("g lower", r))
         _assert_close(exact.upper, upper, ("g upper", r))
         stated = g_growth_bounds(params, r)
@@ -579,7 +627,7 @@ def test_envelope_table_columns_equal_the_point_bounds():
         table = _EnvelopeTable(params, grid)
         for i, r in enumerate(grid.radii.tolist()):
             hp, gp = hprime_envelope(params, r), gprime_envelope(params, r)
-            g = g_growth_quadrature(params, r)
+            g = g_growth_crosscheck(params, r).quadrature
             point = {
                 "hprime_lower": hp.lower, "hprime_upper": hp.upper,
                 "gprime_lower": gp.lower, "gprime_upper": gp.upper,
@@ -692,7 +740,7 @@ def test_bounds_match_the_decimal_oracle():
                 record(name + "_upper", env.upper, sides[name][1])
             if r == 0.0:
                 continue
-            exact, upper = g_growth_quadrature(params, r), od.g_upper(params, r)
+            exact, upper = g_growth_crosscheck(params, r).quadrature, od.g_upper(params, r)
             record("g_upper", exact.upper, upper)
             record("g_lower", exact.lower, od.g_lower(params, r))
             stated, stated_lower = g_growth_bounds(params, r), od.g_stated_lower(params, r)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,7 +70,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
         )
         return [(0, None, [rep])]
 
-    monkeypatch.setattr(cli.verify, "run_member_suite", fake_suite)
+    monkeypatch.setattr(cli.verify, "_member_suite", fake_suite)
     code, out, _ = run_cli(
         capsys, "verify", "--alpha", "0", "--beta", "0", "--delta", "1",
         "--members", "1", "--seed", "1",
@@ -157,6 +160,49 @@ def test_negative_seed_error_names_the_seed(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed must be >= 0, got -1" in captured.err
+
+
+def test_growth_at_negative_zero_radius_exits_two(capsys):
+    """--r -0.0 is rejected like any radius outside [0, 1): exit 2 with the
+    usage line and the message, nothing on stdout and no traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["growth", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--r", "-0.0"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hcl ")
+    assert "error: radius must be in [0, 1) and not -0.0, got -0.0" in captured.err
+    assert "Traceback" not in captured.err
+
+
+_VERIFY_PEAK_RSS = """
+import os, resource, sys
+from harmclass.cli import main
+argv = ["verify", "--alpha", "0.3", "--beta", "0.9999", "--delta", "1",
+        "--members", sys.argv[1], "--seed", "7", "--out", os.devnull]
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _verify_peak_rss_kib(members: int) -> int:
+    """Peak RSS of a fresh process that runs ``hcl verify`` at beta 0.9999."""
+    paths = (os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", _VERIFY_PEAK_RSS, str(members)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return int(done.stdout)
+
+
+def test_verify_peak_rss_does_not_grow_with_the_member_count():
+    """``hcl verify`` holds each member's records, not the member: at beta
+    0.9999 a member holds about 0.43 MB of g, and the peak RSS of 400 members
+    stays within 10 MB of that of 20 (it read 211 against 49 MB when the
+    command kept every member)."""
+    few, many = _verify_peak_rss_kib(20), _verify_peak_rss_kib(400)
+    assert many - few <= 10 * 1024, (few, many)
 
 
 @pytest.mark.parametrize("command", ["bloch", "table", "bounds", "verify"])
