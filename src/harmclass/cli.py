@@ -10,8 +10,8 @@ n = 2..12.
 
 Exit codes: 0 success (all verifications passed), 1 at least one
 verification failed, 2 invalid flags (a flag value the library rejects with
-``ValueError`` or an ``--out`` that cannot be opened; nothing is written),
-3 numerical non-convergence.
+``ValueError`` or an ``--out`` that cannot be opened, shown with the usage
+line of the command run; nothing is written), 3 numerical non-convergence.
 
 Usage examples:
 
@@ -197,15 +197,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args, unknown = parser.parse_known_args(argv)
+    args, unknown = _parser().parse_known_args(argv)
+    # every flag error is named by the subcommand that was run, with its usage line
     if unknown:
-        # named by the subcommand that rejects them, with its usage line
         args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         rows = _COMMANDS[args.command][0](args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.subparser.error(str(exc))
     except QuadratureError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3
@@ -217,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         sink = (contextlib.nullcontext(sys.stdout) if args.out is None
                 else open(args.out, "w", encoding="utf-8"))
     except OSError as exc:
-        parser.error(f"cannot open --out: {exc}")
+        args.subparser.error(f"cannot open --out: {exc}")
     with sink as fh:
         fh.write(text)
     return 1 if any(row.get("passed") is False for row in rows) else 0

@@ -2,7 +2,7 @@
 
 
 class QuadratureError(RuntimeError):
-    """The area measurement's adaptive quadrature missed its tolerance."""
+    """The area quadrature missed its tolerance within 40 levels and 256 panels."""
 
 
 class RootCountError(RuntimeError):

@@ -1,6 +1,9 @@
 """Numerical kernels: adaptive quadrature of array integrands, digamma and
 Descartes sign variation of a coefficient sequence.
 
+A quadrature call that does not converge within ``_PANEL_BUDGET`` panels
+raises QuadratureError, so its work is bounded whatever the integrand.
+
 Everything here is deliberately dependency-free and testable in isolation;
 the higher-level bound evaluators treat these as trusted primitives.
 """
@@ -56,8 +59,10 @@ _NODES = np.array([0.0, *(s * x for x in _XGK[:7] for s in (-1.0, 1.0))])
 #: Bisection levels after which a panel raises QuadratureError.
 _DEPTH_LIMIT = 40
 
-#: Most panels one call of the integrand evaluates in the level-at-a-time driver.
-_LEVEL_PANELS = 256
+#: Most panels of one ``adaptive_quadrature`` call over all its levels, the
+#: starting panels included (as QUADPACK's subinterval limit): at most 3840
+#: integrand nodes in at most _DEPTH_LIMIT + 1 calls.
+_PANEL_BUDGET = 256
 
 
 def _kronrod_weights(center, pairs, half) -> tuple:
@@ -86,53 +91,32 @@ def _gauss_kronrod_level(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple:
     return _kronrod_weights(fx[:, 0], (fx[:, 1::2] + fx[:, 2::2]).T, half)
 
 
-def _failure(a, b, err, tol, depth) -> QuadratureError:
-    """Why the panel [a, b] at ``depth`` whose error estimate ``err`` exceeds
-    ``tol`` cannot be refined."""
-    a, b = float(a), float(b)
-    if depth >= _DEPTH_LIMIT:
-        return QuadratureError(
-            f"quadrature on [{a:.17g}, {b:.17g}] did not converge within "
-            f"{_DEPTH_LIMIT} subdivision levels (error estimate {err:.3g}, tol {tol:.3g})"
-        )
-    return QuadratureError(f"quadrature interval [{a:.17g}, {b:.17g}] cannot be subdivided further")
-
-
-def _adaptive_levels(
-    f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray, depth: int = 0
-) -> np.ndarray:
-    """The integral of ``f`` over every panel [lo[k], hi[k]] to absolute
-    tolerance ``tol[k]``: a panel whose Kronrod error estimate exceeds its
+def _adaptive_levels(f, lo, hi, tol, depth=0, spent=0) -> np.ndarray:
+    """The integrals of ``f`` over the panels [lo[k], hi[k]] to absolute
+    tolerances ``tol[k]``, with one call of ``f`` per bisection level on the
+    nodes of all its panels.  A panel whose Kronrod error estimate exceeds its
     tolerance is bisected, each half with half the tolerance, and its value is
-    the sum of its halves'.  ``f`` is called once per bisection level, on the
-    nodes of all its panels (never on none).  The values and the error raised
-    equal, bit for bit, those of the depth-first recursion that refines one
-    panel at a time (kept in the tests as the reference): it meets a panel
-    that cannot be split after the panels on its left, so their refinement
-    runs first and that panel's error is raised after it.  A level of more
-    than ``_LEVEL_PANELS`` panels is refined chunk by chunk, left to right,
-    so an integrand that converges nowhere costs about ``_DEPTH_LIMIT``
-    chunks instead of 2**_DEPTH_LIMIT panels.
-    """
-    if lo.size > _LEVEL_PANELS:
-        # halve at a chunk boundary: the chunks run left to right, log2(chunks) deep
-        c = _LEVEL_PANELS * -(-lo.size // (2 * _LEVEL_PANELS))
-        head = _adaptive_levels(f, lo[:c], hi[:c], tol[:c], depth)
-        return np.concatenate((head, _adaptive_levels(f, lo[c:], hi[c:], tol[c:], depth)))
+    the sum of its halves', bit for bit as in the depth-first recursion kept
+    in the tests.  With ``spent`` panels on the levels above, a level past
+    ``_PANEL_BUDGET`` panels in all, a panel rejected on level
+    ``_DEPTH_LIMIT`` or one too narrow to split raises QuadratureError."""
+    spent += lo.size
+    span = f"[{lo[0]:.17g}, {hi[-1]:.17g}]"
+    if spent > _PANEL_BUDGET:
+        raise QuadratureError(f"quadrature on {span} needs more than {_PANEL_BUDGET} panels")
     est, err = _gauss_kronrod_level(f, lo, hi)
     split = ~(err <= tol)
     if not split.any():
         return est
-    lo, hi, tol, err = lo[split], hi[split], tol[split], err[split]
+    lo, hi, tol = lo[split], hi[split], tol[split]
     mid = 0.5 * (lo + hi)
-    stuck = (mid <= lo) | (mid >= hi) | (depth >= _DEPTH_LIMIT)
-    k = int(np.argmax(stuck)) if stuck.any() else lo.size
-    if k:
-        left = np.stack((lo[:k], mid[:k]), axis=1).ravel()
-        right = np.stack((mid[:k], hi[:k]), axis=1).ravel()
-        halves = _adaptive_levels(f, left, right, np.repeat(0.5 * tol[:k], 2), depth + 1)
-    if k < lo.size:
-        raise _failure(lo[k], hi[k], err[k], tol[k], depth)
+    if depth >= _DEPTH_LIMIT:
+        raise QuadratureError(f"quadrature on {span} did not converge in {_DEPTH_LIMIT} levels")
+    if np.any((mid <= lo) | (mid >= hi)):
+        raise QuadratureError(f"quadrature on {span} has a panel too narrow to subdivide")
+    left = np.stack((lo, mid), axis=1).ravel()
+    right = np.stack((mid, hi), axis=1).ravel()
+    halves = _adaptive_levels(f, left, right, np.repeat(0.5 * tol, 2), depth + 1, spent)
     est[split] = halves[0::2] + halves[1::2]
     return est
 
@@ -142,7 +126,8 @@ def adaptive_quadrature(
 ) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol`` (see
     ``_adaptive_levels``).  ``f`` maps a 1-d float array to one of the same
-    shape.  Failure to converge within ``_DEPTH_LIMIT`` bisection levels
+    shape.  Failure to converge within ``_DEPTH_LIMIT`` bisection levels or
+    256 panels in all (``_PANEL_BUDGET``, at most 3840 integrand nodes)
     raises QuadratureError rather than returning a silently degraded estimate.
 
     The starting panels are [a, b] split at ``breakpoints``, which must

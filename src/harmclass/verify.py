@@ -70,11 +70,12 @@ for a constant w, and for a Moebius w below beta = 0.8, where the dropped
 tail of g is far below an ulp of the area (``_area``).  From beta = 0.8 on
 it is still an adaptive radial quadrature (``numerics.adaptive_quadrature``,
 the package's one quadrature) of ring means of the sample's h',
-differentiated once per member: the rings of one bisection level are one
-``evaluate_polar`` call.  That quadrature starts from dyadic panels graded
-toward r = 1, where 1 - |w|^2 has its pole at r = 1/beta, each with the
-tolerance share bisection would give it, so bisection does not rediscover
-those panels level by level.  The checks read the
+differentiated once per member; the rings of one bisection level are one
+``evaluate_polar`` call.  It starts from dyadic panels graded toward the
+pole of 1 - |w|^2 at r = 1/beta, each with the tolerance share bisection
+would give it.  The suite's members take at most 2 levels of 19 panels; a
+quadrature past its budget of 256 panels raises QuadratureError (exit 3 in
+``hcl verify``).  The checks read the
 dilatation only through |w|, which ``model.dilatation_modulus`` computes on
 the same rings, from a half-angle factor cached per member and radial
 factors cached per (beta, rings).

@@ -170,30 +170,93 @@ def test_growth_at_negative_zero_radius_exits_two(capsys):
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage: hcl ")
+    assert captured.err.startswith("usage: hcl growth ")
     assert "error: radius must be in [0, 1) and not -0.0, got -0.0" in captured.err
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (("growth", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--r", "-0.0"), "growth"),
+        (("verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--members", "0"), "verify"),
+        (
+            ("bloch", "--alpha", "0", "--beta", "0", "--delta", "1",
+             "--out", "/nonexistent/dir/x.json"),
+            "bloch",
+        ),
+        (
+            ("verify", "--alpha", "0.3", "--beta", "0.5", "--delta", "1", "--members", "1",
+             "--out", "/nonexistent/dir/x.jsonl"),
+            "verify",
+        ),
+    ],
+    ids=["growth-value", "verify-value", "bloch-out", "verify-out"],
+)
+def test_flag_errors_show_the_usage_of_the_command_that_was_run(capsys, argv, command):
+    """A value the library rejects and an --out that cannot be opened are
+    reported by the subcommand's parser, like an unknown flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(list(argv))
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: hcl {command} ")
+    assert f"\nhcl {command}: error: " in captured.err
+
+
+def test_verify_exits_three_when_the_area_quadrature_cannot_converge(capsys, monkeypatch, tmp_path):
+    """With the area tolerance out of reach, the first member past beta 0.8
+    runs its quadrature out of panels: exit 3, the reason on stderr, nothing
+    on stdout and no file written."""
+    monkeypatch.setattr(cli.verify, "_AREA_TOL", 1e-300)
+    out = tmp_path / "verify.jsonl"
+    code = cli.main(
+        ["verify", "--alpha", "0.3", "--beta", "0.9", "--delta", "1", "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("numerical non-convergence: ")
+    assert "more than 256 panels" in captured.err
+
+
 _VERIFY_PEAK_RSS = """
-import os, resource, sys
+import os, sys
 from harmclass.cli import main
 argv = ["verify", "--alpha", "0.3", "--beta", "0.9999", "--delta", "1",
         "--members", sys.argv[1], "--seed", "7", "--out", os.devnull]
 assert main(argv) == 0
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+
+#: Appended to each child script: its own peak RSS in KiB.  On Linux the
+#: ``ru_maxrss`` of a child carries the peak of the process it was forked
+#: from across ``exec``, so it is read as the ``VmHWM`` of the child's own
+#: address space where /proc has it.
+_PRINT_PEAK_KIB = """
+import resource
+try:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def _child_peak_rss_kib(script: str, arg: str) -> int:
+    """Peak RSS in KiB of a fresh process that runs ``script`` with ``arg``."""
+    paths = (os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", script + _PRINT_PEAK_KIB, arg],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return int(done.stdout)
 
 
 def _verify_peak_rss_kib(members: int) -> int:
     """Peak RSS of a fresh process that runs ``hcl verify`` at beta 0.9999."""
-    paths = (os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run(
-        [sys.executable, "-c", _VERIFY_PEAK_RSS, str(members)],
-        env=env, capture_output=True, text=True, check=True, timeout=300,
-    )
-    return int(done.stdout)
+    return _child_peak_rss_kib(_VERIFY_PEAK_RSS, str(members))
 
 
 def test_verify_peak_rss_does_not_grow_with_the_member_count():
@@ -203,6 +266,27 @@ def test_verify_peak_rss_does_not_grow_with_the_member_count():
     command kept every member)."""
     few, many = _verify_peak_rss_kib(20), _verify_peak_rss_kib(400)
     assert many - few <= 10 * 1024, (few, many)
+
+
+_AREA_EXIT_PEAK_RSS = """
+import os, sys
+from harmclass import verify
+from harmclass.cli import main
+forced = sys.argv[1] == "forced"
+if forced:
+    verify._AREA_TOL = 1e-300
+argv = ["verify", "--alpha", "0.3", "--beta", "0.9", "--delta", "1", "--out", os.devnull]
+assert main(argv) == (3 if forced else 0)
+"""
+
+
+def test_verify_exit_three_peaks_near_a_converging_run():
+    """The area quadrature stops at its panel budget: the forced exit 3 at
+    beta 0.9 peaks within 30 MB of a converging run (it read 325 against
+    39 MB, after 0.57 s, when only the depth of each panel was bounded)."""
+    converging = _child_peak_rss_kib(_AREA_EXIT_PEAK_RSS, "converging")
+    forced = _child_peak_rss_kib(_AREA_EXIT_PEAK_RSS, "forced")
+    assert forced - converging <= 30 * 1024, (converging, forced)
 
 
 @pytest.mark.parametrize("command", ["bloch", "table", "bounds", "verify"])

@@ -85,14 +85,14 @@ def _gauss_kronrod_15(f, a, b):
 
 
 def _adaptive_panel(f, a, b, tol, depth=0):
-    """The depth-first recursion, one panel at a time, whose values and first
-    error ``numerics._adaptive_levels`` reproduces level by level."""
+    """The depth-first recursion, one panel at a time, whose values
+    ``numerics._adaptive_levels`` reproduces level by level."""
     est, err = _gauss_kronrod_15(f, a, b)
     if err <= tol:
         return est
     mid = 0.5 * (a + b)
     if depth >= numerics._DEPTH_LIMIT or mid <= a or mid >= b:
-        raise numerics._failure(a, b, err, tol, depth)
+        raise QuadratureError(f"panel [{a!r}, {b!r}] on level {depth} cannot be refined")
     half_tol = 0.5 * tol
     return _adaptive_panel(f, a, mid, half_tol, depth + 1) + _adaptive_panel(
         f, mid, b, half_tol, depth + 1
@@ -210,73 +210,71 @@ def test_levels_hold_several_panels():
     _assert_calls(sizes, [30] + [60] * 21)
 
 
-def test_wide_levels_match_exactly():
-    # 601 panels at level 0: more than one integrand call may take
-    f = lambda x: abs(x - 0.3) / (1.0 + x)
-    edges = np.concatenate(([0.0], np.linspace(0.001, 0.999, 601)))
+def test_starting_panels_past_the_budget_raise_before_any_integrand_call():
+    f = lambda x: np.cos(x)
     sizes = []
-    got = _levels(f, edges, 1e-9, sizes)
-    assert max(sizes) <= 15 * numerics._LEVEL_PANELS < 15 * (edges.size - 1)
-    assert got == _recursion(f, edges.tolist(), 1e-9)
-    # chunks of 256, 256 and 89 panels; the first two each split one panel
-    _assert_calls(sizes, [3840, 30, 30, 3840, 1335])
+    edges = np.linspace(0.0, 1.0, numerics._PANEL_BUDGET + 1)  # 256 panels: one call
+    assert _levels(f, edges, 1e-9, sizes) == _recursion(f, edges.tolist(), 1e-9)
+    _assert_calls(sizes, [15 * 256])
+    sizes.clear()
+    edges = np.concatenate(([0.0], np.linspace(0.001, 0.999, 601)))  # 601 panels
+    with pytest.raises(QuadratureError, match="more than 256 panels"):
+        _levels(f, edges, 1e-9, sizes)
+    assert sizes == []
 
 
-# NaN from 1e6 on: every panel there is split until it is one float wide
+# NaN from 1e6 on: no panel there converges, so each is split until the budget
+# or the width of a float stops it
 _NAN_FROM_1E6 = lambda x: np.where(x >= 1e6, math.nan, 0.0)
 
 
-#: Node counts of the integrand calls up to the error: levels of 256 panels or
-#: fewer are one call each, and a wider level is refined 256 panels at a time.
-_DOUBLING = [15 * 2**j for j in range(9)]  # 1, 2, 4, ..., 256 panels
+#: Node counts of the integrand calls when every panel is split: 1, 2, 4, ...,
+#: 128 panels, and the level of 256 would take the total past the budget.
+_DOUBLING = [15 * 2**j for j in range(8)]
 
 
 @pytest.mark.parametrize(
     "f, edges, reason, expected",
     [
-        (lambda x: (x >= 1 / 3) * 1.0, [0.0, 1.0], "40 subdivision levels", [15] + [30] * 40),
+        (lambda x: (x >= 1 / 3) * 1.0, [0.0, 1.0], "in 40 levels", [15] + [30] * 40),
         (
             lambda x: (x >= 1 / 3) + (x >= 2 / 3) * 1.0,
             [0.0, 0.5, 1.0],
-            "40 subdivision levels",
+            "in 40 levels",
             [30] + [60] * 40,
         ),
-        (lambda x: x * math.nan, [0.0, 1.0], "40 subdivision levels", _DOUBLING + [3840] * 32),
-        (
-            _NAN_FROM_1E6,
-            [0.0, 1e6, 1e6 + 1e-4],
-            "cannot be subdivided",
-            [30] + _DOUBLING[1:] + [3840] * 11 + [30],
-        ),
-        # the right interval gets stuck ~20 levels before the left one hits the limit
+        (lambda x: x * math.nan, [0.0, 1.0], "more than 256 panels", _DOUBLING),
+        # the right interval doubles its panels; the left one converges on level 0
+        (_NAN_FROM_1E6, [0.0, 1e6, 1e6 + 1e-4], "more than 256 panels", [30] + _DOUBLING[1:]),
+        # the right interval doubles its panels, the left one keeps two at the step
         (
             lambda x: (x >= 1e6 / 3) + _NAN_FROM_1E6(x),
             [0.0, 1e6, 1e6 + 1e-4],
-            "40 subdivision levels",
-            [30, 60, 90, 150, 270, 510, 990, 1950] + [3840] * 12 + [60] + [30] * 20,
+            "more than 256 panels",
+            [30, 60, 90, 150, 270, 510, 990],
         ),
-        # the right interval gets stuck on level 3; level 5, the last, accepts every
-        # panel of the left one: the error recorded before it must still be raised
+        # the right interval gets stuck on level 3, while the left one still refines
         (
             lambda x: 1e-9 * np.exp(-(((x - 3e5) / 3e4) ** 2)) + _NAN_FROM_1E6(x),
             [0.0, 1e6, 1e6 + 1e-9],
-            "cannot be subdivided",
-            [30, 60, 90, 180, 90, 90],
+            "too narrow",
+            [30, 60, 90, 180],
         ),
     ],
     ids=[
-        "step", "two-steps", "nan-everywhere", "unsplittable", "stuck-right-of-limit",
-        "stuck-then-converged",
+        "step", "two-steps", "nan-everywhere", "unsplittable", "stuck-right",
+        "stuck-while-refining",
     ],
 )
-def test_levels_raise_the_recursions_error(f, edges, reason, expected):
-    """The error the depth-first recursion meets first, with the same message."""
-    with pytest.raises(QuadratureError, match=reason) as scalar:
+def test_levels_raise_within_the_budget(f, edges, reason, expected):
+    """Where the depth-first recursion raises, the levels raise too, after at
+    most _DEPTH_LIMIT + 1 integrand calls on at most 15 * 256 nodes in all."""
+    with pytest.raises(QuadratureError):
         _recursion(f, edges, 1e-13)
     calls = []
-    with pytest.raises(QuadratureError) as levels:
+    with pytest.raises(QuadratureError, match=reason):
         _levels(f, edges, 1e-13, calls)
-    assert str(levels.value) == str(scalar.value)
+    assert len(calls) <= numerics._DEPTH_LIMIT + 1 and sum(calls) <= 3840
     _assert_calls(calls, expected)
 
 

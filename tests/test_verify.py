@@ -22,7 +22,8 @@ from harmclass.model import (
     moebius_dilatation,
     rotation_dilatation,
 )
-from harmclass import bounds, verify
+from harmclass import bounds, numerics, verify
+from harmclass.errors import QuadratureError
 from harmclass.numerics import adaptive_quadrature
 from harmclass.series import TruncatedSeries, differentiate, evaluate, evaluate_polar
 from harmclass.verify import (
@@ -494,13 +495,13 @@ def test_kink_radius_keeps_previous_numbers():
             assert abs(margin - expected[index][0]) <= 1e-14
 
 
-def _ring_by_ring_area(f, tol, modulus=None):
-    """The former area measurement: the ring means formed one radius at a
-    time, from the starting panels of the measurement.  h' is evaluated on
-    each level's radii in one call over the sorted radii, mapped back to
-    their positions, so a level of several rings takes the same kind of
-    matrix product as the measurement, which passes them out of order.
-    ``modulus(r)`` gives |w| on the ring; by default ``dilatation_modulus``."""
+def _ring_means(f, modulus=None):
+    """The former area integrand: the ring means formed one radius at a time.
+    h' is evaluated on each level's radii in one call over the sorted radii,
+    mapped back to their positions, so a level of several rings takes the
+    same kind of matrix product as the measurement, which passes them out of
+    order.  ``modulus(r)`` gives |w| on the ring; by default
+    ``dilatation_modulus``."""
     hprime = differentiate(f.h)
     modulus = modulus or (lambda r: dilatation_modulus(f.w, [r], 128)[0])
 
@@ -515,8 +516,14 @@ def _ring_by_ring_area(f, tol, modulus=None):
         hp[order] = evaluate_polar(hprime, radii[order], 128)
         return np.array([ring_mean(r, v) for r, v in zip(radii.tolist(), hp)])
 
+    return rings
+
+
+def _ring_by_ring_area(f, tol, modulus=None):
+    """The former area measurement: ``_ring_means`` over the starting panels
+    of the measurement."""
     edges = verify._area_breakpoints(f.w)
-    return 2.0 * math.pi * adaptive_quadrature(rings, 0.0, 1.0, tol, edges)
+    return 2.0 * math.pi * adaptive_quadrature(_ring_means(f, modulus), 0.0, 1.0, tol, edges)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.6, 0.9, 0.97, 0.99])
@@ -551,6 +558,26 @@ def test_area_of_a_two_row_derivative_equals_ring_by_ring_quadrature(beta):
     hprime = differentiate(member.h)
     assert hprime.order == 199
     assert verify._measure_area(hprime, member.w, 1e-8) == _ring_by_ring_area(member, 1e-8)
+
+
+def test_permuted_ring_means_raise_within_the_panel_budget():
+    """Each level's ring means handed back in the order of the sorted radii:
+    nothing converges, and the area quadrature raises after 5 integrand calls
+    on 2790 nodes (without the panel budget it had made 1144 calls on 4.4
+    million nodes and held 566 MB when it was stopped after 120 s)."""
+    member = _suite_members(0.99, 1)[0]
+    rings = _ring_means(member)
+    calls = []
+
+    def permuted(radii):
+        calls.append(radii.size)
+        return rings(radii)[np.argsort(radii, kind="stable")]
+
+    edges = verify._area_breakpoints(member.w)
+    with pytest.raises(QuadratureError, match="more than 256 panels"):
+        adaptive_quadrature(permuted, 0.0, 1.0, 1e-8, edges)
+    assert len(calls) <= numerics._DEPTH_LIMIT + 1 and sum(calls) <= 3840
+    assert calls == [90, 180, 360, 720, 1440]
 
 
 def _suite_members(beta, members=3):
