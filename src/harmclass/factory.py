@@ -7,8 +7,8 @@ budget
 
 which is a sufficient condition, not a characterization: everything this
 module certifies is in the class, but the class may contain members the
-certificate cannot see.  The weights and the sampler's envelope are formed
-on each call: keeping them saved under 3 % on every benchmark workload
+certificate cannot see.  The budget weights are formed on each call:
+keeping them saved under 3 % on every benchmark workload
 (``BENCH_caches.json``).
 """
 
@@ -101,10 +101,10 @@ def sample_certified_h(
     the implied infinite-series tail beyond max_degree is negligible and the
     certificate stays honest under truncation.  Deterministic per seed.
 
-    Where a weight overflows, or the envelope leaves the normal float range,
-    for some n <= max_degree, the magnitudes and the rescale are formed from
-    their logarithms.  A coefficient that would fall below the normal float
-    range is then an exact zero, and the others take the whole budget; above
+    Each magnitude and the rescale are formed from their logarithms, so one
+    path serves every delta, also where a weight or the envelope leaves the
+    float range.  A coefficient that would fall below the normal float range
+    is an exact zero, and the others take the whole budget; above
     delta = 1021 none is left, and h = z.
     """
     if params.delta < 0:
@@ -114,19 +114,11 @@ def sample_certified_h(
     if not 0.0 <= fill <= 1.0:
         raise ValueError("fill must be in [0, 1]")
     n, tiny = np.arange(2, max_degree + 1, dtype=float), np.finfo(float).tiny
-    weights = budget_weights(params, max_degree)
-    envelope = n ** (-params.delta - 2.0)
     rng = np.random.default_rng(rng_seed)
-    draws = rng.uniform(0.0, 1.0, size=envelope.size)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=envelope.size)
+    draws = rng.uniform(0.0, 1.0, size=n.size)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=n.size)
     coeffs = np.zeros(max_degree + 1, dtype=complex)
     coeffs[1] = 1.0
-    if np.isfinite(weights[-1]) and envelope[-1] >= tiny:
-        mags = draws * envelope
-        raw_budget = float(np.sum(weights * mags))
-        if fill > 0.0 and raw_budget > 0.0:
-            coeffs[2:] = (fill / raw_budget) * mags * np.exp(1j * phases)
-        return TruncatedSeries(coeffs)
     with np.errstate(divide="ignore"):  # a zero draw is an exact zero
         log_mags = np.log(draws) - (params.delta + 2.0) * np.log(n)
     # a weight times the envelope is (n - alpha)/((1 - alpha) n^2); rescaling

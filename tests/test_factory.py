@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -140,8 +142,24 @@ def test_sampler_preconditions():
 
 
 def _inline_sample(params, max_degree, fill, rng_seed):
-    """The sampler's magnitudes and rescale formed directly, where the
-    envelope and the weights stay in the float range."""
+    """The sampler's magnitudes and rescale formed from their logarithms."""
+    n = np.arange(2, max_degree + 1, dtype=float)
+    rng = np.random.default_rng(rng_seed)
+    draws = rng.uniform(0.0, 1.0, n.size)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n.size)
+    log_mags = np.log(draws) - (params.delta + 2.0) * np.log(n)
+    terms = draws * (n - params.alpha) / ((1.0 - params.alpha) * n * n)
+    kept = np.exp(math.log(fill / terms.sum()) + log_mags) >= np.finfo(float).tiny
+    coeffs = np.zeros(max_degree + 1, dtype=complex)
+    coeffs[1] = 1.0
+    if kept.any():
+        log_scale = math.log(fill / terms[kept].sum())
+        coeffs[2:][kept] = np.exp(log_scale + log_mags[kept]) * np.exp(1j * phases[kept])
+    return coeffs
+
+
+def _direct_sample(params, max_degree, fill, rng_seed):
+    """The same draws with magnitudes n^(-delta-2) and weights formed directly."""
     n = np.arange(2, max_degree + 1, dtype=float)
     rng = np.random.default_rng(rng_seed)
     mags = rng.uniform(0.0, 1.0, n.size) * n ** (-params.delta - 2.0)
@@ -154,7 +172,7 @@ def _inline_sample(params, max_degree, fill, rng_seed):
 
 
 @pytest.mark.filterwarnings("error")
-def test_sampler_in_the_float_range_forms_its_magnitudes_directly():
+def test_sampler_forms_every_magnitude_from_its_logarithm():
     rng = np.random.default_rng(2535)
     for seed in range(200):
         alpha, beta, fill = rng.uniform(0.0, 1.0, 3).tolist()
@@ -162,11 +180,17 @@ def test_sampler_in_the_float_range_forms_its_magnitudes_directly():
         params = ClassParams(alpha, beta, delta)
         h = sample_certified_h(params, 16, fill, seed)
         assert h.coeffs.tobytes() == _inline_sample(params, 16, fill, seed).tobytes()
-    # 16^(-255.5) is the smallest normal float: the last delta formed directly
-    params = ClassParams(0.3, 0.5, 253.5)
-    for seed in range(20):
-        h = sample_certified_h(params, 16, 0.5, seed)
-        assert h.coeffs.tobytes() == _inline_sample(params, 16, 0.5, seed).tobytes()
+        # where every directly formed coefficient is a normal float, the two agree
+        # to the rounding of exp at arguments down to -(delta + 2) log 16
+        direct = _direct_sample(params, 16, fill, seed)
+        if np.all(np.abs(direct[2:]) >= np.finfo(float).tiny):
+            np.testing.assert_allclose(h.coeffs, direct, rtol=1e-12, atol=0.0)
+    # 16^(-255.5) is the smallest normal float; past it the weights overflow too
+    for delta in (253.5, 254.0, 300.0, 1015.0):
+        params = ClassParams(0.3, 0.5, delta)
+        for seed in range(20):
+            h = sample_certified_h(params, 16, 0.5, seed)
+            assert h.coeffs.tobytes() == _inline_sample(params, 16, 0.5, seed).tobytes()
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 """The factors of ring evaluation, memoised or formed per call: every value
 equals the inline formula, bit for bit, whatever the state of the caches."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -308,10 +309,12 @@ def test_budget_weights_and_sampler_match_inline_factors():
     h = sample_certified_h(params, 16, 0.7, 11)
     n = np.arange(2, 17, dtype=float)
     rng = np.random.default_rng(11)
-    mags = rng.uniform(0.0, 1.0, size=15) * n ** (-params.delta - 2.0)
+    draws = rng.uniform(0.0, 1.0, size=15)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=15)
-    raw_budget = float(np.sum(_inline_weights(params, 16) * mags))
-    assert_same_bits(h.coeffs[2:], (0.7 / raw_budget) * mags * np.exp(1j * phases))
+    log_mags = np.log(draws) - (params.delta + 2.0) * np.log(n)
+    terms = draws * (n - params.alpha) / ((1.0 - params.alpha) * n * n)
+    log_scale = math.log(0.7 / terms.sum())
+    assert_same_bits(h.coeffs[2:], np.exp(log_scale + log_mags) * np.exp(1j * phases))
 
 
 def test_cached_arrays_are_read_only():
