@@ -379,9 +379,12 @@ def _grid_report(theorem: str, sides: tuple, grid: PolarGrid) -> VerificationRep
     first, and only the winning row is rebuilt in full to find the witness
     angle.
     """
+    # with an initial value numpy takes its faster row loop; NaN still propagates
     rows = np.hstack([
         _side_margins(
-            values.max(axis=1, keepdims=True) if upper else values.min(axis=1, keepdims=True),
+            values.max(axis=1, keepdims=True, initial=-np.inf)
+            if upper
+            else values.min(axis=1, keepdims=True, initial=np.inf),
             envelope, upper,
         )
         for _, values, envelope, upper in sides
