@@ -236,14 +236,13 @@ def report_to_dict(report: VerificationReport, **extra) -> dict:
 
 
 class _Workspace:
-    """The grid-sized arrays of one sample: the complex h', h and g values,
-    the float |h'|, |w|, |g| and |f|, and one float scratch array."""
+    """The grid-sized arrays of one sample: the complex values of h' or h
+    (each is read only by its own modulus, so the two share one array) and
+    of g, the float |h'|, |w|, |g| and |f|, and one float scratch array."""
 
     def __init__(self, grid: PolarGrid) -> None:
         shape = (grid.radii.size, grid.n_angles)
-        self.hprime_values, self.h_values, self.g_values = (
-            np.empty(shape, dtype=complex) for _ in range(3)
-        )
+        self.h_values, self.g_values = (np.empty(shape, dtype=complex) for _ in range(2))
         self.hprime, self.w, self.g, self.f, self.scratch = (np.empty(shape) for _ in range(5))
 
 
@@ -280,7 +279,7 @@ class _GridSample:
     @cached_property
     def hprime(self) -> np.ndarray:
         ws = self.workspace
-        return np.abs(self._polar(self.hprime_series, ws.hprime_values), out=ws.hprime)
+        return np.abs(self._polar(self.hprime_series, ws.h_values), out=ws.hprime)
 
     @cached_property
     def w(self) -> np.ndarray:

@@ -864,6 +864,27 @@ def test_f_of_a_member_has_the_bits_of_h_plus_conj_g(beta):
             assert sample.f.tobytes() == _h_plus_conj_g(h, g).tobytes()
 
 
+@pytest.mark.parametrize("first", ["hprime", "f"])
+@pytest.mark.parametrize("beta", [0.0, 0.6, 0.99])
+def test_hprime_and_f_share_one_complex_array_whichever_is_read_first(first, beta):
+    # h' and h are each read only by their own modulus, so one complex
+    # workspace array serves both: either order gives fresh values, bit for bit
+    params = ClassParams(0.3, beta, 1)
+    member = run_member_suite(params, members=1, seed=9)[0][1]
+    for grid in (default_polar_grid(), verify._COVERING_CIRCLE):
+        h, hprime, g = (
+            evaluate_polar(s, grid.radii, grid.n_angles)
+            for s in (member.h, differentiate(member.h), member.g)
+        )
+        expected = {"hprime": np.abs(hprime), "f": _h_plus_conj_g(h, g)}
+        with _GridSample(member, grid) as sample:
+            second = "f" if first == "hprime" else "hprime"
+            got = {name: getattr(sample, name).copy() for name in (first, second)}
+            assert sample.workspace.h_values is not sample.workspace.g_values
+        for name in expected:
+            assert got[name].tobytes() == expected[name].tobytes(), name
+
+
 #: What a warm grid sample may allocate besides g's folded coefficient block.
 _SAMPLE_ALLOCATION_ALLOWANCE = 16 * 1024
 
