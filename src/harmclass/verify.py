@@ -75,7 +75,7 @@ differentiated once per member; the rings of one bisection level are one
 pole of 1 - |w|^2 at r = 1/beta, each with the tolerance share bisection
 would give it.  The suite's members take at most 2 levels of 19 panels; a
 quadrature past its budget of 256 panels raises QuadratureError (exit 3 in
-``hcl verify``).  The checks read the
+``hcl verify``, naming the member, the suite seed and the check).  The checks read the
 dilatation only through |w|, which ``model.dilatation_modulus`` computes on
 the same rings, from a half-angle factor cached per member and radial
 factors cached per (beta, rings).
@@ -107,6 +107,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from . import bounds, model
+from .errors import QuadratureError
 from .factory import build_member, certify, sample_certified_h
 from .model import (
     ClassParams, DilatationSpec, HarmonicMapSpec, dilatation_modulus, moebius_dilatation
@@ -558,8 +559,15 @@ _CHECKS = (_coefficients, _distortion, _g_growth, _area, _f_growth, _covering, _
 
 
 def _verify_member(f: HarmonicMapSpec, table: _EnvelopeTable) -> list[VerificationReport]:
+    """The seven reports of ``f``; a QuadratureError is raised again naming its check."""
     with _GridSample(f, table.grid) as sample:
-        return [check(sample, table) for check in _CHECKS]
+        reports = []
+        for theorem, check in zip(MEMBER_THEOREMS, _CHECKS):
+            try:
+                reports.append(check(sample, table))
+            except QuadratureError as exc:
+                raise QuadratureError(f"{theorem}: {exc}") from exc
+        return reports
 
 
 def _run(check, f: HarmonicMapSpec, table: _EnvelopeTable) -> VerificationReport:
@@ -653,7 +661,8 @@ def verify_member(
 
 def _member_suite(params: ClassParams, members: int, seed: int):
     """Yield (index, member, reports) for the members of ``run_member_suite``,
-    sampling and verifying one per step, so a consumer need hold only one."""
+    sampling and verifying one per step, so a consumer need hold only one.
+    A QuadratureError is raised again naming the member index and the seed."""
     if members < 1:
         raise ValueError("members must be >= 1")
     if seed < 0:
@@ -667,7 +676,11 @@ def _member_suite(params: ClassParams, members: int, seed: int):
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         h = sample_certified_h(params, 16, fill, sub_seed)
         member = build_member(h, moebius_dilatation(params.beta, mu, phi), params)
-        yield index, member, _verify_member(member, table)
+        try:
+            reports = _verify_member(member, table)
+        except QuadratureError as exc:
+            raise QuadratureError(f"member {index} (seed {seed}), {exc}") from exc
+        yield index, member, reports
 
 
 def run_member_suite(

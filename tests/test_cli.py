@@ -207,8 +207,9 @@ def test_flag_errors_show_the_usage_of_the_command_that_was_run(capsys, argv, co
 
 def test_verify_exits_three_when_the_area_quadrature_cannot_converge(capsys, monkeypatch, tmp_path):
     """With the area tolerance out of reach, the first member past beta 0.8
-    runs its quadrature out of panels: exit 3, the reason on stderr, nothing
-    on stdout and no file written."""
+    runs its quadrature out of panels: exit 3, the reason on stderr with the
+    member, the suite seed and the check, nothing on stdout and no file
+    written."""
     monkeypatch.setattr(cli.verify, "_AREA_TOL", 1e-300)
     out = tmp_path / "verify.jsonl"
     code = cli.main(
@@ -218,6 +219,7 @@ def test_verify_exits_three_when_the_area_quadrature_cannot_converge(capsys, mon
     assert code == 3
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("numerical non-convergence: ")
+    assert "member 0 (seed 0), area: " in captured.err
     assert "more than 256 panels" in captured.err
 
 
