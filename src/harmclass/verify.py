@@ -75,10 +75,10 @@ differentiated once per member; the rings of one bisection level are one
 pole of 1 - |w|^2 at r = 1/beta, each with the tolerance share bisection
 would give it.  The suite's members take at most 2 levels of 19 panels; a
 quadrature past its budget of 256 panels raises QuadratureError (exit 3 in
-``hcl verify``, naming the member, the suite seed and the check).  The checks read the
-dilatation only through |w|, which ``model.dilatation_modulus`` computes on
-the same rings, from a half-angle factor cached per member and radial
-factors cached per (beta, rings).
+``hcl verify``, naming the member, the suite seed and the check).  The
+checks read the dilatation only through |w|, which
+``model.dilatation_modulus`` computes on the same rings, from a half-angle
+factor cached per member and radial factors cached per (beta, rings).
 For a Moebius w it is a real closed form in the half angle, with no complex
 division and no cancellation near the zero or the pole of w (about an ulp
 from an exact evaluation), so the references the checks compare against
